@@ -1,26 +1,23 @@
 //! Emits `BENCH_facade.json`: scalar-vs-planned execution of typed
 //! query batches through the `fastlive` facade.
 //!
-//! Each row runs one batch against one backend twice — a scalar loop
-//! (`session.query` per query: every block probe pays its own
-//! candidate scan, every `Direct` query its own precomputation) and
-//! the planner (`session.run_queries`: grouped per function, uses
-//! resolved once, grouped `LiveIn`/`LiveOut` served from
-//! `BatchLiveness` rows) — asserts the answers are **identical**, and
-//! reports the ratio. Batch mixes:
+//! Each row runs one batch against the session backend twice — a
+//! scalar loop (`session.query` per query: every block probe pays its
+//! own candidate scan) and the planner (`session.run_queries`: grouped
+//! per function, uses resolved once, grouped `LiveIn`/`LiveOut` served
+//! from `BatchLiveness` rows) — asserts the answers are **identical**,
+//! and reports the ratio. Batch mixes:
 //!
 //! * `block_heavy` — 90% `LiveIn`/`LiveOut` probes plus the
 //!   `Interfere`/`LiveAt` sprinkle every real consumer carries. The
 //!   ≥2× facade win: one resolution (analysis handle, dominator tree,
 //!   batch rows) per function instead of per query.
 //! * `block_dense` — `LiveIn` + `LiveOut` for every `(value, block)`
-//!   pair (interference-graph construction). On the session backend
-//!   this records the honest floor: warm scalar probes already cost
-//!   ~tens of ns through the fused interval kernel, so grouped
-//!   execution ≈ parity there — the planner's break-even guard exists
-//!   precisely so dense batches never *regress*. The direct backend
-//!   shows the checker-reuse win (one precomputation per function vs
-//!   one per query).
+//!   pair (interference-graph construction). This records the honest
+//!   floor: warm scalar probes already cost ~tens of ns through the
+//!   fused interval kernel, so grouped execution ≈ parity there — the
+//!   planner's break-even guard exists precisely so dense batches
+//!   never *regress*.
 //! * `mixed` — 60% block probes with `LiveAt`, `Interfere` and
 //!   `LiveSets`, the everything-at-once shape.
 //!
@@ -34,7 +31,7 @@
 use std::fmt::Write as _;
 
 use fastlive::workload::{generate_module, ModuleParams};
-use fastlive::{BackendKind, Block, Fastlive, Module, PointRef, Query, Value};
+use fastlive::{Block, Fastlive, Module, PointRef, Query, Value};
 use fastlive_bench::time_ns;
 
 fn module_blocks(m: &Module) -> usize {
@@ -105,13 +102,6 @@ fn mixed_batch(
     queries
 }
 
-/// Every `stride`-th query — used to cap the direct backend's scalar
-/// arm, which pays one precomputation per query.
-fn subsample(queries: &[Query], cap: usize) -> Vec<Query> {
-    let stride = queries.len().div_ceil(cap).max(1);
-    queries.iter().step_by(stride).cloned().collect()
-}
-
 fn main() {
     let mut quick = false;
     let mut out_path = "BENCH_facade.json".to_string();
@@ -152,27 +142,10 @@ fn main() {
         .expect("valid config");
 
     let n = if quick { 512 } else { 4096 };
-    let dense = dense_batch(&module);
-    let heavy = mixed_batch(&module, n, 900, false, 0x5eed);
-    let mixed = mixed_batch(&module, n, 600, true, 0x5eed);
-    let direct_cap = if quick { 256 } else { 1024 };
-    // (mix, backend, batch): the direct backend's scalar arm pays a
-    // full precomputation per query, so it runs on capped subsamples.
-    let rows: Vec<(&str, BackendKind, Vec<Query>)> = vec![
-        ("block_heavy", BackendKind::Session, heavy.clone()),
-        (
-            "block_heavy",
-            BackendKind::Direct,
-            subsample(&heavy, direct_cap),
-        ),
-        ("block_dense", BackendKind::Session, dense.clone()),
-        (
-            "block_dense",
-            BackendKind::Direct,
-            subsample(&dense, direct_cap),
-        ),
-        ("mixed", BackendKind::Session, mixed.clone()),
-        ("mixed", BackendKind::Direct, subsample(&mixed, direct_cap)),
+    let rows = [
+        ("block_heavy", mixed_batch(&module, n, 900, false, 0x5eed)),
+        ("block_dense", dense_batch(&module)),
+        ("mixed", mixed_batch(&module, n, 600, true, 0x5eed)),
     ];
 
     let mut json = String::from("{\n");
@@ -183,36 +156,29 @@ fn main() {
     );
     json.push_str("  \"batches\": [\n");
 
-    for (i, (mix, backend, queries)) in rows.iter().enumerate() {
+    for (i, (mix, queries)) in rows.iter().enumerate() {
         // Correctness gate first: planned == scalar, always.
-        let mut session = fl.session_with(&module, *backend);
+        let mut session = fl.session(&module);
         let planned = session.run_queries(&module, queries);
         let scalar: Vec<_> = queries.iter().map(|q| session.query(&module, q)).collect();
-        assert_eq!(
-            planned, scalar,
-            "planner changed answers ({mix}/{backend:?})"
-        );
+        assert_eq!(planned, scalar, "planner changed answers ({mix})");
         assert!(
             planned.iter().all(Result::is_ok),
             "batch has no resolution errors"
         );
 
         let scalar_ns = time_ns(reps, || {
-            let mut s = fl.session_with(&module, *backend);
+            let mut s = fl.session(&module);
             queries
                 .iter()
                 .map(|q| s.query(&module, q).is_ok() as usize)
                 .sum::<usize>()
         });
         let grouped_ns = time_ns(reps, || {
-            let mut s = fl.session_with(&module, *backend);
+            let mut s = fl.session(&module);
             s.run_queries(&module, queries).len()
         });
-        let name = match backend {
-            BackendKind::Session => "session",
-            BackendKind::Direct => "direct",
-            BackendKind::Oracle => "oracle",
-        };
+        let name = session.backend_name();
         let n = queries.len();
         let speedup = scalar_ns / grouped_ns;
         let _ = write!(

@@ -4,8 +4,8 @@
 //! Three arms per workload, all answering the same queries:
 //!
 //! * `raw` — the uninstrumented baseline: `QueryEngine` trait calls on
-//!   a bare backend. The macro-generated trait path hands the planner
-//!   a `NoopRecorder` statically, so this arm predates the telemetry
+//!   a bare `Backend::Session`. The trait path hands the planner a
+//!   `NoopRecorder` statically, so this arm predates the telemetry
 //!   seam entirely.
 //! * `noop` — `FastliveSession` with the default no-op recorder. The
 //!   seam's disabled half: one `enabled()` check per dispatch, no
@@ -30,8 +30,7 @@ use std::sync::Arc;
 
 use fastlive::workload::{generate_module, ModuleParams};
 use fastlive::{
-    Block, Fastlive, Module, PointRef, Query, QueryEngine, Recorder, SessionBackend, Telemetry,
-    Value,
+    Backend, Block, Fastlive, Module, PointRef, Query, QueryEngine, Recorder, Telemetry, Value,
 };
 use fastlive_bench::time_ns;
 
@@ -117,7 +116,7 @@ fn run_arms(
 ) -> Arms {
     let raw_arm = || {
         time_ns(1, || {
-            let mut backend = SessionBackend::new(plain.engine().analyze(module));
+            let mut backend = Backend::Session(plain.engine().analyze(module));
             if scalar {
                 queries
                     .iter()

@@ -84,19 +84,16 @@ fn main() {
     // Irreducible CFGs with dense retreating edges: wide T_q rows. The
     // negative probes (use = def, provably unreachable from every
     // candidate) force full interval scans — the regime the word-masked
-    // cursor is built for. The `_noskip` rows disable §4.1 subtree
-    // skipping (the ablation mode), scanning every set bit.
+    // cursor is built for.
     for n in [256u32, 1024] {
         let g = random_digraph(n, 0xabcd, n as usize * 10);
-        let mut live = LivenessChecker::compute(&g);
+        let live = LivenessChecker::compute(&g);
         assert!(!live.is_reducible());
         let neg: Vec<(u32, u32, u32)> = dominance_probes(&live, PROBES, 0x9e37)
             .into_iter()
             .map(|(d, _, q)| (d, d, q))
             .collect();
         loop_row(&mut json, false, "irreducible_wide_neg", &live, &neg);
-        live.set_subtree_skipping(false);
-        loop_row(&mut json, false, "irreducible_wide_neg_noskip", &live, &neg);
     }
 
     json.push_str("\n  ],\n  \"batch_breakeven\": [\n");

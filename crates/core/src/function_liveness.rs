@@ -98,10 +98,14 @@ impl FunctionLiveness {
     ///
     /// Uses are taken from the live def-use chain: every instruction
     /// currently using `v`, attributed to its block (which, for branch
-    /// arguments, is the predecessor — Definition 1).
+    /// arguments, is the predecessor — Definition 1). A value whose
+    /// defining instruction was removed is live nowhere.
     pub fn is_live_in(&self, func: &Function, v: Value, q: Block) -> bool {
         debug_assert!(self.is_current_for(func), "stale checker: the CFG changed");
-        let def = func.def_block(v).as_u32();
+        let Some(def) = func.try_def_block(v) else {
+            return false;
+        };
+        let def = def.as_u32();
         // Word-masked interval guard: most negative queries die before
         // the def-use chain is even walked.
         if !self.checker.has_candidates(def, q.as_u32()) {
@@ -112,10 +116,13 @@ impl FunctionLiveness {
         })
     }
 
-    /// Is `v` live-out at block `q` (Algorithm 2)?
+    /// Is `v` live-out at block `q` (Algorithm 2)? A value whose
+    /// defining instruction was removed is live nowhere.
     pub fn is_live_out(&self, func: &Function, v: Value, q: Block) -> bool {
         debug_assert!(self.is_current_for(func), "stale checker: the CFG changed");
-        let def = func.def_block(v);
+        let Some(def) = func.try_def_block(v) else {
+            return false;
+        };
         if def == q {
             // Live-out of the defining block iff some use is elsewhere.
             return func
@@ -198,7 +205,12 @@ impl FunctionLiveness {
         let mut defs = vec![0 as fastlive_graph::NodeId; func.num_values()];
         let mut uses: Vec<(u32, fastlive_graph::NodeId)> = Vec::new();
         for v in func.values() {
-            defs[v.index()] = func.def_block(v).as_u32();
+            // A detached definition keeps the placeholder block and no
+            // use rows, so it is live nowhere — as in the scalar queries.
+            let Some(def) = func.try_def_block(v) else {
+                continue;
+            };
+            defs[v.index()] = def.as_u32();
             for &inst in func.uses(v) {
                 let ub = func.inst_block(inst).expect("use site removed");
                 uses.push((v.index() as u32, ub.as_u32()));

@@ -173,12 +173,13 @@ impl NullnessArtifact {
     /// exact set of blocks where the sparse construction splits `v`'s
     /// fact (in this block-parameter IR, where a φ merging `v` would
     /// live). Computed by closure over the persisted matrix. Sorted
-    /// ascending; empty for values defined in unreachable code.
+    /// ascending; empty for values defined in unreachable code and for
+    /// values whose defining instruction was removed.
     pub fn fact_split_blocks(&self, func: &Function, v: Value) -> Vec<Block> {
-        let d = func.def_block(v).as_u32();
-        if !self.dom.is_reachable(d) {
-            return Vec::new();
-        }
+        let d = match func.try_def_block(v) {
+            Some(d) if self.dom.is_reachable(d.as_u32()) => d.as_u32(),
+            _ => return Vec::new(),
+        };
         let n = self.df.rows() as NodeId;
         let mut in_set = vec![false; n as usize];
         let mut work = vec![d];
@@ -208,16 +209,17 @@ impl NullnessArtifact {
     ///   dominates `q` (at `q`'s own entry the defining instruction
     ///   has not run yet; a loop-header def reaches its own entry only
     ///   along back edges, never along the path that first enters the
-    ///   loop).
+    ///   loop);
+    /// * `v`'s defining instruction removed → `false` (it never runs).
     pub fn definitely_initialized_at_entry(&self, func: &Function, v: Value, q: Block) -> bool {
         let qn = q.as_u32();
         if !self.dom.is_reachable(qn) {
             return false;
         }
-        let d = func.def_block(v).as_u32();
-        if !self.dom.is_reachable(d) {
-            return false;
-        }
+        let d = match func.try_def_block(v) {
+            Some(d) if self.dom.is_reachable(d.as_u32()) => d.as_u32(),
+            _ => return false,
+        };
         match func.value_def(v) {
             ValueDef::Param { .. } => self.dom.dominates(d, qn),
             ValueDef::Inst(_) => d != qn && self.dom.dominates(d, qn),

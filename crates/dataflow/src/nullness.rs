@@ -9,7 +9,8 @@
 //! rather than a dominance query. Because both solvers compute least
 //! (respectively greatest) fixpoints of the same monotone equations,
 //! their answers must agree bit-for-bit; the differential suites hold
-//! the facade's Direct and Session backends to this referee.
+//! the facade's session backend, cached and cache-less, to this
+//! referee.
 
 use fastlive_bitset::DenseBitSet;
 use fastlive_core::Nullness;

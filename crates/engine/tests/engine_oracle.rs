@@ -1,23 +1,35 @@
-//! The engine/oracle equivalence property (ISSUE 2 acceptance): every
-//! [`EngineSession`] answer must match a from-scratch per-function
-//! [`FunctionLiveness`] — across thread counts, across cache states
+//! The engine/oracle equivalence property: every [`EngineSession`]
+//! answer must match a from-scratch per-function analysis computed over
+//! the function's own graph — across thread counts, across cache states
 //! (cold, warm, disabled), on reducible and irreducible modules, and
 //! after CFG-preserving and CFG-changing edits (the latter must
-//! invalidate and recompute).
+//! invalidate and recompute). The engine computes over the shape's
+//! canonical graph (`CfgShape::to_graph`, sorted successors), so this
+//! also pins that the canonical graph and the function's graph agree.
 
-use fastlive_core::FunctionLiveness;
+use fastlive_core::{FunctionLiveness, NullnessArtifact};
 use fastlive_engine::{AnalysisEngine, EngineConfig, EngineSession};
-use fastlive_ir::{parse_module, Module};
+use fastlive_ir::{parse_module, Module, ProgramPoint};
 use fastlive_workload::{generate_module, ModuleParams, SplitMix64};
 use proptest::prelude::*;
 
-/// Every (value, block) live-in/live-out answer of `session` equals a
-/// fresh per-function analysis of the module's current state.
+/// Every (value, block) live-in/live-out and block-entry live-at
+/// answer of `session`, and every nullness fact and definite-init
+/// answer of its nullness artifact, equals a fresh per-function
+/// analysis of the module's current state.
 fn assert_session_matches_oracle(session: &mut EngineSession<'_>, module: &Module, label: &str) {
     assert_eq!(session.num_functions(), module.len());
     for (id, func) in module.iter() {
         let oracle = FunctionLiveness::compute(func);
         let batch = session.batch(module, id).expect("no injected faults");
+        let null_oracle = NullnessArtifact::compute(func);
+        let nullness = session.nullness(module, id).expect("no injected faults");
+        assert_eq!(
+            nullness.solve(func),
+            null_oracle.solve(func),
+            "{label}: {} nullness facts",
+            func.name
+        );
         for v in func.values() {
             for b in func.blocks() {
                 assert_eq!(
@@ -37,6 +49,19 @@ fn assert_session_matches_oracle(session: &mut EngineSession<'_>, module: &Modul
                     batch.is_live_in(v.index() as u32, b.as_u32()),
                     oracle.is_live_in(func, v, b),
                     "{label}: {} batch live-in {v} at {b}",
+                    func.name
+                );
+                let entry = ProgramPoint::block_entry(b);
+                assert_eq!(
+                    session.is_live_at(module, id, v, entry),
+                    Ok(oracle.is_live_at(func, v, entry).expect("attached value")),
+                    "{label}: {} live-at {v} at the entry of {b}",
+                    func.name
+                );
+                assert_eq!(
+                    nullness.definitely_initialized_at_entry(func, v, b),
+                    null_oracle.definitely_initialized_at_entry(func, v, b),
+                    "{label}: {} definite-init {v} at {b}",
                     func.name
                 );
             }

@@ -23,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use fastlive::{BackendKind, Fastlive, Fault, FaultRule, FaultVfs, OpKind};
+use fastlive::{Fastlive, Fault, FaultRule, FaultVfs, OpKind};
 use fastlive_construct::construct_ssa;
 use fastlive_ir::{parse_module, Block, BlockCall, InstData, Module, Value};
 use fastlive_workload::{
@@ -32,7 +32,9 @@ use fastlive_workload::{
 };
 
 use crate::case::CaseFunc;
-use crate::diff::{check_module, divergences_of, module_text, query_mix, Divergence};
+use crate::diff::{
+    arm_sessions, cacheless, check_module, divergences_of, module_text, query_mix, Divergence,
+};
 use crate::mutate::{
     add_self_edge, dominator_ladder, duplicate_brif_edge, irreducible_double_entry,
     pathological_irreducible, Mutated,
@@ -348,9 +350,11 @@ fn arm_dup_edges(ctx: &mut Ctx) -> ArmStats {
 
 /// Applies one round of in-place edits to every function: an
 /// instruction insertion (analysis must stay exact with zero work), a
-/// branch-argument swap to an entry-defined value, and a jump-edge
-/// split through a fresh block (a CFG edit the session must detect via
-/// the version counter). Returns how many edits landed.
+/// branch-argument swap to an entry-defined value, a jump-edge split
+/// through a fresh block (a CFG edit the session must detect via the
+/// version counter), and one detached value (a result whose unused
+/// defining instruction is removed again). Returns how many edits
+/// landed.
 fn apply_edits(module: &mut Module, rng: &mut SplitMix64) -> usize {
     let mut applied = 0;
     for fi in 0..module.len() {
@@ -412,6 +416,13 @@ fn apply_edits(module: &mut Module, rng: &mut SplitMix64) -> usize {
             func.redirect_branch_target(term, 0, mid, Vec::new());
             applied += 1;
         }
+
+        // Detached value: dead everywhere, never initialized, and
+        // refused by point queries on every arm. Draws nothing from
+        // `rng`, so a seed's other edits stay what they always were.
+        let dead = func.insert_inst(entry, 0, InstData::IntConst { imm: 0 });
+        func.remove_inst(dead);
+        applied += 1;
     }
     applied
 }
@@ -432,16 +443,10 @@ fn arm_edits(ctx: &mut Ctx) -> ArmStats {
             },
             ctx.cfg.seed ^ (0x1e0 + i as u64),
         );
-        // Sessions opened ONCE, before any edit: the Session backend
-        // must track the module through every mutation below.
-        let mut sessions: Vec<(String, fastlive::FastliveSession<'_>)> = [
-            BackendKind::Direct,
-            BackendKind::Session,
-            BackendKind::Oracle,
-        ]
-        .into_iter()
-        .map(|kind| (format!("{kind:?}"), ctx.fl.session_with(&module, kind)))
-        .collect();
+        // Sessions opened ONCE, before any edit: both session arms must
+        // track the module through every mutation below.
+        let uncached = cacheless();
+        let mut sessions = arm_sessions(&ctx.fl, &uncached, &module);
         for round in 0..3 {
             let mix = query_mix(&module, 4, ctx.cfg.seed ^ (round * 31 + i as u64));
             let runs: Vec<(String, Vec<_>)> = sessions

@@ -1,16 +1,19 @@
 //! The differential core: deterministic query mixes and the
 //! backend-agreement check.
 //!
-//! The workspace invariant under test is the facade's: every backend
-//! ([`BackendKind::Direct`], [`BackendKind::Session`],
-//! [`BackendKind::Oracle`]) answers the same [`Query`] with a
-//! byte-identical `Result<Response, QueryError>` — including the
+//! The workspace invariant under test is the facade's: every arm — the
+//! cached session ([`BackendKind::Session`]), a cache-less session
+//! (the same backend on an engine built with `cache_capacity(0)`) and
+//! the oracle ([`BackendKind::Oracle`]) — answers the same [`Query`]
+//! with a byte-identical `Result<Response, QueryError>`, including the
 //! *error* cases, because a backend that refuses a query its siblings
 //! answer is as diverged as one that flips a liveness bit.
 
 use std::fmt::Write as _;
 
-use fastlive::{BackendKind, Fastlive, PointRef, Query, QueryEngine, QueryError, Response};
+use fastlive::{
+    BackendKind, Fastlive, FastliveSession, PointRef, Query, QueryEngine, QueryError, Response,
+};
 use fastlive_ir::{Block, Module, Value};
 use fastlive_workload::SplitMix64;
 
@@ -163,20 +166,47 @@ pub fn divergences_of(
     out
 }
 
-/// Runs the mix through all three facade backends and reports every
+/// The facade of the cache-less arm: the engine with its shape cache
+/// off, so every session computes its own per-function analyses.
+pub(crate) fn cacheless() -> Fastlive {
+    Fastlive::builder()
+        .cache_capacity(0)
+        .build()
+        .expect("a cache-less facade is a valid configuration")
+}
+
+/// The three differential arms over `module`, labelled: the session on
+/// `fl`, the session on `cacheless` and the oracle.
+pub(crate) fn arm_sessions<'f>(
+    fl: &'f Fastlive,
+    cacheless: &'f Fastlive,
+    module: &Module,
+) -> Vec<(String, FastliveSession<'f>)> {
+    vec![
+        (
+            "Session".to_string(),
+            fl.session_with(module, BackendKind::Session),
+        ),
+        (
+            "Cacheless".to_string(),
+            cacheless.session_with(module, BackendKind::Session),
+        ),
+        (
+            "Oracle".to_string(),
+            fl.session_with(module, BackendKind::Oracle),
+        ),
+    ]
+}
+
+/// Runs the mix through the three differential arms and reports every
 /// disagreement. Empty result = the differential invariant held.
 pub fn check_module(fl: &Fastlive, module: &Module, queries: &[Query]) -> Vec<Divergence> {
-    let runs: Vec<(String, Vec<Result<Response, QueryError>>)> = [
-        BackendKind::Direct,
-        BackendKind::Session,
-        BackendKind::Oracle,
-    ]
-    .into_iter()
-    .map(|kind| {
-        let mut session = fl.session_with(module, kind);
-        (format!("{kind:?}"), session.run_queries(module, queries))
-    })
-    .collect();
+    let cacheless = cacheless();
+    let runs: Vec<(String, Vec<Result<Response, QueryError>>)> =
+        arm_sessions(fl, &cacheless, module)
+            .into_iter()
+            .map(|(label, mut session)| (label, session.run_queries(module, queries)))
+            .collect();
     divergences_of(queries, &runs)
 }
 

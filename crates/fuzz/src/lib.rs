@@ -3,14 +3,13 @@
 //! The harness composes the workload generator with adversarial
 //! mutators (irreducible double-entry loops, dominator ladders,
 //! duplicate and self edges, in-place session edits, fault-injected
-//! persistence campaigns) and runs every case through all three facade
-//! backends — [`fastlive::BackendKind::Direct`],
-//! [`fastlive::BackendKind::Session`],
-//! [`fastlive::BackendKind::Oracle`] — under mixed block/point/interference
-//! query loads. Any disagreement, panic, or round-trip mismatch is
-//! handed to the [`shrink`] module's delta-debugging minimizer, which
-//! emits a self-contained `.fl` reproducer plus the exact diverging
-//! query.
+//! persistence campaigns) and runs every case through three facade
+//! arms — the cached [`fastlive::BackendKind::Session`], a cache-less
+//! session and [`fastlive::BackendKind::Oracle`] — under mixed
+//! block/point/interference query loads. Any disagreement, panic, or
+//! round-trip mismatch is handed to the [`shrink`] module's
+//! delta-debugging minimizer, which emits a self-contained `.fl`
+//! reproducer plus the exact diverging query.
 //!
 //! Module map:
 //!
@@ -24,7 +23,7 @@
 //!   `.dot` digraphs) for real CFG shapes.
 //! * [`arms`] — the campaign runner tying it all together.
 //!
-//! The crate also ships [`BrokenDirect`], a deliberately wrong backend
+//! The crate also ships [`BrokenBackend`], a deliberately wrong backend
 //! used to prove, in CI, that the harness *detects* bugs and that the
 //! shrinker minimizes them — a fuzzer whose failure path is never
 //! exercised is indistinguishable from one that cannot fail.
@@ -36,31 +35,29 @@ pub mod import;
 pub mod mutate;
 pub mod shrink;
 
-use fastlive::{
-    BlockRef, DirectBackend, FuncRef, Query, QueryEngine, QueryError, Response, ValueRef,
-};
+use fastlive::{Backend, BlockRef, FuncRef, Query, QueryEngine, QueryError, Response, ValueRef};
 use fastlive_ir::{Block, Function, Module, Value};
 
-/// A deliberately wrong [`QueryEngine`]: it answers like
-/// [`DirectBackend`] except that *live-through* `LiveIn` queries — the
-/// value neither defined nor used in the queried block — come back
+/// A deliberately wrong [`QueryEngine`]: it answers like the oracle
+/// ([`Backend::Oracle`]) except that *live-through* `LiveIn` queries —
+/// the value neither defined nor used in the queried block — come back
 /// `false`. That is precisely the class of answer a broken reduced
 /// reachability precomputation would get wrong, and it is what the
 /// shrinker self-test minimizes against.
-pub struct BrokenDirect {
-    inner: DirectBackend,
+pub struct BrokenBackend {
+    inner: Backend<'static>,
 }
 
-impl BrokenDirect {
+impl BrokenBackend {
     /// A fresh broken backend.
     pub fn new() -> Self {
-        BrokenDirect {
-            inner: DirectBackend::new(),
+        BrokenBackend {
+            inner: Backend::Oracle,
         }
     }
 }
 
-impl Default for BrokenDirect {
+impl Default for BrokenBackend {
     fn default() -> Self {
         Self::new()
     }
@@ -91,7 +88,7 @@ fn resolve_live_in<'m>(
     Some((f, v, b))
 }
 
-impl QueryEngine for BrokenDirect {
+impl QueryEngine for BrokenBackend {
     fn query(&mut self, module: &Module, query: &Query) -> Result<Response, QueryError> {
         let mut answers = self.run_queries(module, std::slice::from_ref(query));
         answers.pop().expect("one query, one answer")
@@ -122,7 +119,7 @@ impl QueryEngine for BrokenDirect {
     }
 
     fn backend_name(&self) -> &'static str {
-        "broken-direct"
+        "broken"
     }
 }
 
@@ -148,7 +145,7 @@ mod tests {
         );
         let queries = query_mix(&module, 16, 5);
         let fl = Fastlive::builder().build().expect("default build");
-        let mut broken = BrokenDirect::new();
+        let mut broken = BrokenBackend::new();
         let divergences = check_against_oracle(&fl, &mut broken, &module, &queries);
         assert!(
             !divergences.is_empty(),

@@ -8,9 +8,9 @@
 //! The campaign runs nine adversarial arms (see `arms`), prints one
 //! line per arm, writes `BENCH_fuzz.json`, and exits non-zero if any
 //! divergence or panic survived. `--broken` swaps in the deliberately
-//! wrong [`BrokenDirect`] backend and demands the opposite: the
-//! harness must *catch* it, and the shrinker must minimize a
-//! 200-block failing case to a reproducer of at most 10 blocks.
+//! wrong [`BrokenBackend`] and demands the opposite: the harness must
+//! *catch* it, and the shrinker must minimize a 200-block failing case
+//! to a reproducer of at most 10 blocks.
 
 use std::process::ExitCode;
 
@@ -22,7 +22,7 @@ use fastlive_workload::{generate_pre, GenParams, SplitMix64};
 use fastlive_fuzz::arms::{run_campaign, CampaignConfig, CampaignReport};
 use fastlive_fuzz::diff::check_against_oracle;
 use fastlive_fuzz::shrink::shrink;
-use fastlive_fuzz::BrokenDirect;
+use fastlive_fuzz::BrokenBackend;
 
 struct Args {
     quick: bool,
@@ -230,7 +230,7 @@ fn run_broken(args: &Args) -> ExitCode {
     let seed = args.seed;
     let mut predicate = |m: &Module| {
         let queries = broken_probes(m, seed);
-        let mut broken = BrokenDirect::new();
+        let mut broken = BrokenBackend::new();
         check_against_oracle(&fl, &mut broken, m, &queries)
             .into_iter()
             .next()

@@ -1,6 +1,7 @@
 //! Every committed corpus case imports, verifies strict SSA, and
-//! holds the facade differential invariant: Direct, Session, and
-//! Oracle answer a mixed query load byte-identically.
+//! holds the facade differential invariant: the cached session, a
+//! cache-less session and the oracle answer a mixed query load
+//! byte-identically.
 
 use std::fs;
 use std::path::PathBuf;

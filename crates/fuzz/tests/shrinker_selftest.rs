@@ -11,7 +11,7 @@ use fastlive_workload::{generate_pre, GenParams};
 
 use fastlive_fuzz::diff::check_against_oracle;
 use fastlive_fuzz::shrink::shrink;
-use fastlive_fuzz::BrokenDirect;
+use fastlive_fuzz::BrokenBackend;
 
 /// Exhaustive LiveIn probes — small candidates stay fully covered, so
 /// shrinking never stalls because a random probe set missed the bug.
@@ -53,7 +53,7 @@ fn broken_backend_shrinks_below_ten_blocks() {
     let fl = Fastlive::builder().build().expect("default build");
     let mut predicate = |m: &Module| {
         let queries = probes(m);
-        let mut broken = BrokenDirect::new();
+        let mut broken = BrokenBackend::new();
         check_against_oracle(&fl, &mut broken, m, &queries)
             .into_iter()
             .next()

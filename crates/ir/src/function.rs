@@ -522,10 +522,21 @@ impl Function {
     }
 
     /// The block defining `v` — the paper's `def(a)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v`'s defining instruction was removed (use
+    /// [`try_def_block`](Self::try_def_block) for fallible handling).
     pub fn def_block(&self, v: Value) -> Block {
+        self.try_def_block(v).expect("definition was removed")
+    }
+
+    /// The block defining `v`, or `None` when its defining instruction
+    /// has been removed (a detached definition).
+    pub fn try_def_block(&self, v: Value) -> Option<Block> {
         match self.values[v] {
-            ValueDef::Param { block, .. } => block,
-            ValueDef::Inst(inst) => self.inst_block(inst).expect("definition was removed"),
+            ValueDef::Param { block, .. } => Some(block),
+            ValueDef::Inst(inst) => self.inst_block(inst),
         }
     }
 

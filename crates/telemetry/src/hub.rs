@@ -156,9 +156,9 @@ impl VfsOp {
     }
 }
 
-/// Per-backend query counters: the three stock backends plus a bucket
+/// Per-backend query counters: the two stock backends plus a bucket
 /// for any external `QueryEngine` implementation.
-const BACKENDS: [&str; 4] = ["direct", "session", "oracle", "other"];
+const BACKENDS: [&str; 3] = ["session", "oracle", "other"];
 
 fn backend_slot(name: &str) -> usize {
     BACKENDS
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn every_site_lands_in_the_snapshot() {
         let hub = Telemetry::new();
-        hub.query(QueryClass::LiveAt, "direct", 500);
+        hub.query(QueryClass::LiveAt, "session", 500);
         hub.query(QueryClass::LiveAt, "unknown-backend", 700);
         hub.plan(10, 2, 1, 40_000);
         hub.tier(Tier::Compute, 90_000);
@@ -323,8 +323,8 @@ mod tests {
 
         let s = hub.snapshot_now();
         assert_eq!(s.queries[QueryClass::LiveAt as usize].hist.count, 2);
-        assert_eq!(s.backend_queries[0].count, 1, "direct");
-        assert_eq!(s.backend_queries[3].count, 1, "unknown folds into other");
+        assert_eq!(s.backend_queries[0].count, 1, "session");
+        assert_eq!(s.backend_queries[2].count, 1, "unknown folds into other");
         assert_eq!(s.plan.batches, 1);
         assert_eq!(s.plan.queries, 10);
         assert_eq!(s.plan.grouped_groups, 2);

@@ -148,7 +148,7 @@ mod tests {
     fn noop_recorder_is_disabled_and_stateless() {
         let r = NoopRecorder;
         assert!(!r.enabled());
-        r.query(QueryClass::LiveIn, "direct", 1);
+        r.query(QueryClass::LiveIn, "session", 1);
         r.tier(Tier::Compute, 1);
         r.event(EventKind::GcRun, "retained=1");
         assert_eq!(r.snapshot(), None);

@@ -133,8 +133,7 @@ pub struct TelemetrySnapshot {
     /// Per-query-kind dispatch latency, in
     /// [`QueryClass::ALL`](crate::QueryClass::ALL) order.
     pub queries: Vec<NamedHistogram>,
-    /// Queries served per backend (`direct` / `session` / `oracle` /
-    /// `other`).
+    /// Queries served per backend (`session` / `oracle` / `other`).
     pub backend_queries: Vec<NamedCount>,
     /// Per-tier outcome durations, in [`Tier::ALL`](crate::Tier::ALL)
     /// order.

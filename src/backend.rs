@@ -1,29 +1,30 @@
-//! The [`QueryEngine`] trait and its three backends.
+//! The [`QueryEngine`] trait and the [`Backend`] that implements it.
 //!
-//! One query plane, three executors behind the [`Backend`] enum:
+//! One query plane, two executors behind the [`Backend`] enum:
 //!
-//! * [`DirectBackend`] — the paper's per-function checker, computed on
-//!   demand for each addressed function. No shared state, no cache:
-//!   the semantics baseline, and the right choice for one-shot tools.
-//! * [`SessionBackend`] — an [`EngineSession`] over the
+//! * [`Backend::Session`] — an [`EngineSession`] over the
 //!   [`AnalysisEngine`](fastlive_engine::AnalysisEngine)'s two-tier
 //!   fingerprint cache, revalidating against CFG edits per query. The
-//!   default: this is the production path.
-//! * [`OracleBackend`] — the iterative data-flow solver
+//!   default: this is the production path. The paper's precomputation
+//!   depends only on the CFG, so an engine built with
+//!   `cache_capacity(0)` is the per-function checker computed on
+//!   demand — the differential suites run it as their cache-less arm.
+//! * [`Backend::Oracle`] — the iterative data-flow solver
 //!   ([`IterativeLiveness`]), recomputed from scratch on every query.
 //!   Slow and stateless by design: its answers are the referee the
-//!   differential suites hold the other two against.
+//!   differential suites hold the session against.
 //!
-//! All three answer byte-identical [`Response`]s for any [`Query`]
+//! Both answer byte-identical [`Response`]s for any [`Query`]
 //! (`tests/facade_oracle.rs` enforces it over reducible, irreducible
-//! and deep-live workloads); they differ only in cost model.
+//! and deep-live workloads, cached and cache-less); they differ only in
+//! cost model.
 
 use std::sync::Arc;
 
 use fastlive_cfg::{DfsTree, DomTree};
 use fastlive_core::{
-    BatchLiveness, FunctionLiveness, LivenessChecker, LivenessProvider, Nullness, NullnessArtifact,
-    NullnessFacts, PointError,
+    BatchLiveness, FunctionLiveness, LivenessProvider, Nullness, NullnessArtifact, NullnessFacts,
+    PointError,
 };
 use fastlive_dataflow::{IterativeLiveness, IterativeNullness, VarUniverse};
 use fastlive_destruct::{values_interfere, CheckerEngine};
@@ -45,10 +46,10 @@ pub trait QueryEngine {
     fn query(&mut self, module: &Module, query: &Query) -> Result<Response, QueryError>;
 
     /// Answers a batch of queries, in input order. The default is a
-    /// scalar loop; [`Backend`] and the concrete backends override it
-    /// with a plan-and-run execution that groups queries per function,
-    /// resolves each function's uses once, and serves grouped
-    /// `LiveIn`/`LiveOut` probes from [`BatchLiveness`] rows.
+    /// scalar loop; [`Backend`] overrides it with a plan-and-run
+    /// execution that groups queries per function, resolves each
+    /// function's uses once, and serves grouped `LiveIn`/`LiveOut`
+    /// probes from [`BatchLiveness`] rows.
     fn run_queries(
         &mut self,
         module: &Module,
@@ -64,82 +65,25 @@ pub trait QueryEngine {
 /// Which backend a [`Fastlive`](crate::Fastlive) session runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Per-function checker, computed per query ([`DirectBackend`]).
-    Direct,
-    /// Engine-cached, revalidating ([`SessionBackend`]) — the default.
+    /// Engine-cached, revalidating ([`Backend::Session`]) — the
+    /// default.
     #[default]
     Session,
-    /// Iterative dataflow, for differential testing ([`OracleBackend`]).
+    /// Iterative dataflow, for differential testing
+    /// ([`Backend::Oracle`]).
     Oracle,
 }
 
-/// The per-function checker backend: every query (or query group)
-/// computes the paper's precomputation for the addressed function and
-/// answers from it. Stateless between calls.
-#[derive(Clone, Debug)]
-pub struct DirectBackend {
-    subtree_skipping: bool,
-}
-
-impl DirectBackend {
-    /// A direct backend with §4.1 subtree skipping enabled.
-    pub fn new() -> Self {
-        DirectBackend {
-            subtree_skipping: true,
-        }
-    }
-
-    /// A direct backend with subtree skipping set explicitly (the
-    /// facade builder's `subtree_skipping` knob lands here).
-    pub fn with_subtree_skipping(enabled: bool) -> Self {
-        DirectBackend {
-            subtree_skipping: enabled,
-        }
-    }
-}
-
-impl Default for DirectBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The engine-cached backend: wraps an [`EngineSession`], so queries
-/// ride the fingerprint cache, the persistence tier and the per-query
-/// CFG revalidation.
-pub struct SessionBackend<'e> {
-    session: EngineSession<'e>,
-}
-
-impl<'e> SessionBackend<'e> {
-    /// Wraps an analyzed session.
-    pub fn new(session: EngineSession<'e>) -> Self {
-        SessionBackend { session }
-    }
-
-    /// The underlying engine session (epochs, recomputation counters).
-    pub fn session(&self) -> &EngineSession<'e> {
-        &self.session
-    }
-}
-
-/// The iterative-dataflow oracle backend: recomputes the classic
-/// bit-vector fixpoint for the addressed function on **every** query.
-/// Deliberately slow and stateless — the independent referee for
-/// differential testing of the other backends.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OracleBackend;
-
-/// The three executors behind one type — what
+/// The two executors behind one type — what
 /// [`Fastlive::session`](crate::Fastlive::session) hands out (wrapped
 /// in a [`FastliveSession`](crate::FastliveSession)).
 pub enum Backend<'e> {
-    /// Per-function checker.
-    Direct(DirectBackend),
-    /// Engine-cached session.
-    Session(SessionBackend<'e>),
-    /// Iterative-dataflow oracle.
-    Oracle(OracleBackend),
+    /// Engine session: queries ride the fingerprint cache, the
+    /// persistence tier and the per-query CFG revalidation.
+    Session(EngineSession<'e>),
+    /// Iterative-dataflow oracle: recomputes the classic bit-vector
+    /// fixpoint for the addressed function on **every** query.
+    Oracle,
 }
 
 /// One resolved function's analysis state for the duration of a query
@@ -155,9 +99,6 @@ pub(crate) struct FuncAnalysis {
 /// named `AnalysisKind`, which now names the engine's analysis-id enum
 /// — the facade state is per-backend, the engine enum is per-analysis.)
 enum LivenessState {
-    /// An owned checker (direct backend). Boxed to keep the enum small
-    /// — the checker embeds its matrices and tree arrays inline.
-    Checker(Box<FunctionLiveness>),
     /// A cache-shared checker (session backend).
     Shared(Arc<FunctionLiveness>),
     /// The data-flow oracle's solved sets.
@@ -169,9 +110,8 @@ enum LivenessState {
 /// iterative referee. Both answer identically — `tests/facade_oracle.rs`
 /// and the fuzz campaign's query mix enforce it.
 pub(crate) enum NullnessState {
-    /// Dominance artifact plus the sparse solve over the function's
-    /// current body (direct and session backends — session shares the
-    /// artifact through the engine cache).
+    /// Dominance artifact, shared through the engine cache, plus the
+    /// sparse solve over the function's current body (session backend).
     Exact {
         art: Arc<NullnessArtifact>,
         facts: NullnessFacts,
@@ -197,30 +137,17 @@ impl NullnessState {
 }
 
 impl FuncAnalysis {
-    fn checker(&self) -> Option<&FunctionLiveness> {
-        match &self.kind {
-            LivenessState::Checker(c) => Some(c),
-            LivenessState::Shared(c) => Some(c),
-            LivenessState::Iterative(_) => None,
-        }
-    }
-
     pub(crate) fn live_in(&self, func: &Function, v: Value, b: Block) -> bool {
-        // Total over every state: the old shape funneled the two
-        // checker variants through an `Option` + `expect`, which made
-        // adding a variant a latent runtime abort.
         match &self.kind {
-            LivenessState::Iterative(it) => it.is_live_in(v, b),
-            LivenessState::Checker(c) => c.is_live_in(func, v, b),
             LivenessState::Shared(c) => c.is_live_in(func, v, b),
+            LivenessState::Iterative(it) => it.is_live_in(v, b),
         }
     }
 
     pub(crate) fn live_out(&self, func: &Function, v: Value, b: Block) -> bool {
         match &self.kind {
-            LivenessState::Iterative(it) => it.is_live_out(v, b),
-            LivenessState::Checker(c) => c.is_live_out(func, v, b),
             LivenessState::Shared(c) => c.is_live_out(func, v, b),
+            LivenessState::Iterative(it) => it.is_live_out(v, b),
         }
     }
 
@@ -231,24 +158,21 @@ impl FuncAnalysis {
         p: ProgramPoint,
     ) -> Result<bool, PointError> {
         match &mut self.kind {
-            LivenessState::Iterative(it) => LivenessProvider::live_at(it, func, v, p),
-            LivenessState::Checker(c) => c.is_live_at(func, v, p),
             LivenessState::Shared(c) => c.is_live_at(func, v, p),
+            LivenessState::Iterative(it) => LivenessProvider::live_at(it, func, v, p),
         }
     }
 
     pub(crate) fn live_sets(&self, func: &Function) -> LiveSets {
-        let from_checker = |c: &FunctionLiveness| {
-            let (live_in, live_out) = c.live_sets(func);
-            LiveSets { live_in, live_out }
-        };
         match &self.kind {
+            LivenessState::Shared(c) => {
+                let (live_in, live_out) = c.live_sets(func);
+                LiveSets { live_in, live_out }
+            }
             LivenessState::Iterative(it) => LiveSets {
                 live_in: func.blocks().map(|b| it.live_in_set(b)).collect(),
                 live_out: func.blocks().map(|b| it.live_out_set(b)).collect(),
             },
-            LivenessState::Checker(c) => from_checker(c),
-            LivenessState::Shared(c) => from_checker(c),
         }
     }
 
@@ -256,7 +180,10 @@ impl FuncAnalysis {
     /// `LiveOut` probes from. `None` for the oracle — its block
     /// queries are already O(1) probes into the solved sets.
     pub(crate) fn batch(&self, func: &Function) -> Option<BatchLiveness> {
-        self.checker().map(|c| c.batch(func))
+        match &self.kind {
+            LivenessState::Shared(c) => Some(c.batch(func)),
+            LivenessState::Iterative(_) => None,
+        }
     }
 
     pub(crate) fn interfere(
@@ -270,7 +197,6 @@ impl FuncAnalysis {
             DomTree::compute(func, &dfs)
         });
         match &mut self.kind {
-            LivenessState::Checker(c) => values_interfere(c.as_mut(), func, dom, a, b),
             LivenessState::Shared(arc) => {
                 let mut engine = CheckerEngine::from_shared(Arc::clone(arc));
                 values_interfere(&mut engine, func, dom, a, b)
@@ -280,149 +206,60 @@ impl FuncAnalysis {
     }
 }
 
-/// Internal hook the scalar executor and the planner share: produce
-/// the analysis state for one resolved function. Fallible because the
-/// session backend's analysis may itself have failed (a panicked
-/// precomputation under fault injection) — that failure becomes a
-/// per-query [`QueryError::AnalysisFailed`], never a crash.
-pub(crate) trait AnalysisSource {
-    fn analysis_for(&mut self, module: &Module, id: FuncId) -> Result<FuncAnalysis, QueryError>;
+/// The hooks the scalar executor and the planner share.
+impl Backend<'_> {
+    /// The analysis state for one resolved function. Fallible because
+    /// the session's analysis may itself have failed (a panicked
+    /// precomputation under fault injection) — that failure becomes a
+    /// per-query [`QueryError::AnalysisFailed`], never a crash.
+    pub(crate) fn analysis_for(
+        &mut self,
+        module: &Module,
+        id: FuncId,
+    ) -> Result<FuncAnalysis, QueryError> {
+        let kind = match self {
+            Backend::Session(session) => LivenessState::Shared(session.analysis(module, id)?),
+            Backend::Oracle => {
+                let func = module.func(id);
+                LivenessState::Iterative(IterativeLiveness::compute(func, &VarUniverse::all(func)))
+            }
+        };
+        Ok(FuncAnalysis { kind, dom: None })
+    }
 
     /// The nullness state for one resolved function — only called for
     /// groups that actually carry nullness queries, so liveness-only
     /// batches never pay for the second analysis.
-    fn nullness_for(&mut self, module: &Module, id: FuncId) -> Result<NullnessState, QueryError>;
-
-    /// Advisory cache warm-up for a cross-function batch: resolve the
-    /// given `(function, analysis)` pairs through whatever parallelism
-    /// the backend owns before the planner's sequential group loop.
-    /// Default: nothing (the stateless backends compute per group
-    /// anyway); the session backend threads the batch through the
-    /// engine's worker pool.
-    fn prefetch(&mut self, _module: &Module, _requests: &[(FuncId, AnalysisKind)]) {}
-}
-
-impl AnalysisSource for DirectBackend {
-    fn analysis_for(&mut self, module: &Module, id: FuncId) -> Result<FuncAnalysis, QueryError> {
+    pub(crate) fn nullness_for(
+        &mut self,
+        module: &Module,
+        id: FuncId,
+    ) -> Result<NullnessState, QueryError> {
         let func = module.func(id);
-        let mut checker = LivenessChecker::compute(func);
-        checker.set_subtree_skipping(self.subtree_skipping);
-        Ok(FuncAnalysis {
-            kind: LivenessState::Checker(Box::new(FunctionLiveness::from_checker(checker))),
-            dom: None,
+        Ok(match self {
+            Backend::Session(session) => {
+                let art = session.nullness(module, id)?;
+                let facts = art.solve(func);
+                NullnessState::Exact { art, facts }
+            }
+            Backend::Oracle => NullnessState::Oracle(IterativeNullness::compute(func)),
         })
     }
 
-    fn nullness_for(&mut self, module: &Module, id: FuncId) -> Result<NullnessState, QueryError> {
-        // Computed over the function directly; dominance and frontiers
-        // are successor-order independent, so this agrees bit-for-bit
-        // with the session backend's canonical-graph artifact.
-        let func = module.func(id);
-        let art = Arc::new(NullnessArtifact::compute(func));
-        let facts = art.solve(func);
-        Ok(NullnessState::Exact { art, facts })
-    }
-}
-
-impl AnalysisSource for SessionBackend<'_> {
-    fn analysis_for(&mut self, module: &Module, id: FuncId) -> Result<FuncAnalysis, QueryError> {
-        Ok(FuncAnalysis {
-            kind: LivenessState::Shared(self.session.analysis(module, id)?),
-            dom: None,
-        })
-    }
-
-    fn nullness_for(&mut self, module: &Module, id: FuncId) -> Result<NullnessState, QueryError> {
-        let art = self.session.nullness(module, id)?;
-        let facts = art.solve(module.func(id));
-        Ok(NullnessState::Exact { art, facts })
-    }
-
-    fn prefetch(&mut self, module: &Module, requests: &[(FuncId, AnalysisKind)]) {
-        self.session.engine().prefetch(module, requests);
-    }
-}
-
-impl AnalysisSource for OracleBackend {
-    fn analysis_for(&mut self, module: &Module, id: FuncId) -> Result<FuncAnalysis, QueryError> {
-        let func = module.func(id);
-        Ok(FuncAnalysis {
-            kind: LivenessState::Iterative(IterativeLiveness::compute(
-                func,
-                &VarUniverse::all(func),
-            )),
-            dom: None,
-        })
-    }
-
-    fn nullness_for(&mut self, module: &Module, id: FuncId) -> Result<NullnessState, QueryError> {
-        Ok(NullnessState::Oracle(IterativeNullness::compute(
-            module.func(id),
-        )))
-    }
-}
-
-impl AnalysisSource for Backend<'_> {
-    fn analysis_for(&mut self, module: &Module, id: FuncId) -> Result<FuncAnalysis, QueryError> {
-        match self {
-            Backend::Direct(b) => b.analysis_for(module, id),
-            Backend::Session(b) => b.analysis_for(module, id),
-            Backend::Oracle(b) => b.analysis_for(module, id),
-        }
-    }
-
-    fn nullness_for(&mut self, module: &Module, id: FuncId) -> Result<NullnessState, QueryError> {
-        match self {
-            Backend::Direct(b) => b.nullness_for(module, id),
-            Backend::Session(b) => b.nullness_for(module, id),
-            Backend::Oracle(b) => b.nullness_for(module, id),
-        }
-    }
-
-    fn prefetch(&mut self, module: &Module, requests: &[(FuncId, AnalysisKind)]) {
-        match self {
-            Backend::Direct(b) => b.prefetch(module, requests),
-            Backend::Session(b) => b.prefetch(module, requests),
-            Backend::Oracle(b) => b.prefetch(module, requests),
+    /// Advisory cache warm-up for a cross-function batch: the session
+    /// threads the `(function, analysis)` pairs through the engine's
+    /// worker pool before the planner's sequential group loop; the
+    /// oracle computes per group anyway.
+    pub(crate) fn prefetch(&mut self, module: &Module, requests: &[(FuncId, AnalysisKind)]) {
+        if let Backend::Session(session) = self {
+            session.engine().prefetch(module, requests);
         }
     }
 }
-
-macro_rules! query_engine_impl {
-    ($ty:ty, $name:expr) => {
-        impl QueryEngine for $ty {
-            fn query(&mut self, module: &Module, query: &Query) -> Result<Response, QueryError> {
-                scalar_query(self, module, query)
-            }
-            fn run_queries(
-                &mut self,
-                module: &Module,
-                queries: &[Query],
-            ) -> Vec<Result<Response, QueryError>> {
-                // The raw trait path is statically uninstrumented:
-                // `NoopRecorder::enabled()` is `false` by construction,
-                // so the planner reads no clock here. Metered batches go
-                // through `FastliveSession::run_queries` instead.
-                run_planned(self, module, queries, &NoopRecorder)
-            }
-            fn backend_name(&self) -> &'static str {
-                $name
-            }
-        }
-    };
-}
-
-query_engine_impl!(DirectBackend, "direct");
-query_engine_impl!(SessionBackend<'_>, "session");
-query_engine_impl!(OracleBackend, "oracle");
 
 impl QueryEngine for Backend<'_> {
     fn query(&mut self, module: &Module, query: &Query) -> Result<Response, QueryError> {
-        match self {
-            Backend::Direct(b) => b.query(module, query),
-            Backend::Session(b) => b.query(module, query),
-            Backend::Oracle(b) => b.query(module, query),
-        }
+        scalar_query(self, module, query)
     }
 
     fn run_queries(
@@ -430,18 +267,17 @@ impl QueryEngine for Backend<'_> {
         module: &Module,
         queries: &[Query],
     ) -> Vec<Result<Response, QueryError>> {
-        match self {
-            Backend::Direct(b) => b.run_queries(module, queries),
-            Backend::Session(b) => b.run_queries(module, queries),
-            Backend::Oracle(b) => b.run_queries(module, queries),
-        }
+        // The raw trait path is statically uninstrumented:
+        // `NoopRecorder::enabled()` is `false` by construction, so the
+        // planner reads no clock here. Metered batches go through
+        // `FastliveSession::run_queries` instead.
+        run_planned(self, module, queries, &NoopRecorder)
     }
 
     fn backend_name(&self) -> &'static str {
         match self {
-            Backend::Direct(b) => b.backend_name(),
-            Backend::Session(b) => b.backend_name(),
-            Backend::Oracle(b) => b.backend_name(),
+            Backend::Session(_) => "session",
+            Backend::Oracle => "oracle",
         }
     }
 }
@@ -449,6 +285,7 @@ impl QueryEngine for Backend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastlive_engine::AnalysisEngine;
 
     fn sample() -> Module {
         fastlive_ir::parse_module(
@@ -464,18 +301,17 @@ mod tests {
     }
 
     fn analyses(module: &Module) -> Vec<(&'static str, FuncAnalysis)> {
+        let engine = AnalysisEngine::with_defaults();
+        let mut session = Backend::Session(engine.analyze(module));
         vec![
-            (
-                "direct",
-                DirectBackend::new().analysis_for(module, 0).unwrap(),
-            ),
-            ("oracle", OracleBackend.analysis_for(module, 0).unwrap()),
+            ("session", session.analysis_for(module, 0).unwrap()),
+            ("oracle", Backend::Oracle.analysis_for(module, 0).unwrap()),
         ]
     }
 
     /// The converted `expect("checker-backed")` family: every
-    /// `AnalysisKind` answers every probe kind — the matches are total
-    /// by construction, and the answers agree across kinds.
+    /// `LivenessState` answers every probe kind — the matches are total
+    /// by construction, and the answers agree across states.
     #[test]
     fn every_analysis_kind_answers_every_probe() {
         let module = sample();
@@ -501,16 +337,16 @@ mod tests {
         assert_eq!(seen_sets[0], seen_sets[1], "kinds disagree on live_sets");
     }
 
-    /// The oracle kind reports no batch snapshot (its probes are O(1)
-    /// already); the checker kinds produce one. Neither path panics.
+    /// The oracle state reports no batch snapshot (its probes are O(1)
+    /// already); the checker state produces one. Neither path panics.
     #[test]
     fn batch_snapshots_match_kind() {
         let module = sample();
         let func = module.func(0);
         let mut it = analyses(&module).into_iter();
-        let (_, direct) = it.next().unwrap();
+        let (_, session) = it.next().unwrap();
         let (_, oracle) = it.next().unwrap();
-        assert!(direct.batch(func).is_some());
+        assert!(session.batch(func).is_some());
         assert!(oracle.batch(func).is_none());
     }
 }

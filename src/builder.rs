@@ -36,9 +36,7 @@ use fastlive_engine::{AnalysisEngine, BreakerConfig, EngineConfig, EngineSession
 use fastlive_ir::Module;
 use fastlive_telemetry::{NoopRecorder, Recorder, Telemetry, TelemetrySnapshot};
 
-use crate::backend::{
-    Backend, BackendKind, DirectBackend, OracleBackend, QueryEngine, SessionBackend,
-};
+use crate::backend::{Backend, BackendKind, QueryEngine};
 use crate::plan::{class_of, run_planned};
 use crate::query::{BlockRef, FuncRef, LiveSets, PointRef, Query, QueryError, Response, ValueRef};
 
@@ -112,7 +110,6 @@ pub struct FastliveBuilder {
     cache_capacity: usize,
     stripes: usize,
     persist_dir: Option<PathBuf>,
-    subtree_skipping: bool,
     backend: BackendKind,
     gc: Option<GcPolicy>,
     disk_breaker: BreakerConfig,
@@ -127,7 +124,6 @@ impl std::fmt::Debug for FastliveBuilder {
             .field("cache_capacity", &self.cache_capacity)
             .field("stripes", &self.stripes)
             .field("persist_dir", &self.persist_dir)
-            .field("subtree_skipping", &self.subtree_skipping)
             .field("backend", &self.backend)
             .field("gc", &self.gc)
             .field("disk_breaker", &self.disk_breaker)
@@ -148,7 +144,6 @@ impl Default for FastliveBuilder {
             cache_capacity: config.cache_capacity,
             stripes: config.stripes,
             persist_dir: config.persist_dir,
-            subtree_skipping: true,
             backend: BackendKind::default(),
             gc: None,
             disk_breaker: config.disk_breaker,
@@ -186,16 +181,6 @@ impl FastliveBuilder {
     /// default).
     pub fn persist_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.persist_dir = Some(dir.into());
-        self
-    }
-
-    /// Enables or disables §4.1 dominance-subtree skipping in the
-    /// candidate loop (on by default; disabling it is the paper's
-    /// ablation mode). Applies to checkers the [`BackendKind::Direct`]
-    /// backend computes; the engine's cached checkers always keep the
-    /// default.
-    pub fn subtree_skipping(mut self, enabled: bool) -> Self {
-        self.subtree_skipping = enabled;
         self
     }
 
@@ -302,7 +287,6 @@ impl FastliveBuilder {
         }
         Ok(Fastlive {
             engine,
-            subtree_skipping: self.subtree_skipping,
             backend: self.backend,
             gc: self.gc,
             recorder,
@@ -321,7 +305,6 @@ impl FastliveBuilder {
 /// type re-exported at the crate root — but nothing requires them.
 pub struct Fastlive {
     engine: AnalysisEngine,
-    subtree_skipping: bool,
     backend: BackendKind,
     gc: Option<GcPolicy>,
     recorder: Arc<dyn Recorder>,
@@ -331,7 +314,6 @@ impl std::fmt::Debug for Fastlive {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fastlive")
             .field("config", self.engine.config())
-            .field("subtree_skipping", &self.subtree_skipping)
             .field("backend", &self.backend)
             .field("gc", &self.gc)
             .field("telemetry", &self.recorder.enabled())
@@ -401,11 +383,11 @@ impl Fastlive {
     /// Opens a query session over `module` on the default backend.
     ///
     /// On [`BackendKind::Session`] this analyzes the whole module up
-    /// front (in parallel, through the caches); the other backends
-    /// defer all work to query time. The module is **not** borrowed —
-    /// it is passed by reference to every query, so it stays freely
-    /// editable between queries and the session revalidates against
-    /// its current state.
+    /// front (in parallel, through the caches); the oracle defers all
+    /// work to query time. The module is **not** borrowed — it is
+    /// passed by reference to every query, so it stays freely editable
+    /// between queries and the session revalidates against its current
+    /// state.
     pub fn session(&self, module: &Module) -> FastliveSession<'_> {
         self.session_with(module, self.backend)
     }
@@ -415,13 +397,8 @@ impl Fastlive {
     /// and a [`BackendKind::Oracle`] session side by side.
     pub fn session_with(&self, module: &Module, kind: BackendKind) -> FastliveSession<'_> {
         let backend = match kind {
-            BackendKind::Direct => {
-                Backend::Direct(DirectBackend::with_subtree_skipping(self.subtree_skipping))
-            }
-            BackendKind::Session => {
-                Backend::Session(SessionBackend::new(self.engine.analyze(module)))
-            }
-            BackendKind::Oracle => Backend::Oracle(OracleBackend),
+            BackendKind::Session => Backend::Session(self.engine.analyze(module)),
+            BackendKind::Oracle => Backend::Oracle,
         };
         FastliveSession {
             backend,
@@ -437,7 +414,7 @@ impl Fastlive {
 ///
 /// Sessions borrow only the [`Fastlive`] they came from; the module is
 /// taken by reference per call and may be edited freely between calls
-/// (the session backend revalidates, the other backends recompute).
+/// (the session backend revalidates, the oracle recomputes).
 pub struct FastliveSession<'fl> {
     backend: Backend<'fl>,
     recorder: Arc<dyn Recorder>,
@@ -477,19 +454,18 @@ impl<'fl> FastliveSession<'fl> {
         run_planned(&mut self.backend, module, queries, &*self.recorder)
     }
 
-    /// The backend's short name (`"direct"` / `"session"` /
-    /// `"oracle"`).
+    /// The backend's short name (`"session"` / `"oracle"`).
     pub fn backend_name(&self) -> &'static str {
         self.backend.backend_name()
     }
 
     /// The underlying [`EngineSession`] when this session runs on the
     /// engine backend (epoch and recomputation accounting) — `None`
-    /// on the other backends.
+    /// on the oracle.
     pub fn engine_session(&self) -> Option<&EngineSession<'fl>> {
         match &self.backend {
-            Backend::Session(s) => Some(s.session()),
-            _ => None,
+            Backend::Session(s) => Some(s),
+            Backend::Oracle => None,
         }
     }
 

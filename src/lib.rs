@@ -57,12 +57,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Three interchangeable executors answer the same queries behind the
-//! [`QueryEngine`] trait (select one with
-//! [`Fastlive::session_with`]): [`BackendKind::Direct`] (per-function
-//! checker), [`BackendKind::Session`] (engine-cached, revalidating
-//! against CFG edits — the default) and [`BackendKind::Oracle`]
-//! (iterative dataflow, the differential-testing referee).
+//! Two executors answer the same queries behind the [`QueryEngine`]
+//! trait (select one with [`Fastlive::session_with`]):
+//! [`BackendKind::Session`] (engine-cached, revalidating against CFG
+//! edits — the default) and [`BackendKind::Oracle`] (iterative
+//! dataflow, the differential-testing referee). A facade built with
+//! `cache_capacity(0)` runs the session with its cache off: the
+//! paper's per-function checker, computed per session.
 //!
 //! ## Crate map
 //!
@@ -94,9 +95,7 @@ mod builder;
 mod plan;
 mod query;
 
-pub use backend::{
-    Backend, BackendKind, DirectBackend, OracleBackend, QueryEngine, SessionBackend,
-};
+pub use backend::{Backend, BackendKind, QueryEngine};
 pub use builder::{BuildError, Fastlive, FastliveBuilder, FastliveSession, GcPolicy};
 pub use query::{BlockRef, FuncRef, LiveSets, PointRef, Query, QueryError, Response, ValueRef};
 

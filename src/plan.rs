@@ -23,7 +23,7 @@ use fastlive_engine::AnalysisKind;
 use fastlive_ir::{FuncId, Function, Module};
 use fastlive_telemetry::{QueryClass, Recorder};
 
-use crate::backend::{AnalysisSource, FuncAnalysis, NullnessState};
+use crate::backend::{Backend, FuncAnalysis, NullnessState};
 use crate::query::{
     resolve_block, resolve_func, resolve_point, resolve_value, Query, QueryError, Response,
 };
@@ -121,7 +121,7 @@ fn needs_nullness(query: &Query) -> bool {
 /// Whole-function sets out of an existing row snapshot — the same
 /// var-index → [`Value`](fastlive_ir::Value) mapping (ascending per
 /// block) as `FunctionLiveness::live_sets`, which `tests/facade_*.rs`
-/// pin against the other backends.
+/// pin against the oracle.
 fn sets_from_rows(rows: &BatchLiveness, func: &Function) -> crate::LiveSets {
     let to_values = |vars: Vec<u32>| -> Vec<fastlive_ir::Value> {
         vars.into_iter()
@@ -156,14 +156,14 @@ pub(crate) fn class_of(query: &Query) -> QueryClass {
 
 /// One query, straight through: resolve the function, obtain its
 /// analysis, answer.
-pub(crate) fn scalar_query<S: AnalysisSource>(
-    source: &mut S,
+pub(crate) fn scalar_query(
+    backend: &mut Backend<'_>,
     module: &Module,
     query: &Query,
 ) -> Result<Response, QueryError> {
     let id = resolve_func(module, query.func())?;
-    let mut analysis = source.analysis_for(module, id)?;
-    let nullness = needs_nullness(query).then(|| source.nullness_for(module, id));
+    let mut analysis = backend.analysis_for(module, id)?;
+    let nullness = needs_nullness(query).then(|| backend.nullness_for(module, id));
     answer(
         &mut analysis,
         None,
@@ -182,8 +182,8 @@ pub(crate) fn scalar_query<S: AnalysisSource>(
 /// groups took the grouped (batch-row) vs the scalar path, and the
 /// whole-batch latency. With a disabled recorder (the trait-path
 /// default) not even a clock is read; answers never depend on it.
-pub(crate) fn run_planned<S: AnalysisSource>(
-    source: &mut S,
+pub(crate) fn run_planned(
+    backend: &mut Backend<'_>,
     module: &Module,
     queries: &[Query],
     recorder: &dyn Recorder,
@@ -226,14 +226,14 @@ pub(crate) fn run_planned<S: AnalysisSource>(
                 requests.push((*id, AnalysisKind::Nullness));
             }
         }
-        source.prefetch(module, &requests);
+        backend.prefetch(module, &requests);
     }
 
     for (id, idxs) in groups {
         let func = module.func(id);
         // A failed analysis fails every query of its group — the other
         // groups (other functions) still answer.
-        let mut analysis = match source.analysis_for(module, id) {
+        let mut analysis = match backend.analysis_for(module, id) {
             Ok(a) => a,
             Err(e) => {
                 for i in idxs {
@@ -248,7 +248,7 @@ pub(crate) fn run_planned<S: AnalysisSource>(
         let nullness = idxs
             .iter()
             .any(|&i| needs_nullness(&queries[i]))
-            .then(|| source.nullness_for(module, id));
+            .then(|| backend.nullness_for(module, id));
         let block_probes = idxs
             .iter()
             .filter(|&&i| matches!(queries[i], Query::LiveIn { .. } | Query::LiveOut { .. }))
@@ -259,9 +259,9 @@ pub(crate) fn run_planned<S: AnalysisSource>(
             .count();
         // One row materialization amortized over the group's block
         // probes — or over repeated whole-function set requests, each
-        // of which would otherwise pay its own pass (checker-backed
-        // backends only; the oracle's probes are already O(1) set
-        // reads and its `batch()` is `None`).
+        // of which would otherwise pay its own pass (session only; the
+        // oracle's probes are already O(1) set reads and its `batch()`
+        // is `None`).
         let batch = if batch_pays_off(func, block_probes) || sets_queries >= 2 {
             analysis.batch(func)
         } else {

@@ -1,5 +1,5 @@
-//! Graceful degradation through the facade: the three backends stay
-//! byte-identical while the disk tier is under scripted fault
+//! Graceful degradation through the facade: the three differential
+//! arms stay byte-identical while the disk tier is under scripted fault
 //! injection, a panicking precomputation surfaces as a per-query
 //! [`QueryError::AnalysisFailed`] (never a crash, never contagion),
 //! and [`Fastlive::health`] reflects the breaker's trip → restore
@@ -42,9 +42,9 @@ fn block_queries(module: &Module) -> Vec<Query> {
     queries
 }
 
-/// Direct / Session / Oracle answer byte-identically while the session
-/// backend's disk tier is being actively sabotaged — fault injection
-/// degrades cost, never answers.
+/// The faulted session, a cache-less session and the oracle answer
+/// byte-identically while the session backend's disk tier is being
+/// actively sabotaged — fault injection degrades cost, never answers.
 #[test]
 fn backends_stay_byte_identical_under_disk_faults() {
     let module = test_module(77);
@@ -71,19 +71,25 @@ fn backends_stay_byte_identical_under_disk_faults() {
         .build()
         .expect("valid config");
 
+    let cacheless = Fastlive::builder()
+        .threads(2)
+        .cache_capacity(0)
+        .build()
+        .expect("valid config");
+
     let mut session = faulted.session_with(&module, BackendKind::Session);
-    let mut direct = faulted.session_with(&module, BackendKind::Direct);
+    let mut uncached = cacheless.session_with(&module, BackendKind::Session);
     let mut oracle = faulted.session_with(&module, BackendKind::Oracle);
 
     let answers_s = session.run_queries(&module, &queries);
-    let answers_d = direct.run_queries(&module, &queries);
+    let answers_u = uncached.run_queries(&module, &queries);
     let answers_o = oracle.run_queries(&module, &queries);
-    for ((s, d), (o, q)) in answers_s
+    for ((s, u), (o, q)) in answers_s
         .iter()
-        .zip(&answers_d)
+        .zip(&answers_u)
         .zip(answers_o.iter().zip(&queries))
     {
-        assert_eq!(s, d, "session vs direct on {q:?}");
+        assert_eq!(s, u, "faulted vs cache-less session on {q:?}");
         assert_eq!(s, o, "session vs oracle on {q:?}");
         assert!(s.is_ok(), "disk faults must never fail a query: {q:?}");
     }
@@ -122,13 +128,13 @@ fn panicking_function_degrades_to_analysis_failed() {
     assert!(failed > 0, "the poisoned function's queries must fail");
     assert!(answered > 0, "other functions must keep answering");
 
-    // Same batch against the Direct backend: only the poisoned
+    // Same batch against the engine-free oracle: only the poisoned
     // function differs (it answers there); every other slot matches.
-    let mut direct = fl.session_with(&module, BackendKind::Direct);
-    let direct_results = direct.run_queries(&module, &block_queries(&module));
-    for (s, d) in results.iter().zip(&direct_results) {
+    let mut oracle = fl.session_with(&module, BackendKind::Oracle);
+    let oracle_results = oracle.run_queries(&module, &block_queries(&module));
+    for (s, o) in results.iter().zip(&oracle_results) {
         if s.is_ok() {
-            assert_eq!(s, d);
+            assert_eq!(s, o);
         }
     }
 
@@ -137,7 +143,7 @@ fn panicking_function_degrades_to_analysis_failed() {
     fl.engine().set_compute_fault(None);
     let healed = session.run_queries(&module, &block_queries(&module));
     assert!(healed.iter().all(|r| r.is_ok()), "must self-heal");
-    assert_eq!(healed, direct_results, "healed answers are exact");
+    assert_eq!(healed, oracle_results, "healed answers are exact");
 }
 
 /// `Fastlive::health()` tracks the breaker through sick and recovered

@@ -1,11 +1,11 @@
-//! Unit coverage for the facade's typed query layer (ISSUE 5): every
+//! Unit coverage for the facade's typed query layer: every
 //! `QueryError` variant, every `BuildError` variant, the name/id
 //! addressing equivalence, and the builder's persistence-GC flag.
 
 use fastlive::ir::{InstData, UnaryOp};
 use fastlive::{
-    parse_module, BackendKind, Block, BuildError, Fastlive, PointRef, Query, QueryError, Response,
-    Value,
+    parse_module, BackendKind, Block, BuildError, Fastlive, Nullness, PointRef, Query, QueryError,
+    Response, Value,
 };
 
 const SRC: &str = "function %count { block0(v0):
@@ -23,6 +23,16 @@ const SRC: &str = "function %count { block0(v0):
 fn fl() -> Fastlive {
     Fastlive::builder()
         .threads(1)
+        .build()
+        .expect("valid config")
+}
+
+/// The engine with its shape cache off — the differential suites'
+/// cache-less arm.
+fn cacheless() -> Fastlive {
+    Fastlive::builder()
+        .threads(1)
+        .cache_capacity(0)
         .build()
         .expect("valid config")
 }
@@ -133,27 +143,82 @@ fn detached_definition_surfaces_per_backend() {
         .insert_inst(b0, 0, InstData::IntConst { imm: 7 });
     let dv = module.func(count).inst_result(dead).unwrap();
     module.func_mut(count).remove_inst(dead);
+    let func = module.func(count);
 
-    let f = fl();
-    for kind in [
-        BackendKind::Direct,
-        BackendKind::Session,
-        BackendKind::Oracle,
+    // All seven kinds: a detached value is dead everywhere, in no live
+    // set, never initialized and of unknown nullness; only the
+    // point-granularity kinds refuse it.
+    let mut probes = vec![
+        (
+            Query::nullness(count, dv),
+            Ok(Response::Nullness(Nullness::Maybe)),
+        ),
+        (
+            Query::live_at(count, dv, PointRef::entry("block1")),
+            Err(QueryError::DetachedDefinition(dv)),
+        ),
+        (
+            Query::interfere(count, dv, "v0"),
+            Err(QueryError::DetachedDefinition(dv)),
+        ),
+    ];
+    for b in func.blocks() {
+        probes.push((Query::live_in(count, dv, b), Ok(Response::Live(false))));
+        probes.push((Query::live_out(count, dv, b), Ok(Response::Live(false))));
+        probes.push((
+            Query::definitely_init(count, dv, b),
+            Ok(Response::Init(false)),
+        ));
+    }
+    // Two set requests, so the planner also takes its row-pass path.
+    let mut queries: Vec<Query> = probes.iter().map(|(q, _)| q.clone()).collect();
+    queries.push(Query::live_sets(count));
+    queries.push(Query::live_sets("count"));
+    // A dense batch that never names the detached value still builds
+    // rows over every value of the function.
+    let dense: Vec<Query> = func
+        .values()
+        .filter(|&v| v != dv)
+        .flat_map(|v| func.blocks().map(move |b| Query::live_in(count, v, b)))
+        .collect();
+
+    let (cached, uncached) = (fl(), cacheless());
+    let mut dense_answers = Vec::new();
+    for (f, kind) in [
+        (&cached, BackendKind::Session),
+        (&uncached, BackendKind::Session),
+        (&cached, BackendKind::Oracle),
     ] {
+        let arm = format!("{kind:?} cache={}", f.config().cache_capacity);
         let mut s = f.session_with(&module, kind);
-        let err = s
-            .query(
-                &module,
-                &Query::live_at(count, dv, PointRef::entry("block1")),
-            )
-            .expect_err("detached definition");
-        assert_eq!(err, QueryError::DetachedDefinition(dv), "{kind:?}");
+        let planned = s.run_queries(&module, &queries);
+        let scalar: Vec<_> = queries.iter().map(|q| s.query(&module, q)).collect();
+        assert_eq!(planned, scalar, "{arm}: planned vs scalar");
+        for ((query, want), got) in probes.iter().zip(&planned) {
+            assert_eq!(got, want, "{arm}: {query:?}");
+        }
+        for sets in planned[probes.len()..].iter() {
+            let sets = sets.as_ref().expect("live sets answer");
+            let sets = sets.as_sets().expect("Sets response");
+            assert!(
+                !sets
+                    .live_in
+                    .iter()
+                    .chain(&sets.live_out)
+                    .any(|set| set.contains(&dv)),
+                "{arm}: detached value in a live set"
+            );
+        }
         let err = s
             .query(&module, &Query::interfere(count, dv, "v0"))
             .expect_err("detached definition under interference");
-        assert_eq!(err, QueryError::DetachedDefinition(dv), "{kind:?}");
         assert!(err.to_string().contains("removed"), "{err}");
+        let answers = s.run_queries(&module, &dense);
+        assert!(answers.iter().all(Result::is_ok), "{arm}: dense batch");
+        dense_answers.push(answers);
     }
+    assert_eq!(dense_answers[0], dense_answers[1], "cached vs cache-less");
+    assert_eq!(dense_answers[0], dense_answers[2], "session vs oracle");
 }
 
 #[test]
@@ -257,13 +322,13 @@ fn builder_gc_flag_prunes_the_store_and_degrades_cleanly() {
 #[test]
 fn nullness_queries_answer_and_fail_like_liveness_ones() {
     let module = parse_module(SRC).unwrap();
-    let f = fl();
-    for kind in [
-        BackendKind::Direct,
-        BackendKind::Session,
-        BackendKind::Oracle,
+    let (f, uncached) = (fl(), cacheless());
+    for (arm, kind) in [
+        (&f, BackendKind::Session),
+        (&uncached, BackendKind::Session),
+        (&f, BackendKind::Oracle),
     ] {
-        let mut s = f.session_with(&module, kind);
+        let mut s = arm.session_with(&module, kind);
         // v1 = iconst 0 is definitely null; v3 = iconst 1 non-null;
         // v4 = v2 + v3 joins Null/NonNull facts over the loop header.
         assert_eq!(
@@ -378,10 +443,10 @@ fn typed_conveniences_and_engine_session_access() {
     assert!(s.is_live_in(&module, "count", "v0", "block2").unwrap());
     assert_eq!(s.engine_session().unwrap().epoch(0), 0, "no CFG change");
     assert_eq!(
-        f.session_with(&module, BackendKind::Direct)
+        f.session_with(&module, BackendKind::Oracle)
             .engine_session()
             .map(|_| ()),
         None,
-        "direct backend exposes no engine session"
+        "the oracle exposes no engine session"
     );
 }

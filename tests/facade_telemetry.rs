@@ -1,4 +1,4 @@
-//! Facade-level telemetry properties (PR 7): instrumentation is an
+//! Facade-level telemetry properties: instrumentation is an
 //! **observer**. Enabling it must leave every backend's answers
 //! byte-identical to an uninstrumented run (the answers-never-depend-
 //! on-telemetry invariant from ROADMAP.md), the snapshot's counters
@@ -71,34 +71,42 @@ fn answers(
 }
 
 /// The acceptance differential: enabled-vs-noop telemetry produces
-/// byte-identical responses on all three backends, for both scalar
-/// dispatch and planned batches.
+/// byte-identical responses on all three arms (cached session,
+/// cache-less session, oracle), for both scalar dispatch and planned
+/// batches.
 #[test]
 fn enabled_telemetry_never_changes_answers() {
-    let plain = Fastlive::builder().threads(1).build().unwrap();
-    let metered = Fastlive::builder()
-        .threads(1)
-        .telemetry(true)
-        .build()
-        .unwrap();
+    let facade = |cache_capacity: usize, telemetry: bool| {
+        Fastlive::builder()
+            .threads(1)
+            .cache_capacity(cache_capacity)
+            .telemetry(telemetry)
+            .build()
+            .unwrap()
+    };
+    let (plain, metered) = (facade(256, false), facade(256, true));
+    let (plain_uncached, metered_uncached) = (facade(0, false), facade(0, true));
     for seed in [0xa1u64, 0xb2, 0xc3] {
         let module = test_module(seed);
         let queries = dense_batch(&module);
-        for kind in [
-            BackendKind::Direct,
-            BackendKind::Session,
-            BackendKind::Oracle,
+        for (plain, metered, kind) in [
+            (&plain, &metered, BackendKind::Session),
+            (&plain_uncached, &metered_uncached, BackendKind::Session),
+            (&plain, &metered, BackendKind::Oracle),
         ] {
+            let cache = plain.config().cache_capacity;
             for scalar in [true, false] {
                 assert_eq!(
-                    answers(&plain, &module, kind, &queries, scalar),
-                    answers(&metered, &module, kind, &queries, scalar),
-                    "seed {seed:#x} {kind:?} scalar={scalar}: telemetry is an observer"
+                    answers(plain, &module, kind, &queries, scalar),
+                    answers(metered, &module, kind, &queries, scalar),
+                    "seed {seed:#x} {kind:?} cache={cache} scalar={scalar}: \
+                     telemetry is an observer"
                 );
             }
         }
     }
     assert!(metered.telemetry().total_queries() > 0, "and it did record");
+    assert!(metered_uncached.telemetry().total_queries() > 0);
 }
 
 /// The snapshot counts exactly what was issued: per-kind histogram
@@ -114,10 +122,11 @@ fn snapshot_counters_match_issued_queries() {
     let module = test_module(0x77);
     let per_class = one_of_each(&module);
 
-    // 3 rounds of scalar singles on session, 2 on direct, 1 on oracle.
+    // 3 rounds of scalar singles on one session, 2 on a second one,
+    // 1 on the oracle.
     for (kind, rounds) in [
         (BackendKind::Session, 3usize),
-        (BackendKind::Direct, 2),
+        (BackendKind::Session, 2),
         (BackendKind::Oracle, 1),
     ] {
         let mut session = fl.session_with(&module, kind);
@@ -139,8 +148,7 @@ fn snapshot_counters_match_issued_queries() {
             .map(|c| c.count)
             .unwrap_or(0)
     };
-    assert_eq!(backend_count(&snap, "session"), 15);
-    assert_eq!(backend_count(&snap, "direct"), 10);
+    assert_eq!(backend_count(&snap, "session"), 25);
     assert_eq!(backend_count(&snap, "oracle"), 5);
     assert_eq!(backend_count(&snap, "other"), 0);
 
