@@ -1,6 +1,6 @@
-//! Shared harness code for the `fastlive` benchmark suite: everything
-//! the table-regeneration binaries and the Criterion benches have in
-//! common.
+//! Shared harness code for the `fastlive-bench` runner
+//! (`src/main.rs`): workload preparation, timing, query streams, and
+//! the helpers the report suites check their `BENCH_*.json` with.
 //!
 //! The measurement methodology follows §6.2 of the paper:
 //!
@@ -20,13 +20,41 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::BTreeSet;
 use std::time::Instant;
 
+use fastlive::telemetry::Json;
+use fastlive::{Block, Module, PointRef, Query, Value};
 use fastlive_core::{FunctionLiveness, LivenessChecker};
 use fastlive_dataflow::{LaoLiveness, VarUniverse};
 use fastlive_destruct::{destruct_ssa, CheckerEngine, DestructResult, QueryKind, QueryRecord};
 use fastlive_ir::Function;
-use fastlive_workload::{generate_suite, BenchProfile, Suite};
+use fastlive_workload::{generate_suite, BenchProfile, SplitMix64, Suite};
+
+/// The machine's available parallelism, recorded in every report:
+/// thread-scaling figures mean nothing without it.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+}
+
+/// Total block count over a module's functions.
+fn module_blocks(m: &Module) -> usize {
+    m.functions().iter().map(|f| f.num_blocks()).sum()
+}
+
+/// The keys of [`module_header`].
+pub const MODULE_HEADER: &[&str] = &["host_cpus", "functions", "blocks_total"];
+
+/// The header every module-driven report starts with: `host_cpus`,
+/// `functions` and `blocks_total`.
+pub fn module_header(m: &Module) -> Json {
+    Json::obj()
+        .field("host_cpus", host_cpus())
+        .field("functions", m.len())
+        .field("blocks_total", module_blocks(m))
+}
 
 /// Scale (percent of the paper's procedure counts) read from
 /// `FASTLIVE_SCALE`, defaulting to `dflt`.
@@ -72,19 +100,56 @@ pub fn prepare_suite(suite: &Suite) -> Vec<PreparedProc> {
         .collect()
 }
 
-/// Median-of-`reps` wall time of `work`, in nanoseconds. A `black_box`
-/// on the closure result keeps the optimizer honest.
-pub fn time_ns<T>(reps: usize, mut work: impl FnMut() -> T) -> f64 {
-    assert!(reps >= 1);
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let out = work();
-        samples.push(t0.elapsed().as_nanos() as f64);
-        std::hint::black_box(out);
-    }
+/// The median of `samples` (the upper middle one for an even count).
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    assert!(!samples.is_empty(), "median of no samples");
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// Median-of-`reps` wall time of `work`, in nanoseconds. Each rep
+/// first runs `setup` untimed (wiping a store, building a fresh
+/// engine) and hands its result to `work`. A `black_box` on the
+/// result keeps the optimizer honest.
+pub fn median_ns<S, T>(
+    reps: usize,
+    mut setup: impl FnMut() -> S,
+    mut work: impl FnMut(S) -> T,
+) -> f64 {
+    assert!(reps >= 1);
+    median(
+        (0..reps)
+            .map(|_| {
+                let input = setup();
+                let t0 = Instant::now();
+                let out = work(input);
+                let ns = t0.elapsed().as_nanos() as f64;
+                std::hint::black_box(out);
+                ns
+            })
+            .collect(),
+    )
+}
+
+/// [`median_ns`] without a set-up.
+pub fn time_ns<T>(reps: usize, mut work: impl FnMut() -> T) -> f64 {
+    median_ns(reps, || (), |()| work())
+}
+
+/// Median ns per call of `work` over `samples` batches, each batch
+/// calling `work` often enough to take at least a millisecond — for
+/// calls too short for one clock read pair to time.
+pub fn batched_ns<T>(samples: usize, mut work: impl FnMut() -> T) -> f64 {
+    let mut batch = |iters: usize| {
+        for _ in 0..iters {
+            std::hint::black_box(work());
+        }
+    };
+    let mut iters = 1;
+    while time_ns(1, || batch(iters)) < 1e6 && iters < 1 << 24 {
+        iters *= 2;
+    }
+    time_ns(samples, || batch(iters)) / iters as f64
 }
 
 /// Replays a query stream against the paper's checker; returns the
@@ -134,9 +199,8 @@ pub fn replay_native(live: &LaoLiveness, func: &Function, queries: &[QueryRecord
 }
 
 /// A structured function of roughly `target` blocks with a nesting
-/// depth that grows with size — the shared workload shape for the
-/// query-loop and batch benchmarks, so `benches/query.rs` and the
-/// committed `BENCH_query.json` measure the same programs.
+/// depth that grows with size — the workload shape of the `query`
+/// suite's query-loop and batch rows.
 pub fn sized_function(target: usize, seed: u64) -> Function {
     let params = fastlive_workload::GenParams {
         target_blocks: target,
@@ -186,8 +250,9 @@ pub fn dominance_probes(live: &LivenessChecker, count: usize, seed: u64) -> Vec<
     out
 }
 
-/// Replays graph-level probes against the word-masked query loop;
-/// returns the positive-answer count.
+/// Replays graph-level probes against the fused query kernel
+/// ([`LivenessChecker::is_live_in`]); returns the positive-answer
+/// count.
 pub fn run_probes(live: &LivenessChecker, probes: &[(u32, u32, u32)]) -> usize {
     probes
         .iter()
@@ -203,6 +268,129 @@ pub fn run_probes_scalar(live: &LivenessChecker, probes: &[(u32, u32, u32)]) -> 
         .iter()
         .map(|&(d, u, q)| live.is_live_in_scalar(d, &[u], q) as usize)
         .sum()
+}
+
+/// `LiveIn` + `LiveOut` for every `(value, block)` pair — the dense
+/// consumer's query stream (interference-graph construction),
+/// id-addressed.
+pub fn dense_batch(module: &Module) -> Vec<Query> {
+    let mut queries = Vec::new();
+    for (id, func) in module.iter() {
+        for v in func.values() {
+            for b in func.blocks() {
+                queries.push(Query::live_in(id, v, b));
+                queries.push(Query::live_out(id, v, b));
+            }
+        }
+    }
+    queries
+}
+
+/// A deterministic randomized batch of `n` queries:
+/// `block_per_mille`‰ `LiveIn`/`LiveOut` probes, the rest `LiveAt` /
+/// `Interfere` (and, when `with_sets`, sparse `LiveSets`).
+pub fn mixed_batch(
+    module: &Module,
+    n: usize,
+    block_per_mille: usize,
+    with_sets: bool,
+    seed: u64,
+) -> Vec<Query> {
+    let mut rng = SplitMix64::new(seed | 1);
+    let mut next = |bound: usize| (rng.next_u64() % bound.max(1) as u64) as usize;
+    let mut queries = Vec::with_capacity(n);
+    while queries.len() < n {
+        let id = next(module.len());
+        let func = module.func(id);
+        let value = Value::from_index(next(func.num_values()));
+        let block = Block::from_index(next(func.num_blocks()));
+        let roll = next(1000);
+        queries.push(if roll < block_per_mille {
+            if roll % 2 == 0 {
+                Query::live_in(id, value, block)
+            } else {
+                Query::live_out(id, value, block)
+            }
+        } else if roll % 3 == 0 && func.num_values() >= 2 {
+            let w = Value::from_index(next(func.num_values()));
+            Query::interfere(id, value, w)
+        } else if with_sets && roll % 31 == 0 {
+            Query::live_sets(id)
+        } else {
+            let len = func.block_insts(block).len();
+            if len == 0 {
+                Query::live_at(id, value, PointRef::entry(block))
+            } else {
+                Query::live_at(id, value, PointRef::after(block, next(len)))
+            }
+        });
+    }
+    queries
+}
+
+/// The rows of the array field `key` of `report`, each checked to
+/// carry `keys`.
+pub fn rows<'a>(report: &'a Json, key: &str, keys: &[&str]) -> Result<&'a [Json], String> {
+    let rows = report
+        .get(key)
+        .and_then(Json::as_array)
+        .ok_or_else(|| format!("`{key}` is not an array"))?;
+    rows.iter().try_for_each(|r| r.require(keys))?;
+    Ok(rows)
+}
+
+/// The object field `key` of `report`, checked to carry `keys`.
+pub fn section<'a>(report: &'a Json, key: &str, keys: &[&str]) -> Result<&'a Json, String> {
+    let obj = report
+        .get(key)
+        .ok_or_else(|| format!("missing key `{key}`"))?;
+    obj.require(keys)?;
+    Ok(obj)
+}
+
+/// Field `key` of `obj` as a number.
+pub fn num(obj: &Json, key: &str) -> Result<f64, String> {
+    obj.get(key)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("`{key}` is not a number in {obj}"))
+}
+
+/// The distinct values the fields `keys` take together over `rows`,
+/// joined by `/` with strings unquoted.
+pub fn column(rows: &[Json], keys: &[&str]) -> BTreeSet<String> {
+    rows.iter()
+        .map(|r| {
+            let cell: Vec<String> = keys
+                .iter()
+                .map(|k| match r.get(k) {
+                    Some(Json::Str(s)) => s.clone(),
+                    Some(v) => v.to_string(),
+                    None => "?".to_string(),
+                })
+                .collect();
+            cell.join("/")
+        })
+        .collect()
+}
+
+/// `Err` unless the [`column()`] of `keys` over `rows` is exactly
+/// `expected` — pins a report's row set.
+pub fn row_set(rows: &[Json], keys: &[&str], expected: &[&str]) -> Result<(), String> {
+    let got = column(rows, keys);
+    let want: BTreeSet<String> = expected.iter().map(|s| s.to_string()).collect();
+    ensure(
+        got == want,
+        format!("{keys:?} rows are {got:?}, expected {want:?}"),
+    )
+}
+
+/// `Ok` when `cond` holds, else `Err(what)`.
+pub fn ensure(cond: bool, what: impl Into<String>) -> Result<(), String> {
+    if cond {
+        Ok(())
+    } else {
+        Err(what.into())
+    }
 }
 
 /// The per-benchmark measurements backing one Table 2 row.

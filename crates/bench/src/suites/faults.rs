@@ -1,0 +1,213 @@
+//! `BENCH_faults.json`: what the robustness layer costs when nothing
+//! is wrong, and how fast it recovers when something is.
+//!
+//! * `vfs_overhead` — cold analyze (precompute + write-through) through
+//!   the production `StdVfs` vs. a rule-free `FaultVfs`: the injection
+//!   seam must be free on the happy path (ratio ≈ 1; compare the
+//!   `cold` scenario of `BENCH_persist.json`).
+//! * `recovery` — a scripted total-disk failure trips the breaker,
+//!   the disk heals, and the half-open probe restores the tier: the
+//!   measured trip→restore wall time tracks the configured backoff,
+//!   not some hidden retry storm.
+//! * `degraded` — analyze cost with the breaker open (memory-only) vs.
+//!   a healthy disk-less engine: an open breaker must cost nothing over
+//!   never having configured persistence.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use fastlive::telemetry::Json;
+use fastlive::{
+    AnalysisEngine, BreakerConfig, BreakerState, EngineConfig, Fault, FaultRule, FaultVfs, OpKind,
+};
+use fastlive_bench::{
+    ensure, host_cpus, median_ns, module_header, num, section, time_ns, MODULE_HEADER,
+};
+use fastlive_workload::{generate_module, ModuleParams};
+
+/// Runs the suite.
+pub fn run(quick: bool) -> Json {
+    let (functions, reps) = if quick { (12, 3) } else { (64, 9) };
+    let threads = 4.min(host_cpus());
+    let module = generate_module(
+        "faults_bench",
+        ModuleParams {
+            functions,
+            min_blocks: 8,
+            max_blocks: 48,
+            irreducible_per_mille: 100,
+            deep_live_per_mille: 300,
+        },
+        0xfa17,
+    );
+    let dir = std::env::temp_dir().join(format!("fastlive-bench-faults-{}", std::process::id()));
+    let wipe = || {
+        let _ = std::fs::remove_dir_all(&dir);
+    };
+
+    // ---- vfs_overhead: cold analyze through StdVfs vs healthy
+    // FaultVfs, directory wiped outside the timed region each rep.
+    let cold_config = EngineConfig {
+        threads,
+        persist_dir: Some(dir.clone()),
+        ..EngineConfig::default()
+    };
+    let std_ns = median_ns(reps, wipe, |()| {
+        AnalysisEngine::new(cold_config.clone())
+            .analyze(&module)
+            .num_functions()
+    });
+    let fault_ns = median_ns(reps, wipe, |()| {
+        AnalysisEngine::with_vfs(cold_config.clone(), Arc::new(FaultVfs::healthy()))
+            .analyze(&module)
+            .num_functions()
+    });
+    let overhead = fault_ns / std_ns;
+
+    // ---- recovery: trip on a fully sick disk (untimed set-up), heal,
+    // then time until health() reports Closed again (polling with
+    // re-analyzes is what drives the half-open probe).
+    let backoff = Duration::from_millis(25);
+    let tripped = || {
+        wipe();
+        let vfs = Arc::new(FaultVfs::new(vec![FaultRule::every(
+            OpKind::Any,
+            Fault::eio(),
+        )]));
+        let engine = AnalysisEngine::with_vfs(
+            EngineConfig {
+                threads,
+                cache_capacity: 0, // every probe consults the disk tier
+                stripes: 0,
+                persist_dir: Some(dir.clone()),
+                disk_breaker: BreakerConfig {
+                    trip_threshold: 3,
+                    initial_backoff: backoff,
+                    max_backoff: backoff * 8,
+                    ..BreakerConfig::default()
+                },
+            },
+            vfs.clone(),
+        );
+        let _ = engine.analyze(&module);
+        assert_eq!(
+            engine.health().disk_state,
+            BreakerState::Open,
+            "sick disk must trip the breaker"
+        );
+        vfs.set_rules(vec![]);
+        engine
+    };
+    let recovery_ns = median_ns(reps, tripped, |engine| {
+        while engine.health().disk_state != BreakerState::Closed {
+            let _ = engine.analyze(&module);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    });
+
+    // ---- degraded: analyze with the breaker latched open vs a
+    // disk-less engine. Open-breaker probes must cost ~nothing.
+    wipe();
+    let sick = Arc::new(FaultVfs::new(vec![FaultRule::every(
+        OpKind::Any,
+        Fault::eio(),
+    )]));
+    let open_engine = AnalysisEngine::with_vfs(
+        EngineConfig {
+            threads,
+            persist_dir: Some(dir.clone()),
+            disk_breaker: BreakerConfig {
+                trip_threshold: 1,
+                initial_backoff: Duration::from_secs(3600), // stays open
+                ..BreakerConfig::default()
+            },
+            ..EngineConfig::default()
+        },
+        sick,
+    );
+    let _ = open_engine.analyze(&module); // trip it
+    let open_ns = time_ns(reps, || open_engine.analyze(&module).num_functions());
+    let memory_engine = AnalysisEngine::new(EngineConfig {
+        threads,
+        ..EngineConfig::default()
+    });
+    let _ = memory_engine.analyze(&module); // warm, like open_engine
+    let memory_ns = time_ns(reps, || memory_engine.analyze(&module).num_functions());
+    let degraded_ratio = open_ns / memory_ns;
+    let health = open_engine.health();
+    wipe();
+
+    module_header(&module)
+        .field(
+            "vfs_overhead",
+            Json::obj()
+                .field("std_cold_ns", Json::Num(std_ns, 0))
+                .field("fault_vfs_cold_ns", Json::Num(fault_ns, 0))
+                .field("ratio", Json::Num(overhead, 3)),
+        )
+        .field(
+            "recovery",
+            Json::obj()
+                .field("trip_to_restore_ns", Json::Num(recovery_ns, 0))
+                .field("configured_backoff_ns", backoff.as_nanos() as u64)
+                .field("trip_threshold", 3u32),
+        )
+        .field(
+            "degraded",
+            Json::obj()
+                .field("open_breaker_analyze_ns", Json::Num(open_ns, 0))
+                .field("memory_only_analyze_ns", Json::Num(memory_ns, 0))
+                .field("ratio", Json::Num(degraded_ratio, 3)),
+        )
+        .field(
+            "health",
+            Json::obj()
+                .field("disk_state", format!("{:?}", health.disk_state))
+                .field("disk_trips", health.disk_trips)
+                .field("disk_restores", health.disk_restores)
+                .field("disk_probes_skipped", health.disk_probes_skipped)
+                .field("disk_errors", health.cache.disk_errors),
+        )
+}
+
+/// The former CI schema check: section keys, no restore before the
+/// configured backoff, and a breaker still latched open after tripping.
+pub fn check(d: &Json) -> Result<(), String> {
+    d.require(MODULE_HEADER)?;
+    section(
+        d,
+        "vfs_overhead",
+        &["std_cold_ns", "fault_vfs_cold_ns", "ratio"],
+    )?;
+    let rec = section(
+        d,
+        "recovery",
+        &[
+            "trip_to_restore_ns",
+            "configured_backoff_ns",
+            "trip_threshold",
+        ],
+    )?;
+    ensure(
+        num(rec, "trip_to_restore_ns")? >= num(rec, "configured_backoff_ns")?,
+        "cannot restore before the configured backoff elapses",
+    )?;
+    let degraded = ["open_breaker_analyze_ns", "memory_only_analyze_ns", "ratio"];
+    section(d, "degraded", &degraded)?;
+    let h = section(
+        d,
+        "health",
+        &[
+            "disk_state",
+            "disk_trips",
+            "disk_restores",
+            "disk_probes_skipped",
+            "disk_errors",
+        ],
+    )?;
+    let open = h.get("disk_state") == Some(&Json::from("Open"));
+    ensure(
+        open && num(h, "disk_trips")? >= 1.0,
+        format!("breaker must stay open: {h}"),
+    )
+}

@@ -7,16 +7,13 @@
 //!   the narrated queries.
 //!
 //! Pipe any of the emitted `digraph` blocks into `dot -Tsvg`.
-//!
-//! ```text
-//! cargo run -p fastlive-bench --bin figures
-//! ```
 
 use fastlive_cfg::{DfsTree, EdgeClass};
 use fastlive_core::LivenessChecker;
 use fastlive_graph::{dot, DiGraph};
 
-fn main() {
+/// Runs the suite (`--quick` changes nothing: the figures are tiny).
+pub fn run(_quick: bool) {
     figure1();
     figure3();
 }

@@ -3,7 +3,7 @@
 //! algorithm ... this break-even point is reached if the number of
 //! basic blocks is larger than the size of such an array".
 //!
-//! For a sweep of procedure sizes this binary reports the bytes used by
+//! For a sweep of procedure sizes this suite reports the bytes used by
 //!
 //! * the checker's `R`+`T` bit matrices (quadratic in blocks),
 //! * the same closures as sorted arrays (§6.1/§8 alternative),
@@ -11,15 +11,14 @@
 //! * the LAO baseline's sorted live-in/live-out arrays, for the
 //!   φ-related and the full universe.
 //!
-//! ```text
-//! cargo run --release -p fastlive-bench --bin memory_breakeven
-//! ```
+//! `--quick` stops the sweep at 256 blocks.
 
 use fastlive_core::{LivenessChecker, LoopForestChecker, SortedLivenessChecker};
 use fastlive_dataflow::{LaoLiveness, VarUniverse};
 use fastlive_workload::{generate_function, GenParams};
 
-fn main() {
+/// Runs the suite.
+pub fn run(quick: bool) {
     println!("Memory break-even (bytes of analysis storage per procedure)\n");
     println!(
         "{:>7} {:>12} {:>12} {:>12} {:>12} {:>12}",
@@ -27,7 +26,12 @@ fn main() {
     );
     println!("{}", "-".repeat(74));
 
-    for target in [8usize, 16, 32, 64, 128, 256, 512, 1024, 2048] {
+    let sweep: &[usize] = if quick {
+        &[8, 16, 32, 64, 128, 256]
+    } else {
+        &[8, 16, 32, 64, 128, 256, 512, 1024, 2048]
+    };
+    for &target in sweep {
         let params = GenParams {
             target_blocks: target,
             max_depth: 3 + (target / 16).min(6) as u32,

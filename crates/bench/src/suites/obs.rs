@@ -1,5 +1,5 @@
-//! Emits `BENCH_obs.json`: what end-to-end telemetry costs, and what
-//! it measures.
+//! `BENCH_obs.json`: what end-to-end telemetry costs, and what it
+//! measures.
 //!
 //! Three arms per workload, all answering the same queries:
 //!
@@ -16,83 +16,20 @@
 //!   dispatch pays two clock reads per query, so its overhead is
 //!   reported per-query in ns, not hidden in a ratio).
 //!
-//! The file also records per-tier latency quantiles from an enabled
+//! The report also records per-tier latency quantiles from an enabled
 //! three-tier run (compute / disk write-through / warm-memory /
 //! warm-disk) and a cross-thread exactness check: N threads × M
 //! queries must leave the histograms summing to exactly N·M.
-//!
-//! ```text
-//! cargo run --release -p fastlive-bench --bin bench_obs_json [--quick] [OUT.json]
-//! ```
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
+use fastlive::telemetry::Json;
 use fastlive::workload::{generate_module, ModuleParams};
-use fastlive::{
-    Backend, Block, Fastlive, Module, PointRef, Query, QueryEngine, Recorder, Telemetry, Value,
+use fastlive::{Backend, Fastlive, Module, Query, QueryEngine, Recorder, Telemetry};
+use fastlive_bench::{
+    column, dense_batch, ensure, mixed_batch, module_header, num, row_set, rows, section, time_ns,
+    MODULE_HEADER,
 };
-use fastlive_bench::time_ns;
-
-fn module_blocks(m: &Module) -> usize {
-    m.functions().iter().map(|f| f.num_blocks()).sum()
-}
-
-/// `LiveIn` + `LiveOut` for every `(value, block)` pair — the planner's
-/// grouped fast path.
-fn dense_batch(module: &Module) -> Vec<Query> {
-    let mut queries = Vec::new();
-    for (id, func) in module.iter() {
-        for v in func.values() {
-            for b in func.blocks() {
-                queries.push(Query::live_in(id, v, b));
-                queries.push(Query::live_out(id, v, b));
-            }
-        }
-    }
-    queries
-}
-
-/// A deterministic mixed stream: block probes plus the `LiveAt` /
-/// `Interfere` / `LiveSets` sprinkle — the scalar dispatch workload.
-fn mixed_batch(module: &Module, n: usize, seed: u64) -> Vec<Query> {
-    let mut state = seed | 1;
-    let mut next = move |bound: usize| {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (z ^ (z >> 31)) as usize % bound.max(1)
-    };
-    let mut queries = Vec::with_capacity(n);
-    while queries.len() < n {
-        let id = next(module.len());
-        let func = module.func(id);
-        let value = Value::from_index(next(func.num_values()));
-        let block = Block::from_index(next(func.num_blocks()));
-        let roll = next(1000);
-        queries.push(if roll < 600 {
-            if roll % 2 == 0 {
-                Query::live_in(id, value, block)
-            } else {
-                Query::live_out(id, value, block)
-            }
-        } else if roll % 3 == 0 && func.num_values() >= 2 {
-            let w = Value::from_index(next(func.num_values()));
-            Query::interfere(id, value, w)
-        } else if roll % 31 == 0 {
-            Query::live_sets(id)
-        } else {
-            let len = func.block_insts(block).len();
-            if len == 0 {
-                Query::live_at(id, value, PointRef::entry(block))
-            } else {
-                Query::live_at(id, value, PointRef::after(block, next(len)))
-            }
-        });
-    }
-    queries
-}
 
 struct Arms {
     raw_ns: f64,
@@ -158,21 +95,9 @@ fn run_arms(
     }
 }
 
-fn main() {
-    let mut quick = false;
-    let mut out_path = "BENCH_obs.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else {
-            out_path = arg;
-        }
-    }
+/// Runs the suite.
+pub fn run(quick: bool) -> Json {
     let reps = if quick { 3 } else { 25 };
-    let host_cpus = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-
     let module = generate_module(
         "obs_bench",
         ModuleParams {
@@ -183,11 +108,6 @@ fn main() {
             deep_live_per_mille: 500,
         },
         0x00b5_e7ed,
-    );
-    let blocks = module_blocks(&module);
-    eprintln!(
-        "module: {} functions, {blocks} blocks total, host_cpus={host_cpus}",
-        module.len()
     );
 
     let plain = Fastlive::builder().threads(1).build().expect("valid");
@@ -208,56 +128,38 @@ fn main() {
         let stride = full.len().div_ceil(if quick { 8192 } else { 65536 }).max(1);
         full.into_iter().step_by(stride).collect()
     };
-    let mixed = mixed_batch(&module, n, 0x0b5);
+    let mixed = mixed_batch(&module, n, 600, true, 0x0b5);
     for queries in [&dense, &mixed] {
         let a = plain.session(&module).run_queries(&module, queries);
         let b = metered.session(&module).run_queries(&module, queries);
         assert_eq!(a, b, "telemetry changed answers");
     }
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"host_cpus\": {host_cpus},\n  \"functions\": {},\n  \"blocks_total\": {blocks},\n  \"quick\": {quick},",
-        module.len()
-    );
-
     // ---- Overhead arms -------------------------------------------------
-    json.push_str("  \"overhead\": [\n");
-    let rows: Vec<(&str, &Vec<Query>, bool)> = vec![
+    let mut overhead = Vec::new();
+    for (workload, queries, scalar) in [
         ("grouped_dense", &dense, false),
         ("grouped_mixed", &mixed, false),
         ("scalar_mixed", &mixed, true),
-    ];
-    for (i, (workload, queries, scalar)) in rows.iter().enumerate() {
-        let arms = run_arms(reps, &plain, &metered, &module, queries, *scalar);
-        let n = queries.len() as f64;
+    ] {
+        let arms = run_arms(reps, &plain, &metered, &module, queries, scalar);
         let noop_overhead = arms.noop_ns / arms.raw_ns;
         let telemetry_overhead = arms.telemetry_ns / arms.noop_ns;
-        let telemetry_ns_per_query = (arms.telemetry_ns - arms.noop_ns) / n;
-        let _ = write!(
-            json,
-            "{}    {{\"workload\": \"{workload}\", \"queries\": {}, \
-             \"raw_ns\": {:.0}, \"noop_ns\": {:.0}, \"telemetry_ns\": {:.0}, \
-             \"noop_overhead\": {noop_overhead:.3}, \
-             \"telemetry_overhead\": {telemetry_overhead:.3}, \
-             \"telemetry_ns_per_query\": {telemetry_ns_per_query:.1}}}",
-            if i == 0 { "" } else { ",\n" },
-            queries.len(),
-            arms.raw_ns,
-            arms.noop_ns,
-            arms.telemetry_ns,
-        );
-        eprintln!(
-            "{workload:<14} n={:>6}: raw {:>12.0} ns, noop {:>12.0} ns ({noop_overhead:.3}x), \
-             telemetry {:>12.0} ns ({telemetry_overhead:.3}x)",
-            queries.len(),
-            arms.raw_ns,
-            arms.noop_ns,
-            arms.telemetry_ns,
+        overhead.push(
+            Json::obj()
+                .field("workload", workload)
+                .field("queries", queries.len())
+                .field("raw_ns", Json::Num(arms.raw_ns, 0))
+                .field("noop_ns", Json::Num(arms.noop_ns, 0))
+                .field("telemetry_ns", Json::Num(arms.telemetry_ns, 0))
+                .field("noop_overhead", Json::Num(noop_overhead, 3))
+                .field("telemetry_overhead", Json::Num(telemetry_overhead, 3))
+                .field(
+                    "telemetry_ns_per_query",
+                    Json::Num((arms.telemetry_ns - arms.noop_ns) / queries.len() as f64, 1),
+                ),
         );
     }
-    json.push_str("\n  ],\n");
 
     // ---- Per-tier latency quantiles ------------------------------------
     // A fresh three-tier lifecycle under one enabled hub: cold compute
@@ -278,8 +180,7 @@ fn main() {
     let _ = first.session(&module); // warm: memory_hit
     let second = tiered(&dir);
     let _ = second.session(&module); // warm disk: disk_hit
-    json.push_str("  \"tiers\": [\n");
-    let mut wrote = 0usize;
+    let mut tiers = Vec::new();
     let mut seen: Vec<&str> = Vec::new();
     for snap in [first.telemetry(), second.telemetry()] {
         for tier in &snap.tiers {
@@ -287,20 +188,16 @@ fn main() {
                 continue;
             }
             seen.push(tier.name);
-            let _ = write!(
-                json,
-                "{}    {{\"tier\": \"{}\", \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-                if wrote == 0 { "" } else { ",\n" },
-                tier.name,
-                tier.hist.count,
-                tier.hist.p50(),
-                tier.hist.p99(),
-                tier.hist.max,
+            tiers.push(
+                Json::obj()
+                    .field("tier", tier.name)
+                    .field("count", tier.hist.count)
+                    .field("p50_ns", tier.hist.p50())
+                    .field("p99_ns", tier.hist.p99())
+                    .field("max_ns", tier.hist.max),
             );
-            wrote += 1;
         }
     }
-    json.push_str("\n  ],\n");
     std::fs::remove_dir_all(&dir).ok();
 
     // ---- Cross-thread exactness ----------------------------------------
@@ -312,7 +209,7 @@ fn main() {
         .recorder(Arc::clone(&telemetry) as Arc<dyn Recorder>)
         .build()
         .expect("valid");
-    let probe = mixed_batch(&module, per_thread, 0xeaac7);
+    let probe = mixed_batch(&module, per_thread, 600, true, 0xeaac7);
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let storm = &storm;
@@ -326,21 +223,76 @@ fn main() {
             });
         }
     });
-    let snap = telemetry.snapshot_now();
     let expected = (threads * per_thread) as u64;
-    let recorded = snap.total_queries();
+    let recorded = telemetry.snapshot_now().total_queries();
     assert_eq!(
         recorded, expected,
         "histograms must be exact under contention"
     );
-    let _ = writeln!(
-        json,
-        "  \"exactness\": {{\"threads\": {threads}, \"queries_per_thread\": {per_thread}, \
-         \"expected\": {expected}, \"recorded\": {recorded}, \"exact\": true}}"
-    );
-    json.push('}');
-    json.push('\n');
 
-    std::fs::write(&out_path, &json).expect("write BENCH_obs.json");
-    println!("wrote {out_path}");
+    module_header(&module)
+        .field("quick", quick)
+        .field("overhead", overhead)
+        .field("tiers", tiers)
+        .field(
+            "exactness",
+            Json::obj()
+                .field("threads", threads)
+                .field("queries_per_thread", per_thread)
+                .field("expected", expected)
+                .field("recorded", recorded)
+                .field("exact", true),
+        )
+}
+
+/// The former CI schema check: keys, the three workloads, the four
+/// lifecycle tiers, and exact cross-thread histogram totals.
+pub fn check(d: &Json) -> Result<(), String> {
+    d.require(MODULE_HEADER)?;
+    d.require(&["quick", "overhead", "tiers", "exactness"])?;
+    let overhead = rows(
+        d,
+        "overhead",
+        &[
+            "workload",
+            "queries",
+            "raw_ns",
+            "noop_ns",
+            "telemetry_ns",
+            "noop_overhead",
+            "telemetry_overhead",
+            "telemetry_ns_per_query",
+        ],
+    )?;
+    row_set(
+        overhead,
+        &["workload"],
+        &["grouped_dense", "grouped_mixed", "scalar_mixed"],
+    )?;
+    let tiers = column(
+        rows(d, "tiers", &["tier", "count", "p50_ns", "p99_ns", "max_ns"])?,
+        &["tier"],
+    );
+    for tier in ["compute", "disk_miss", "memory_hit", "disk_hit"] {
+        ensure(
+            tiers.contains(tier),
+            format!("tier `{tier}` missing from {tiers:?}"),
+        )?;
+    }
+    let ex = section(
+        d,
+        "exactness",
+        &[
+            "threads",
+            "queries_per_thread",
+            "expected",
+            "recorded",
+            "exact",
+        ],
+    )?;
+    let exact = ex.get("exact") == Some(&Json::Bool(true));
+    ensure(
+        exact && num(ex, "recorded")? == num(ex, "expected")?,
+        format!("inexact: {ex}"),
+    )
 }

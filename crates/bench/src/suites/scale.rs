@@ -1,0 +1,119 @@
+//! `BENCH_scale.json`: the striped-cache contention grid — warm
+//! `analyze` throughput swept over lock-stripe counts × concurrent
+//! client threads.
+//!
+//! Every cell pre-warms one facade (so the measured phase is pure cache
+//! probing, zero precomputations — asserted via the engine's
+//! `CacheStats`) and then times `threads` OS threads each re-analyzing
+//! the same module through the shared engine. With one stripe every
+//! probe serializes on a single mutex; with more stripes probes of
+//! different fingerprints proceed in parallel. `host_cpus` records the
+//! machine's available parallelism honestly: on a 1-core box every
+//! thread count collapses to ≈1× and the grid mostly measures lock
+//! overhead, while a real multi-core host shows the stripe sweep
+//! separating.
+
+use fastlive::telemetry::Json;
+use fastlive::Fastlive;
+use fastlive_bench::{ensure, module_header, num, row_set, rows, time_ns, MODULE_HEADER};
+use fastlive_workload::{generate_module, ModuleParams};
+
+const STRIPE_SWEEP: [usize; 4] = [1, 2, 4, 8];
+const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+
+/// Runs the suite.
+pub fn run(quick: bool) -> Json {
+    let (functions, reps) = if quick { (12, 3) } else { (64, 9) };
+    let module = generate_module(
+        "scale_bench",
+        ModuleParams {
+            functions,
+            min_blocks: 8,
+            max_blocks: 64,
+            irreducible_per_mille: 100,
+            ..ModuleParams::default()
+        },
+        0x5ca1e,
+    );
+
+    let mut grid = Vec::new();
+    for stripes in STRIPE_SWEEP {
+        let mut base_ns = 0.0;
+        for threads in THREAD_SWEEP {
+            // Warm analysis goes through the in-memory tier only; the
+            // engine's own worker pool is pinned to 1 so the measured
+            // concurrency is exactly the `threads` client threads.
+            let fl = Fastlive::builder()
+                .threads(1)
+                .cache_capacity(1024)
+                .stripes(stripes)
+                .build()
+                .expect("valid config");
+            let engine = fl.engine();
+            let _ = engine.analyze(&module);
+            let warm = engine.cache_stats();
+            let ns = time_ns(reps, || {
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = (0..threads)
+                        .map(|_| scope.spawn(|| engine.analyze(&module).num_functions()))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("no panics"))
+                        .sum::<usize>()
+                })
+            });
+            let after = engine.cache_stats();
+            assert_eq!(
+                warm.misses, after.misses,
+                "measured phase must be all cache hits"
+            );
+            if threads == 1 {
+                base_ns = ns;
+            }
+            // Total warm probes per second across all client threads.
+            let probes = (threads * module.len()) as f64 / (ns / 1e9);
+            let speedup = base_ns / ns * threads as f64;
+            grid.push(
+                Json::obj()
+                    .field("stripes", stripes)
+                    .field("threads", threads)
+                    .field("analyze_ns", Json::Num(ns, 0))
+                    .field("probes_per_sec", Json::Num(probes, 0))
+                    .field("scaling_vs_1_thread", Json::Num(speedup, 2)),
+            );
+        }
+    }
+    module_header(&module)
+        .field("reps", reps)
+        .field("grid", grid)
+}
+
+/// The former CI schema check: keys and the full stripes × threads
+/// grid with positive timings.
+pub fn check(d: &Json) -> Result<(), String> {
+    d.require(MODULE_HEADER)?;
+    d.require(&["reps", "grid"])?;
+    let grid = rows(
+        d,
+        "grid",
+        &[
+            "stripes",
+            "threads",
+            "analyze_ns",
+            "probes_per_sec",
+            "scaling_vs_1_thread",
+        ],
+    )?;
+    row_set(grid, &["stripes"], &["1", "2", "4", "8"])?;
+    row_set(grid, &["threads"], &["1", "2", "4", "8"])?;
+    ensure(grid.len() == 16, "full stripes × threads grid")?;
+    ensure(num(d, "host_cpus")? >= 1.0, "host_cpus must be >= 1")?;
+    for cell in grid {
+        ensure(
+            num(cell, "analyze_ns")? > 0.0,
+            format!("empty timing: {cell}"),
+        )?;
+    }
+    Ok(())
+}

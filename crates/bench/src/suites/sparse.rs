@@ -1,4 +1,4 @@
-//! Emits `BENCH_sparse.json`: the two-tier cost ladder measured **per
+//! `BENCH_sparse.json`: the two-tier cost ladder measured **per
 //! analysis kind** now that the engine is a generic sparse-analysis
 //! platform —
 //!
@@ -19,24 +19,15 @@
 //! engine whose cache also carries every nullness artifact, versus a
 //! liveness-only engine. Generalizing the cache must not have taxed
 //! the original analysis — the ratio sits at ~1.0.
-//!
-//! ```text
-//! cargo run --release -p fastlive-bench --bin bench_sparse_json [--quick] [OUT.json]
-//! ```
-//!
-//! `--quick` shrinks the module and repetition counts for CI smoke
-//! runs (the JSON schema is identical).
 
-use std::fmt::Write as _;
-
+use fastlive::telemetry::Json;
 use fastlive::{AnalysisKind, Fastlive};
-use fastlive_bench::time_ns;
+use fastlive_bench::{
+    ensure, host_cpus, median_ns, module_header, num, row_set, rows, section, time_ns,
+    MODULE_HEADER,
+};
 use fastlive_ir::{FuncId, Module};
 use fastlive_workload::{generate_module, ModuleParams};
-
-fn module_blocks(m: &Module) -> usize {
-    m.functions().iter().map(|f| f.num_blocks()).sum()
-}
 
 fn requests_for(module: &Module, kind: AnalysisKind) -> Vec<(FuncId, AnalysisKind)> {
     (0..module.len()).map(|id| (id, kind)).collect()
@@ -50,22 +41,10 @@ fn builder(threads: usize, dir: &std::path::Path) -> Fastlive {
         .expect("valid config")
 }
 
-fn main() {
-    let mut quick = false;
-    let mut out_path = "BENCH_sparse.json".to_string();
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else {
-            out_path = arg;
-        }
-    }
+/// Runs the suite.
+pub fn run(quick: bool) -> Json {
     let (functions, reps) = if quick { (16, 3) } else { (96, 9) };
-    let host_cpus = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let threads = 4.min(host_cpus.max(1));
-
+    let threads = 4.min(host_cpus());
     let module = generate_module(
         "sparse_bench",
         ModuleParams {
@@ -77,38 +56,29 @@ fn main() {
         },
         0x5a21,
     );
-    let blocks = module_blocks(&module);
     let dir = std::env::temp_dir().join(format!("fastlive-bench-sparse-{}", std::process::id()));
-    eprintln!(
-        "module: {} functions, {blocks} blocks total, host_cpus={host_cpus}, store={}",
-        module.len(),
-        dir.display()
-    );
 
-    let mut rows: Vec<(AnalysisKind, &str, f64, f64)> = Vec::new();
+    let mut ladder = Vec::new();
     for kind in AnalysisKind::ALL {
         let requests = requests_for(&module, kind);
+        let prefetch_fresh = || {
+            builder(threads, &dir).engine().prefetch(&module, &requests);
+            requests.len()
+        };
 
         // ---- cold: fresh engine per rep, directory wiped per rep
         // (outside the timed region).
-        let mut cold_samples: Vec<f64> = (0..reps)
-            .map(|_| {
+        let cold_ns = median_ns(
+            reps,
+            || {
                 let _ = std::fs::remove_dir_all(&dir);
-                time_ns(1, || {
-                    builder(threads, &dir).engine().prefetch(&module, &requests);
-                    requests.len()
-                })
-            })
-            .collect();
-        cold_samples.sort_by(f64::total_cmp);
-        let cold_ns = cold_samples[cold_samples.len() / 2];
+            },
+            |()| prefetch_fresh(),
+        );
 
         // ---- warm_disk: fresh engine per rep over the populated
         // store (the last cold rep filled it).
-        let warm_disk_ns = time_ns(reps, || {
-            builder(threads, &dir).engine().prefetch(&module, &requests);
-            requests.len()
-        });
+        let warm_disk_ns = time_ns(reps, prefetch_fresh);
         // Invariant behind the scenario label: zero precomputations,
         // zero rejects, for this kind like any other.
         let fl = builder(threads, &dir);
@@ -133,8 +103,13 @@ fn main() {
             ("warm_memory", warm_mem_ns),
         ] {
             let speedup = cold_ns / ns;
-            eprintln!("{kind:<9} {scenario:<12}: {ns:>12.0} ns ({speedup:.1}x vs cold)");
-            rows.push((kind, scenario, ns, speedup));
+            ladder.push(
+                Json::obj()
+                    .field("kind", kind.to_string())
+                    .field("scenario", scenario)
+                    .field("analyze_ns", Json::Num(ns, 0))
+                    .field("speedup_vs_cold", Json::Num(speedup, 1)),
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -160,32 +135,50 @@ fn main() {
         live.len()
     });
     let ratio = shared_ns / solo_ns;
-    eprintln!("liveness warm-memory: solo {solo_ns:.0} ns, shared cache {shared_ns:.0} ns (ratio {ratio:.2})");
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"host_cpus\": {host_cpus},\n  \"functions\": {},\n  \"blocks_total\": {blocks},\n  \
-         \"format_version\": {},",
-        module.len(),
-        fastlive::engine::persist::FORMAT_VERSION
-    );
-    json.push_str("  \"sparse\": [\n");
-    for (i, (kind, scenario, ns, speedup)) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "{}    {{\"kind\": \"{kind}\", \"scenario\": \"{scenario}\", \"analyze_ns\": {ns:.0}, \
-             \"speedup_vs_cold\": {speedup:.1}}}",
-            if i == 0 { "" } else { ",\n" },
-        );
+    module_header(&module)
+        .field("format_version", fastlive::engine::persist::FORMAT_VERSION)
+        .field("sparse", ladder)
+        .field(
+            "no_regression",
+            Json::obj()
+                .field("liveness_solo_ns", Json::Num(solo_ns, 0))
+                .field("liveness_shared_cache_ns", Json::Num(shared_ns, 0))
+                .field("ratio", Json::Num(ratio, 2)),
+        )
+}
+
+/// The former CI schema check: keys, the full kind × scenario ladder,
+/// warm memory beating cold per kind, and format version 2.
+pub fn check(d: &Json) -> Result<(), String> {
+    d.require(MODULE_HEADER)?;
+    d.require(&["format_version", "sparse", "no_regression"])?;
+    let ladder = rows(
+        d,
+        "sparse",
+        &["kind", "scenario", "analyze_ns", "speedup_vs_cold"],
+    )?;
+    row_set(
+        ladder,
+        &["kind", "scenario"],
+        &[
+            "liveness/cold",
+            "liveness/warm_disk",
+            "liveness/warm_memory",
+            "nullness/cold",
+            "nullness/warm_disk",
+            "nullness/warm_memory",
+        ],
+    )?;
+    for r in ladder {
+        if r.get("scenario") == Some(&Json::from("warm_memory")) {
+            ensure(
+                num(r, "speedup_vs_cold")? > 1.0,
+                format!("warm memory must beat cold: {r}"),
+            )?;
+        }
     }
-    let _ = write!(
-        json,
-        "\n  ],\n  \"no_regression\": {{\"liveness_solo_ns\": {solo_ns:.0}, \
-         \"liveness_shared_cache_ns\": {shared_ns:.0}, \"ratio\": {ratio:.2}}}\n}}\n"
-    );
-
-    std::fs::write(&out_path, &json).expect("write BENCH_sparse.json");
-    let _ = std::fs::remove_dir_all(&dir);
-    println!("wrote {out_path}");
+    let no_regression = ["liveness_solo_ns", "liveness_shared_cache_ns", "ratio"];
+    section(d, "no_regression", &no_regression)?;
+    ensure(num(d, "format_version")? == 2.0, "format_version must be 2")
 }

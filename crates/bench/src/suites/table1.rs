@@ -3,15 +3,14 @@
 //! workload suites, plus the §6.1 prose numbers (edges per block, back
 //! edge share, irreducibility counts).
 //!
-//! ```text
-//! FASTLIVE_SCALE=100 cargo run --release -p fastlive-bench --bin table1
-//! ```
+//! `FASTLIVE_SCALE` sets the scale (default 25, or 1 with `--quick`).
 
 use fastlive_bench::{all_suites, scale_from_env};
 use fastlive_workload::SuiteStats;
 
-fn main() {
-    let scale = scale_from_env(25);
+/// Runs the suite.
+pub fn run(quick: bool) {
+    let scale = scale_from_env(if quick { 1 } else { 25 });
     println!("Table 1: quantitative evaluation of the generated workload");
     println!("(scale = {scale}% of the paper's procedure counts; seed fixed)\n");
     println!(

@@ -3,23 +3,25 @@
 //! reimplemented LAO baseline ("Native") versus the paper's checker
 //! ("New"), with the three speedup columns, plus the §6.2 prose claims.
 //!
-//! ```text
-//! FASTLIVE_SCALE=25 cargo run --release -p fastlive-bench --bin table2
-//! ```
+//! `FASTLIVE_SCALE` sets the scale (default 10) and `FASTLIVE_REPS`
+//! the median-of-N reps (default 5); `--quick` defaults both to 1.
 //!
 //! Times are nanoseconds (the paper reports Pentium-M cycles; all
 //! claims are ratios and unit-free). The query stream is the one the
 //! Sreedhar III SSA-destruction pass actually issued, replayed
 //! identically against both engines.
 
-use fastlive_bench::{all_suites, measure_suite, prepare_suite, scale_from_env, total_row};
+use fastlive_bench::{
+    all_suites, measure_suite, prepare_suite, scale_from_env, total_row, Table2Row,
+};
 
-fn main() {
-    let scale = scale_from_env(10);
+/// Runs the suite.
+pub fn run(quick: bool) {
+    let scale = scale_from_env(if quick { 1 } else { 10 });
     let reps: usize = std::env::var("FASTLIVE_REPS")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
+        .unwrap_or(if quick { 1 } else { 5 });
     println!("Table 2: runtime experiments (scale = {scale}%, median of {reps} reps)\n");
     println!(
         "{:<12} {:>6} | {:>12} {:>12} {:>6} | {:>9} {:>9} {:>9} {:>6} | {:>6}",
@@ -79,7 +81,7 @@ fn main() {
     );
 }
 
-fn print_row(r: &fastlive_bench::Table2Row) {
+fn print_row(r: &Table2Row) {
     println!(
         "{:<12} {:>6} | {:>12.0} {:>12.0} {:>6.2} | {:>9} {:>9.1} {:>9.1} {:>6.2} | {:>6.2}",
         r.name,

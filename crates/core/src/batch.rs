@@ -51,8 +51,8 @@
 //! Total cost: `O((E + Σ|T_q| + B) · V/64)` word operations for `B`
 //! blocks, `E` edges and `V` variables — compare `O(V · B)` scalar
 //! queries, each with its own candidate walk. The break-even between
-//! the two is measured by `benches/query.rs` and
-//! `--bin bench_query_json`.
+//! the two is measured by the `fastlive-bench` runner's `query` suite
+//! (`BENCH_query.json`).
 
 use std::fmt;
 

@@ -379,7 +379,7 @@ impl LivenessChecker {
     }
 
     /// The seed's scalar query loop, kept callable for ablation and the
-    /// before/after benchmark (`benches/query.rs`, `BENCH_query.json`):
+    /// before/after benchmark (`fastlive-bench query`, `BENCH_query.json`):
     /// candidates advance bit-at-a-time through `next_set_in_row` and
     /// every use's preorder number is re-resolved on every candidate
     /// iteration — exactly the loop [`is_live_in`](Self::is_live_in)

@@ -6,14 +6,16 @@
 //! ```
 //!
 //! The campaign runs nine adversarial arms (see `arms`), prints one
-//! line per arm, writes `BENCH_fuzz.json`, and exits non-zero if any
-//! divergence or panic survived. `--broken` swaps in the deliberately
-//! wrong [`BrokenBackend`] and demands the opposite: the harness must
-//! *catch* it, and the shrinker must minimize a 200-block failing case
-//! to a reproducer of at most 10 blocks.
+//! line per arm, writes `BENCH_fuzz.json`, then checks that report and
+//! exits non-zero if any divergence or panic survived, an arm ran no
+//! cases, or no irreducible function was covered. `--broken` swaps in
+//! the deliberately wrong [`BrokenBackend`] and demands the opposite:
+//! the harness must *catch* it, and the shrinker must minimize a
+//! 200-block failing case to a reproducer of at most 10 blocks.
 
 use std::process::ExitCode;
 
+use fastlive::telemetry::Json;
 use fastlive::{Fastlive, Query};
 use fastlive_construct::construct_ssa;
 use fastlive_ir::{Block, Module, Value};
@@ -29,6 +31,16 @@ struct Args {
     seed: u64,
     broken: bool,
     out: String,
+}
+
+impl Args {
+    fn mode(&self) -> &'static str {
+        if self.quick {
+            "quick"
+        } else {
+            "full"
+        }
+    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -59,89 +71,152 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// The arms every campaign must run, in order.
+const ARMS: [&str; 9] = [
+    "generated",
+    "irreducible",
+    "dom_chains",
+    "massive",
+    "dup_edges",
+    "edits",
+    "persist",
+    "parser",
+    "roundtrip",
+];
+
+fn report_json(args: &Args, report: &CampaignReport) -> Json {
+    let arms: Json = report
+        .arms
+        .iter()
+        .map(|a| {
+            Json::obj()
+                .field("name", a.name)
+                .field("cases", a.cases)
+                .field("queries", a.queries)
+                .field("divergences", a.divergences)
+                .field("skipped", a.skipped)
+        })
+        .collect();
+    let coverage: Json = report
+        .coverage
+        .iter()
+        .map(|c| {
+            Json::obj()
+                .field("name", c.name.as_str())
+                .field("procedures", c.procedures)
+                .field("sum_blocks", c.sum_blocks)
+                .field("avg_blocks", Json::Num(c.avg_blocks, 2))
+                .field("max_blocks", c.max_blocks)
+                .field("total_edges", c.total_edges)
+                .field("total_back_edges", c.total_back_edges)
+                .field("irreducible_back_edges", c.irreducible_back_edges)
+                .field("irreducible_functions", c.irreducible_functions)
+                .field("total_values", c.total_values)
+        })
+        .collect();
+    let findings: Json = report
+        .findings
+        .iter()
+        .map(|f| {
+            Json::obj()
+                .field("arm", f.arm)
+                .field("detail", f.detail.as_str())
+        })
+        .collect();
+    Json::obj()
+        .field("bench", "fuzz")
+        .field("mode", args.mode())
+        .field("seed", args.seed)
+        .field("arms", arms)
+        .field("coverage", coverage)
+        .field("findings", findings)
+        .field(
+            "totals",
+            Json::obj()
+                .field("cases", report.arms.iter().map(|a| a.cases).sum::<usize>())
+                .field(
+                    "queries",
+                    report.arms.iter().map(|a| a.queries).sum::<usize>(),
+                )
+                .field("divergences", report.total_divergences())
+                .field("findings", report.findings.len()),
+        )
 }
 
-fn write_report(path: &str, args: &Args, report: &CampaignReport) -> std::io::Result<()> {
-    use std::fmt::Write as _;
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"bench\": \"fuzz\",");
-    let _ = writeln!(
-        j,
-        "  \"mode\": \"{}\",",
-        if args.quick { "quick" } else { "full" }
-    );
-    let _ = writeln!(j, "  \"seed\": {},", args.seed);
-    let _ = writeln!(j, "  \"arms\": [");
-    for (i, a) in report.arms.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"name\": \"{}\", \"cases\": {}, \"queries\": {}, \"divergences\": {}, \"skipped\": {}}}{}",
-            a.name, a.cases, a.queries, a.divergences, a.skipped,
-            if i + 1 < report.arms.len() { "," } else { "" }
-        );
+/// The report's self-check: every arm ran cases with zero divergences,
+/// some irreducible function was covered, and nothing was found.
+fn check_report(args: &Args, d: &Json) -> Result<(), String> {
+    let count = |obj: &Json, key: &str| {
+        obj.get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("`{key}` is not a number in {obj}"))
+    };
+    let array = |key: &str| {
+        d.get(key)
+            .and_then(Json::as_array)
+            .ok_or_else(|| format!("`{key}` is not an array"))
+    };
+    d.require(&[
+        "bench", "mode", "seed", "arms", "coverage", "findings", "totals",
+    ])?;
+    if d.get("bench") != Some(&Json::from("fuzz"))
+        || d.get("mode") != Some(&Json::from(args.mode()))
+        || d.get("seed") != Some(&Json::from(args.seed))
+    {
+        let (mode, seed) = (args.mode(), args.seed);
+        return Err(format!("bench/mode/seed should be fuzz/{mode}/{seed}"));
     }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"coverage\": [");
-    for (i, c) in report.coverage.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"name\": \"{}\", \"procedures\": {}, \"sum_blocks\": {}, \"avg_blocks\": {:.2}, \"max_blocks\": {}, \"total_edges\": {}, \"total_back_edges\": {}, \"irreducible_back_edges\": {}, \"irreducible_functions\": {}, \"total_values\": {}}}{}",
-            json_escape(&c.name), c.procedures, c.sum_blocks, c.avg_blocks, c.max_blocks,
-            c.total_edges, c.total_back_edges, c.irreducible_back_edges,
-            c.irreducible_functions, c.total_values,
-            if i + 1 < report.coverage.len() { "," } else { "" }
-        );
+    let arms = array("arms")?;
+    let names: Vec<&str> = arms
+        .iter()
+        .filter_map(|a| a.get("name")?.as_str())
+        .collect();
+    if names != ARMS {
+        return Err(format!("arms {names:?}, expected {ARMS:?}"));
     }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"findings\": [");
-    for (i, f) in report.findings.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"arm\": \"{}\", \"detail\": \"{}\"}}{}",
-            f.arm,
-            json_escape(&f.detail),
-            if i + 1 < report.findings.len() {
-                ","
-            } else {
-                ""
-            }
-        );
+    for a in arms {
+        a.require(&["name", "cases", "queries", "divergences", "skipped"])?;
+        if count(a, "cases")? == 0.0 || count(a, "divergences")? != 0.0 {
+            return Err(format!("every arm needs cases and no divergences: {a}"));
+        }
     }
-    let _ = writeln!(j, "  ],");
-    let cases: usize = report.arms.iter().map(|a| a.cases).sum();
-    let queries: usize = report.arms.iter().map(|a| a.queries).sum();
-    let _ = writeln!(
-        j,
-        "  \"totals\": {{\"cases\": {}, \"queries\": {}, \"divergences\": {}, \"findings\": {}}}",
-        cases,
-        queries,
-        report.total_divergences(),
-        report.findings.len()
-    );
-    let _ = writeln!(j, "}}");
-    std::fs::write(path, j)
+    let coverage = array("coverage")?;
+    for c in coverage {
+        c.require(&[
+            "name",
+            "procedures",
+            "sum_blocks",
+            "avg_blocks",
+            "max_blocks",
+            "total_edges",
+            "total_back_edges",
+            "irreducible_back_edges",
+            "irreducible_functions",
+            "total_values",
+        ])?;
+    }
+    if !coverage
+        .iter()
+        .any(|c| count(c, "irreducible_functions").is_ok_and(|n| n > 0.0))
+    {
+        return Err("no arm covered an irreducible function".to_string());
+    }
+    if !array("findings")?.is_empty() {
+        return Err("the campaign has findings".to_string());
+    }
+    let totals = d.get("totals").expect("required above");
+    totals.require(&["cases", "queries", "divergences", "findings"])?;
+    if count(totals, "divergences")? != 0.0 || count(totals, "findings")? != 0.0 {
+        return Err(format!("totals must be clean: {totals}"));
+    }
+    Ok(())
 }
 
 fn run_fuzz(args: &Args) -> ExitCode {
     eprintln!(
         "fastlive-fuzz: campaign seed={} mode={}",
         args.seed,
-        if args.quick { "quick" } else { "full" }
+        args.mode()
     );
     let report = run_campaign(CampaignConfig {
         seed: args.seed,
@@ -158,7 +233,10 @@ fn run_fuzz(args: &Args) -> ExitCode {
         println!("\nFINDING [{}] {}", f.arm, f.detail);
         println!("reproducer:\n{}", f.reproducer);
     }
-    if let Err(e) = write_report(&args.out, args, &report) {
+    // The report is written before it is checked, so a failing
+    // campaign's findings stay inspectable.
+    let json = report_json(args, &report);
+    if let Err(e) = std::fs::write(&args.out, json.to_document()) {
         eprintln!("fastlive-fuzz: cannot write {}: {e}", args.out);
         return ExitCode::from(2);
     }
@@ -168,10 +246,12 @@ fn run_fuzz(args: &Args) -> ExitCode {
         report.findings.len(),
         args.out
     );
-    if report.findings.is_empty() && report.total_divergences() == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    match check_report(args, &json) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            println!("report check failed: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 

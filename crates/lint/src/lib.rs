@@ -418,7 +418,7 @@ mod tests {
         );
 
         for allowed in [
-            "crates/bench/src/bin/bench_engine_json.rs",
+            "crates/bench/src/main.rs",
             "crates/fuzz/src/main.rs",
             "crates/lint/src/main.rs",
         ] {

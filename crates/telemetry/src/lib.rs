@@ -30,6 +30,8 @@
 //!   comparable [`TelemetrySnapshot`] with hand-rolled JSON /
 //!   Prometheus-text / `Display` renderings (no serde — the same
 //!   discipline as the persist codec).
+//! * [`Json`] — the JSON value the benchmark and fuzz report files are
+//!   built, checked and rendered with.
 //!
 //! # Examples
 //!
@@ -55,11 +57,13 @@
 mod events;
 mod hist;
 mod hub;
+mod json;
 mod snapshot;
 
 pub use events::{Event, EventKind, EventLog};
 pub use hist::{Counter, Histogram, HistogramSnapshot, BUCKETS};
 pub use hub::{QueryClass, Telemetry, Tier, VfsOp};
+pub use json::Json;
 pub use snapshot::{NamedCount, NamedHistogram, PlanSnapshot, TelemetrySnapshot, VfsOpSnapshot};
 
 /// The instrumentation seam every fastlive layer records through.
