@@ -42,7 +42,7 @@
 //! self-cycle may re-reach a use at `q`, §4.2) and otherwise
 //! `reach_excl(q) = ⋃ reach(succ)` (the `U \ {q}` of Algorithm 2), and
 //! the final `live_out` term is Algorithm 2's defining-block case:
-//! variables defined at `q` with a use outside `q`. The trailing
+//! variables defined at `q` with a reachable use outside `q`. The trailing
 //! `∩ strict(q)` enforces Algorithm 3's precondition `num(def) <
 //! num(q) ≤ maxnum(def)` — without it, an irreducible `t ∈ T_q` inside
 //! `def`'s subtree could report liveness at a `q` the definition does
@@ -242,9 +242,9 @@ impl BatchLiveness {
 
         // ---- reach / reach_excl: vars with a use reduced-reachable
         // from each block, one postorder pass (the batched Definition 4).
-        // `outside_use` row 0: vars with a use outside their def block
-        // (unreachable use blocks included, matching the checker's
-        // defining-block test which never resolves them).
+        // `outside_use` row 0: vars with a reachable use outside their
+        // def block (unreachable use blocks never witness liveness,
+        // matching the checker's defining-block test).
         let mut reach = BitMatrix::new(n, v_cols);
         let mut reach_excl = BitMatrix::new(n, v_cols);
         let mut outside_use = BitMatrix::new(1, v_cols);
@@ -254,11 +254,11 @@ impl BatchLiveness {
             if col == u32::MAX {
                 continue; // def unreachable: never live
             }
-            if ub != defs[a as usize] {
-                outside_use.set(0, col);
-            }
             if let Some(un) = num_of(ub) {
                 reach.set(un, col);
+                if ub != defs[a as usize] {
+                    outside_use.set(0, col);
+                }
             }
         }
         for &v in dfs.postorder() {
@@ -319,8 +319,8 @@ impl BatchLiveness {
             }
             live_out.intersect_row_from(qn, &strict, qn);
             // Algorithm 2's defining-block case: vars defined at q that
-            // are used elsewhere — one masked splice of q's column
-            // interval.
+            // are used at some other reachable block — one masked
+            // splice of q's column interval.
             let (lo, hi) = (col_lo[qn as usize], col_hi[qn as usize]);
             if lo < hi {
                 live_out.union_row_from_masked(qn, &outside_use, 0, lo, hi - 1);
@@ -515,9 +515,10 @@ mod tests {
             assert!(!batch.is_live_out(0, q));
             assert!(!batch.is_live_in(1, q));
         }
-        // ... but the unreachable use still satisfies the defining-block
-        // "used elsewhere" test, exactly like the scalar checker.
-        assert_eq!(batch.is_live_out(1, 0), checker.is_live_out(0, &[3], 0));
+        // ... not even live-out of its defining block: an unreachable
+        // use is no use "elsewhere", exactly like the scalar checker.
+        assert!(!batch.is_live_out(1, 0));
+        assert!(!checker.is_live_out(0, &[3], 0));
         // Out-of-range variable indices are simply dead.
         assert!(!batch.is_live_in(99, 0));
     }

@@ -473,14 +473,16 @@ impl LivenessChecker {
     /// Algorithm 2: is the variable live-out at block `q`?
     ///
     /// The two special cases of §4.2 apply: when `q` *is* the
-    /// definition block, the variable is live-out iff it has a use
-    /// outside `q`; and the trivial candidate `t = q` may only count a
-    /// use at `q` itself when `q` is a back-edge target (which proves a
-    /// non-trivial cycle through `q`).
+    /// definition block, the variable is live-out iff it has a
+    /// reachable use outside `q`; and the trivial candidate `t = q` may
+    /// only count a use at `q` itself when `q` is a back-edge target
+    /// (which proves a non-trivial cycle through `q`). As everywhere
+    /// else, unreachable blocks never witness liveness.
     pub fn is_live_out(&self, def: NodeId, uses: &[NodeId], q: NodeId) -> bool {
         if def == q {
             // Live-out of the defining block iff some use is elsewhere.
-            return uses.iter().any(|&u| u != q);
+            return self.num_of(q).is_some()
+                && uses.iter().any(|&u| u != q && self.num_of(u).is_some());
         }
         let Some((qn, lo, hi)) = self.query_bounds(def, q) else {
             return false;
@@ -779,6 +781,8 @@ mod tests {
         assert!(!live.is_live_in(2, &[1], 1)); // def unreachable
         assert!(!live.is_live_in(0, &[3], 1)); // use unreachable
         assert!(!live.is_live_out(0, &[1], 2));
+        assert!(!live.is_live_out(0, &[3], 0)); // only use elsewhere unreachable
+        assert!(!live.is_live_out(2, &[1], 2)); // def block unreachable
     }
 
     #[test]
@@ -1024,7 +1028,8 @@ mod tests {
                 let uses = [step() % 150, step() % 150, step() % 150];
                 let q = step() % 150;
                 let expect = if def == q {
-                    uses.iter().any(|&u| u != q)
+                    let reachable = |b: NodeId| live.dom().is_reachable(b);
+                    reachable(q) && uses.iter().any(|&u| u != q && reachable(u))
                 } else {
                     live.candidates(def, q).any(|t| {
                         uses.iter().any(|&u| {

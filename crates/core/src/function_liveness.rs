@@ -124,11 +124,14 @@ impl FunctionLiveness {
             return false;
         };
         if def == q {
-            // Live-out of the defining block iff some use is elsewhere.
-            return func
-                .uses(v)
-                .iter()
-                .any(|&i| func.inst_block(i).expect("use site removed") != q);
+            // Live-out of the defining block iff some reachable use is
+            // elsewhere.
+            let (checker, q) = (&self.checker, q.as_u32());
+            return checker.num_of(q).is_some()
+                && func.uses(v).iter().any(|&i| {
+                    let ub = func.inst_block(i).expect("use site removed").as_u32();
+                    ub != q && checker.num_of(ub).is_some()
+                });
         }
         if !self.checker.has_candidates(def.as_u32(), q.as_u32()) {
             return false;

@@ -124,7 +124,9 @@ impl LoopForestChecker {
             return false;
         }
         if def == q {
-            return uses.iter().any(|&u| u != q);
+            // Live-out of the defining block iff some reachable use is
+            // elsewhere.
+            return uses.iter().any(|&u| u != q && self.dom.is_reachable(u));
         }
         let Some(t) = self.candidate(def, q) else {
             return false;

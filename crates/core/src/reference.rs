@@ -126,7 +126,9 @@ impl ReferenceChecker {
             return false;
         }
         if def == q {
-            return uses.iter().any(|&u| u != q);
+            // Live-out of the defining block iff some reachable use is
+            // elsewhere.
+            return uses.iter().any(|&u| u != q && self.dom.is_reachable(u));
         }
         if !self.dom.strictly_dominates(def, q) {
             return false;

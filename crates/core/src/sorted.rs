@@ -157,7 +157,9 @@ impl SortedLivenessChecker {
             return false;
         }
         if def == q {
-            return uses.iter().any(|&u| u != q);
+            // Live-out of the defining block iff some reachable use is
+            // elsewhere.
+            return uses.iter().any(|&u| u != q && self.reachable(u));
         }
         self.query(def, uses, q, Some(q))
     }

@@ -34,7 +34,9 @@ use fastlive_ir::{Function, Value};
 ///   after the *lower* definition — one point query.
 ///
 /// Two values defined at the same point (two parameters of one block)
-/// interfere iff both are still in use at all.
+/// interfere iff both are still in use at all. A value defined in a
+/// block unreachable from the entry interferes with nothing: no
+/// execution writes it.
 ///
 /// Errs with [`PointError::DefinitionRemoved`] if either value's
 /// defining instruction has been removed from its block.
@@ -50,6 +52,9 @@ pub fn values_interfere<E: LivenessProvider>(
     }
     let pa = func.def_point(a).ok_or(PointError::DefinitionRemoved(a))?;
     let pb = func.def_point(b).ok_or(PointError::DefinitionRemoved(b))?;
+    if !dom.is_reachable(pa.block().as_u32()) || !dom.is_reachable(pb.block().as_u32()) {
+        return Ok(false);
+    }
     if pa == pb {
         // Two parameters of the same block (the only way definition
         // points coincide). Entry parameters always conflict: they are
@@ -198,6 +203,31 @@ mod tests {
         // v2 dies at the iadd; v4 defined there: no interference...
         // except v2 is *not* used after v4's def and not live-out:
         assert!(!interfere(&mut e, &f, &dom, v2, v4));
+    }
+
+    #[test]
+    fn unreachable_definitions_interfere_with_nothing() {
+        let (mut f, _, _) = setup(
+            "function %f { block0(v0):
+                v1 = iconst 1
+                brif v0, block1, block2
+            block1:
+                v2 = iadd v0, v1
+                return v2
+            block2:
+                return v0 }",
+        );
+        // block0 now branches to block2 both ways: block1 is orphaned.
+        let term = f.terminator(f.entry_block()).unwrap();
+        let b2 = f.block("block2").unwrap();
+        f.redirect_branch_target(term, 0, b2, Vec::new());
+        let dfs = DfsTree::compute(&f);
+        let dom = DomTree::compute(&f, &dfs);
+        let mut e = CheckerEngine::compute(&f);
+        let v0 = f.value("v0").unwrap();
+        let v2 = f.value("v2").unwrap();
+        assert!(!interfere(&mut e, &f, &dom, v0, v2));
+        assert!(!interfere(&mut e, &f, &dom, v2, v0));
     }
 
     #[test]

@@ -362,17 +362,17 @@ impl AnalysisEngine {
     /// session's queries for that function), every other function
     /// analyzes normally.
     pub fn analyze(&self, module: &Module) -> EngineSession<'_> {
-        type Slot = Result<(CfgShape, Arc<FunctionLiveness>), AnalysisError>;
+        type Slot = (CfgShape, Result<Arc<FunctionLiveness>, AnalysisError>);
+        let shaped = |f: &Function| -> Slot {
+            let shape = CfgShape::of(f);
+            let live = self.resolve(&shape);
+            (shape, live)
+        };
         let n = module.len();
         let workers = self.worker_count(n);
         let mut slots: Vec<Option<Slot>> = Vec::new();
         if workers <= 1 {
-            slots.extend(
-                module
-                    .functions()
-                    .iter()
-                    .map(|f| Some(self.shaped_analysis(f))),
-            );
+            slots.extend(module.functions().iter().map(|f| Some(shaped(f))));
         } else {
             slots.resize_with(n, || None);
             let next = AtomicUsize::new(0);
@@ -394,7 +394,7 @@ impl AnalysisEngine {
                                     // including the one just taken.
                                     self.recorder.queue_depth((n - i) as u64);
                                 }
-                                done.push((i, self.shaped_analysis(&module.functions()[i])));
+                                done.push((i, shaped(&module.functions()[i])));
                             }
                             done
                         })
@@ -418,11 +418,13 @@ impl AnalysisEngine {
             module,
             slots
                 .into_iter()
-                .map(|s| {
+                .zip(module.functions())
+                .map(|(s, f)| {
                     s.unwrap_or_else(|| {
-                        Err(AnalysisError::ComputePanicked {
+                        let lost = AnalysisError::ComputePanicked {
                             message: "analysis worker terminated before publishing".into(),
-                        })
+                        };
+                        (CfgShape::of(f), Err(lost))
                     })
                 })
                 .collect(),
@@ -436,7 +438,7 @@ impl AnalysisEngine {
     /// Errs (instead of unwinding) when the precomputation panics —
     /// see [`AnalysisError::ComputePanicked`].
     pub fn analysis_for(&self, func: &Function) -> Result<Arc<FunctionLiveness>, AnalysisError> {
-        self.shaped_analysis(func).map(|(_, live)| live)
+        self.resolve(&CfgShape::of(func))
     }
 
     /// Dominance-based nullness / definite-initialization artifact for
@@ -446,17 +448,7 @@ impl AnalysisEngine {
     /// callers run the sparse per-function solve
     /// ([`NullnessArtifact::solve`]) over it.
     pub fn nullness_for(&self, func: &Function) -> Result<Arc<NullnessArtifact>, AnalysisError> {
-        self.shaped_artifact::<NullnessArtifact>(func)
-            .map(|(_, art)| art)
-    }
-
-    /// [`analysis_for`](Self::analysis_for) that also hands back the
-    /// computed fingerprint (sessions keep it for exact revalidation).
-    pub(crate) fn shaped_analysis(
-        &self,
-        func: &Function,
-    ) -> Result<(CfgShape, Arc<FunctionLiveness>), AnalysisError> {
-        self.shaped_artifact::<FunctionLiveness>(func)
+        self.resolve(&CfgShape::of(func))
     }
 
     /// Resolves `kind` for `func` through the cache, returning the
@@ -468,13 +460,20 @@ impl AnalysisEngine {
         func: &Function,
         kind: AnalysisKind,
     ) -> Result<ArtifactHandle, AnalysisError> {
+        self.resolve_kind(&CfgShape::of(func), kind)
+    }
+
+    /// [`resolve`](Self::resolve) for a kind known only at runtime —
+    /// how sessions re-resolve every resident slot of a function under
+    /// one fingerprint.
+    pub(crate) fn resolve_kind(
+        &self,
+        shape: &CfgShape,
+        kind: AnalysisKind,
+    ) -> Result<ArtifactHandle, AnalysisError> {
         match kind {
-            AnalysisKind::Liveness => self
-                .shaped_artifact::<FunctionLiveness>(func)
-                .map(|(_, live)| ArtifactHandle::Liveness(live)),
-            AnalysisKind::Nullness => self
-                .shaped_artifact::<NullnessArtifact>(func)
-                .map(|(_, art)| ArtifactHandle::Nullness(art)),
+            AnalysisKind::Liveness => self.resolve(shape).map(ArtifactHandle::Liveness),
+            AnalysisKind::Nullness => self.resolve(shape).map(ArtifactHandle::Nullness),
         }
     }
 
@@ -515,7 +514,8 @@ impl AnalysisEngine {
 
     /// The generic resolution path every analysis rides: a probe by
     /// `(CFG shape, analysis kind)`, computing and inserting on a
-    /// miss.
+    /// miss. Takes the already-computed fingerprint, so a caller that
+    /// keeps one (a session entry) never re-fingerprints the CFG.
     ///
     /// Cache misses are deduplicated per key: the first prober
     /// registers an in-flight slot in the key's stripe and resolves
@@ -532,10 +532,10 @@ impl AnalysisEngine {
     /// surfaces as [`AnalysisError::ComputePanicked`] — it never
     /// crosses the engine boundary as an unwind, and with every lock
     /// acquisition poison-recovering, it never wedges other stripes.
-    pub(crate) fn shaped_artifact<A: AnalysisArtifact>(
+    pub(crate) fn resolve<A: AnalysisArtifact>(
         &self,
-        func: &Function,
-    ) -> Result<(CfgShape, Arc<A>), AnalysisError> {
+        shape: &CfgShape,
+    ) -> Result<Arc<A>, AnalysisError> {
         enum Role {
             Wait(Arc<InFlightSlot>),
             Compute(Arc<InFlightSlot>),
@@ -546,9 +546,8 @@ impl AnalysisEngine {
         let unwrap_handle = |handle: &ArtifactHandle| {
             Arc::clone(A::from_handle(handle).expect("cache entry kind matches its key"))
         };
-        let shape = CfgShape::of(func);
         let key = (shape.clone(), A::KIND);
-        let si = self.stripe_of(&shape, A::KIND);
+        let si = self.stripe_of(shape, A::KIND);
         let metered = self.recorder.enabled();
         loop {
             // One span per loop iteration: a retry after an abandoned
@@ -561,7 +560,7 @@ impl AnalysisEngine {
                         self.recorder
                             .tier(Tier::MemoryHit, t0.elapsed().as_nanos() as u64);
                     }
-                    return Ok((shape, unwrap_handle(&handle)));
+                    return Ok(unwrap_handle(&handle));
                 }
                 if let Some(slot) = st.in_flight.get(&key).map(Arc::clone) {
                     // The dedup hit is counted on *adoption*, not here:
@@ -601,7 +600,7 @@ impl AnalysisEngine {
                             self.recorder
                                 .tier(Tier::DedupWait, t0.elapsed().as_nanos() as u64);
                         }
-                        return Ok((shape, unwrap_handle(&handle)));
+                        return Ok(unwrap_handle(&handle));
                     }
                 }
                 // This worker owns the miss; the guard releases waiters
@@ -618,7 +617,7 @@ impl AnalysisEngine {
                     // `Abandoned` and nothing partial survives — the
                     // caches only ever see completed values.
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        self.load_or_compute::<A>(&shape)
+                        self.load_or_compute::<A>(shape)
                     }));
                     let (art, disk) = match outcome {
                         Ok(resolved) => resolved,
@@ -661,7 +660,7 @@ impl AnalysisEngine {
                     if let (Some(store), DiskOutcome::Miss | DiskOutcome::Reject) =
                         (&self.store, &disk)
                     {
-                        match store.save_artifact(&shape, &*art) {
+                        match store.save_artifact(shape, &*art) {
                             Ok(()) => {
                                 self.disk_success();
                                 // A fresh valid entry is on disk: any
@@ -674,7 +673,7 @@ impl AnalysisEngine {
                             }
                         }
                     }
-                    return Ok((shape, art));
+                    return Ok(art);
                 }
             }
         }

@@ -34,11 +34,13 @@
 //!           │                     instead of precomputing; corrupt
 //!           │                     files degrade to clean misses
 //!           ▼
-//!       EngineSession             epoch-based queries: is_live_in /
+//!       EngineSession             one entry per function: its CfgShape
+//!                                 plus one artifact slot per
+//!                                 AnalysisKind, transparently
+//!                                 revalidated against the function's
+//!                                 current state; is_live_in /
 //!                                 is_live_out / is_live_at (program
-//!                                 points) / batch, transparently
-//!                                 revalidated against each function's
-//!                                 current state
+//!                                 points) / batch / nullness
 //! ```
 //!
 //! Cache misses are **deduplicated per fingerprint**: workers that

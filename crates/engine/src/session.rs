@@ -6,58 +6,54 @@ use std::sync::Arc;
 use fastlive_core::{AnalysisError, BatchLiveness, FunctionLiveness, NullnessArtifact};
 use fastlive_ir::{Block, FuncId, Module, ProgramPoint, Value};
 
+use crate::artifact::{AnalysisArtifact, AnalysisKind, ArtifactHandle};
 use crate::engine::AnalysisEngine;
 use crate::fingerprint::CfgShape;
 
-/// A successfully analyzed function's state.
-struct ReadyEntry {
-    live: Arc<FunctionLiveness>,
-    /// Fingerprint the current `live` was computed (or cache-resolved)
-    /// under — the exact-revalidation baseline.
-    shape: CfgShape,
-}
-
 struct SessionEntry {
-    /// The function's analysis, or the typed error its most recent
-    /// (re)computation ended in. An `Err` entry is **retried on the
-    /// next query** — a transient failure (a panic injected by a fault
-    /// campaign, a worker lost mid-analyze) self-heals instead of
-    /// pinning the function to its first bad outcome.
-    ready: Result<ReadyEntry, AnalysisError>,
+    /// Fingerprint every resident slot was resolved under — the
+    /// exact-revalidation baseline.
+    shape: CfgShape,
     /// [`Function::cfg_version`](fastlive_ir::Function::cfg_version)
-    /// observed when `ready` was (re)validated — the O(1) per-query
-    /// staleness signal.
+    /// observed when `shape` was taken — the O(1) per-query staleness
+    /// signal.
     cfg_version: u64,
-    /// How many times this function's analysis was recomputed since the
-    /// session started. Bumps per recomputation *attempt* triggered by
-    /// a detected CFG change or a retried failure.
+    /// How many times this function was recomputed since the session
+    /// started: +1 per detected CFG change (however many kinds are
+    /// resident) and per retried failure.
     epoch: u64,
+    /// One per [`AnalysisKind`]: `None` until first asked for, then
+    /// the artifact or the typed error its last resolution ended in. An
+    /// `Err` slot is **retried on its kind's next query** — a transient
+    /// failure (an injected panic, a worker lost mid-analyze) self-heals.
+    slots: [Option<Result<ArtifactHandle, AnalysisError>>; AnalysisKind::ALL.len()],
 }
 
-/// Per-function liveness queries over a module, with transparent
+/// Per-function analysis queries over a module, with transparent
 /// revalidation.
 ///
 /// A session is created by [`AnalysisEngine::analyze`] and holds one
-/// analysis handle per function (possibly shared between CFG-identical
-/// functions). Every query first validates the handle against the
-/// function's *current* state by comparing the function's
+/// entry per function: its [`CfgShape`] and one artifact slot per
+/// [`AnalysisKind`] (possibly shared between CFG-identical functions),
+/// liveness resolved up front. Every access first validates the entry
+/// against the function's *current* state by comparing the function's
 /// [`cfg_version`](fastlive_ir::Function::cfg_version) counter — O(1)
-/// and exact for every mutator-driven edit:
+/// and exact for every mutator-driven edit, one rule for every kind:
 ///
 /// * **Instruction-level edits** (insert/remove instructions, add
-///   values or uses, swap branch arguments) keep the analysis exact
+///   values or uses, swap branch arguments) keep every artifact exact
 ///   with zero work — the paper's headline property. The version
 ///   counter and the epoch do not move.
 /// * **CFG edits** (`add_block`, terminator insertion,
 ///   `redirect_branch_target` — every mutator that can change blocks
-///   or edges bumps the counter) invalidate the entry: the next query
-///   recomputes through the engine's fingerprint cache and bumps the
-///   function's *epoch*.
+///   or edges bumps the counter) invalidate the entry: the next access
+///   re-resolves every resident kind under one fresh fingerprint
+///   through the engine's cache and bumps the function's *epoch* once.
 /// * **Wholesale replacement** of a function (swapping in a different
 ///   `Function` object via [`Module::func_mut`]) carries the
 ///   replacement's own version counter, which may coincide with the
 ///   recorded one. Call [`revalidate`](Self::revalidate) after such a
-///   swap: it compares the exact [`CfgShape`] and recomputes on any
+///   swap: it compares the exact [`CfgShape`] and re-resolves on any
 ///   structural difference.
 ///
 /// Queries take the module by reference on every call, so the module
@@ -69,9 +65,9 @@ struct SessionEntry {
 /// Every query returns `Result<_, AnalysisError>`: a function whose
 /// precomputation panicked (or whose point query hit a detached
 /// definition) answers with a typed error instead of unwinding into
-/// the caller, and every *other* function of the session keeps
-/// answering normally — per-function isolation is the degradation
-/// contract. Failed entries are retried on their next query.
+/// the caller, and every *other* function and kind keeps answering
+/// normally — per-slot isolation is the degradation contract. Failed
+/// slots are retried on their next query.
 pub struct EngineSession<'e> {
     engine: &'e AnalysisEngine,
     entries: Vec<SessionEntry>,
@@ -81,17 +77,23 @@ impl<'e> EngineSession<'e> {
     pub(crate) fn new(
         engine: &'e AnalysisEngine,
         module: &Module,
-        lives: Vec<Result<(CfgShape, Arc<FunctionLiveness>), AnalysisError>>,
+        lives: Vec<(CfgShape, Result<Arc<FunctionLiveness>, AnalysisError>)>,
     ) -> Self {
         EngineSession {
             engine,
             entries: lives
                 .into_iter()
                 .zip(module.functions())
-                .map(|(result, func)| SessionEntry {
-                    ready: result.map(|(shape, live)| ReadyEntry { live, shape }),
-                    cfg_version: func.cfg_version(),
-                    epoch: 0,
+                .map(|((shape, live), func)| {
+                    let mut slots: [_; AnalysisKind::ALL.len()] = Default::default();
+                    slots[AnalysisKind::Liveness as usize] =
+                        Some(live.map(ArtifactHandle::Liveness));
+                    SessionEntry {
+                        shape,
+                        cfg_version: func.cfg_version(),
+                        epoch: 0,
+                        slots,
+                    }
                 })
                 .collect(),
         }
@@ -112,7 +114,7 @@ impl<'e> EngineSession<'e> {
 
     /// The recomputation epoch of `func`: 0 until its CFG first
     /// changes, +1 per detected invalidation (or retried failure)
-    /// since.
+    /// since, however many analysis kinds are resident.
     ///
     /// # Panics
     ///
@@ -127,11 +129,42 @@ impl<'e> EngineSession<'e> {
         self.entries.iter().map(|e| e.epoch).sum()
     }
 
-    /// The (revalidated) analysis handle for `func` — for callers that
+    /// The (revalidated) artifact of analysis `A` for `func`, exact
+    /// for the function's current state and under instruction-level
+    /// edits — the one accessor behind every query method. A kind's
+    /// first request resolves it without moving the epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `func` is out of range for the analyzed module.
+    pub fn artifact<A: AnalysisArtifact>(
+        &mut self,
+        module: &Module,
+        func: FuncId,
+    ) -> Result<Arc<A>, AnalysisError> {
+        let current = module.func(func);
+        let entry = &self.entries[func];
+        // Block count is a backstop for wholesale replacement, where
+        // the new object's own version counter may coincide with the
+        // recorded one (see `revalidate` for the exact check).
+        if entry.cfg_version != current.cfg_version()
+            || entry.shape.num_blocks() != current.num_blocks()
+        {
+            self.reresolve(module, func, CfgShape::of(current));
+        } else if matches!(entry.slots[A::KIND as usize], Some(Err(_))) {
+            self.reresolve(module, func, entry.shape.clone());
+        }
+        let (engine, entry) = (self.engine, &mut self.entries[func]);
+        let slot = entry.slots[A::KIND as usize]
+            .get_or_insert_with(|| engine.resolve::<A>(&entry.shape).map(A::into_handle));
+        slot.as_ref()
+            .map(|handle| Arc::clone(A::from_handle(handle).expect("a slot holds its own kind")))
+            .map_err(Clone::clone)
+    }
+
+    /// The (revalidated) liveness handle for `func` — for callers that
     /// want to issue many raw [`FunctionLiveness`] queries without
-    /// per-query session overhead. The handle is exact for the
-    /// function's current state and stays so under instruction-level
-    /// edits.
+    /// per-query session overhead.
     ///
     /// # Panics
     ///
@@ -141,11 +174,24 @@ impl<'e> EngineSession<'e> {
         module: &Module,
         func: FuncId,
     ) -> Result<Arc<FunctionLiveness>, AnalysisError> {
-        self.refresh(module, func);
-        match &self.entries[func].ready {
-            Ok(r) => Ok(Arc::clone(&r.live)),
-            Err(e) => Err(e.clone()),
-        }
+        self.artifact(module, func)
+    }
+
+    /// The (revalidated) nullness / definite-initialization artifact
+    /// for `func`. Run [`NullnessArtifact::solve`] over the handle for
+    /// per-value facts; like liveness queries, solving reads the
+    /// function's current instructions, so instruction-level edits are
+    /// free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `func` is out of range.
+    pub fn nullness(
+        &mut self,
+        module: &Module,
+        func: FuncId,
+    ) -> Result<Arc<NullnessArtifact>, AnalysisError> {
+        self.artifact(module, func)
     }
 
     /// Is `v` live-in at block `q` of `module.func(func)`? Exact for
@@ -247,91 +293,57 @@ impl<'e> EngineSession<'e> {
         Ok(self.analysis(module, func)?.batch(module.func(func)))
     }
 
-    /// The nullness / definite-initialization artifact for `func`,
-    /// resolved through the engine's `(fingerprint, analysis)` cache.
-    ///
-    /// Always exact for the function's current state: the engine keys
-    /// by the CFG shape computed *at call time*, so a CFG edit simply
-    /// resolves a different key (usually another cache hit) — nullness
-    /// needs no epoch bookkeeping of its own. Run
-    /// [`NullnessArtifact::solve`] over the handle for per-value
-    /// facts; like liveness queries, solving reads the function's
-    /// current instructions, so instruction-level edits are free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `func` is out of range.
-    pub fn nullness(
-        &mut self,
-        module: &Module,
-        func: FuncId,
-    ) -> Result<Arc<NullnessArtifact>, AnalysisError> {
-        self.engine.nullness_for(module.func(func))
-    }
-
     /// Exact revalidation: recomputes the function's [`CfgShape`] and,
-    /// on any structural difference from the shape the current analysis
-    /// was built for, recomputes through the engine (bumping the
-    /// epoch). A failed entry always recomputes. Needed only after
-    /// replacing a function wholesale; plain mutator-driven edits are
-    /// caught by the per-query check.
+    /// on any structural difference from the shape the resident
+    /// artifacts were resolved under, re-resolves every resident kind
+    /// through the engine (bumping the epoch once). Failed slots always
+    /// re-resolve. Needed only after replacing a function wholesale;
+    /// plain mutator-driven edits are caught by the per-query check.
     ///
-    /// Returns `true` if the analysis was recomputed.
+    /// Returns `true` if anything was re-resolved.
     ///
     /// # Panics
     ///
     /// Panics if `func` is out of range.
     pub fn revalidate(&mut self, module: &Module, func: FuncId) -> bool {
-        let current = module.func(func);
-        let shape = CfgShape::of(current);
-        match &self.entries[func].ready {
-            Ok(r) if shape == r.shape => {
-                // Structurally unchanged: adopt the (possibly
-                // different) version counter so later queries don't
-                // recompute for a CFG that is provably the same.
-                self.entries[func].cfg_version = current.cfg_version();
-                false
-            }
-            _ => {
-                self.recompute(module, func);
-                true
-            }
-        }
-    }
-
-    /// The O(1) per-query freshness check: the function's CFG-version
-    /// counter moved ⇒ a block/edge mutation happened ⇒ recompute
-    /// (through the cache, so a shape-preserving rewire that round-trips
-    /// to a known fingerprint is still cheap). A failed entry is always
-    /// stale: queries keep retrying it until it computes.
-    fn refresh(&mut self, module: &Module, func: FuncId) {
-        let current = module.func(func);
-        let entry = &self.entries[func];
-        // Block count is a backstop for wholesale replacement, where
-        // the new object's own version counter may coincide with the
-        // recorded one (see `revalidate` for the exact check).
-        let stale = match &entry.ready {
-            Ok(r) => entry.cfg_version != current.cfg_version() || !r.live.is_current_for(current),
-            Err(_) => true,
-        };
-        if stale {
-            self.recompute(module, func);
-        }
-    }
-
-    fn recompute(&mut self, module: &Module, func: FuncId) {
-        let result = self.engine.shaped_analysis(module.func(func));
+        let shape = CfgShape::of(module.func(func));
         let entry = &mut self.entries[func];
-        entry.ready = result.map(|(shape, live)| ReadyEntry { live, shape });
+        let stale = shape != entry.shape || entry.slots.iter().flatten().any(Result::is_err);
+        if stale {
+            self.reresolve(module, func, shape);
+        } else {
+            // Structurally unchanged: adopt the (possibly different)
+            // version counter so later queries don't re-resolve for a
+            // CFG that is provably the same.
+            entry.cfg_version = module.func(func).cfg_version();
+        }
+        stale
+    }
+
+    /// Re-resolves `func`'s resident slots under `shape` through the
+    /// engine (so a shape that round-trips to a known fingerprint is
+    /// still cheap) and bumps its epoch once: every slot if the shape
+    /// moved, else just the failed ones.
+    fn reresolve(&mut self, module: &Module, func: FuncId, shape: CfgShape) {
+        let (engine, entry) = (self.engine, &mut self.entries[func]);
+        let moved = shape != entry.shape;
+        entry.shape = shape;
         entry.cfg_version = module.func(func).cfg_version();
+        for kind in AnalysisKind::ALL {
+            if let Some(slot) = &mut entry.slots[kind as usize] {
+                if moved || slot.is_err() {
+                    *slot = engine.resolve_kind(&entry.shape, kind);
+                }
+            }
+        }
         entry.epoch += 1;
-        let recorder = self.engine.recorder();
+        let recorder = engine.recorder();
         if recorder.enabled() {
             let detail = format!(
                 "func={} epoch={} ok={}",
                 module.func(func).name,
                 entry.epoch,
-                entry.ready.is_ok()
+                entry.slots.iter().flatten().all(Result::is_ok)
             );
             recorder.event(fastlive_telemetry::EventKind::SessionRevalidated, &detail);
         }
@@ -369,9 +381,13 @@ mod tests {
         let v0 = module.func(id).params()[0];
         let b2 = module.func(id).block_by_index(2);
         assert!(!session.is_live_in(&module, id, v0, b2).unwrap());
+        let art = session.nullness(&module, id).unwrap();
+        let stats = engine.cache_stats();
 
-        // Sink a use of v0 into block2: same CFG, new answer, no epoch.
-        module.func_mut(id).insert_inst(
+        // Sink a use of v0 and a fresh `iconst 0` into block2: same CFG,
+        // new answers for both kinds, no epoch, no cache probe.
+        let func = module.func_mut(id);
+        func.insert_inst(
             b2,
             0,
             InstData::Unary {
@@ -379,7 +395,15 @@ mod tests {
                 arg: v0,
             },
         );
+        let null = func.insert_inst(b2, 0, InstData::IntConst { imm: 0 });
+        let null = module.func(id).inst_result(null).unwrap();
         assert!(session.is_live_in(&module, id, v0, b2).unwrap());
+        let again = session.nullness(&module, id).unwrap();
+        assert!(Arc::ptr_eq(&art, &again));
+        let facts = again.solve(module.func(id));
+        assert_eq!(facts.of(null), fastlive_core::Nullness::Null);
+        assert_eq!(facts, fresh_facts(module.func(id)));
+        assert_eq!(engine.cache_stats(), stats);
         assert_eq!(session.epoch(id), 0);
         assert_eq!(session.recomputations(), 0);
     }
@@ -391,6 +415,7 @@ mod tests {
         let mut session = engine.analyze(&module);
         let id = 0;
         let v0 = module.func(id).params()[0];
+        session.nullness(&module, id).unwrap();
 
         // Split critical edges: adds blocks, i.e. a CFG change.
         let created = fastlive_ir::split_critical_edges(module.func_mut(id));
@@ -399,9 +424,16 @@ mod tests {
         let before = session.epoch(id);
         let answer = session.is_live_in(&module, id, v0, b2).unwrap();
         assert_eq!(session.epoch(id), before + 1, "CFG change must recompute");
-        // And the recomputed answer matches a from-scratch analysis.
-        let oracle = FunctionLiveness::compute(module.func(id));
-        assert_eq!(answer, oracle.is_live_in(module.func(id), v0, b2));
+        // The same bump re-resolved the resident nullness slot.
+        let stats = engine.cache_stats();
+        let art = session.nullness(&module, id).unwrap();
+        assert_eq!(engine.cache_stats(), stats);
+        assert_eq!(session.epoch(id), before + 1);
+        // And the recomputed answers match from-scratch analyses.
+        let func = module.func(id);
+        let oracle = FunctionLiveness::compute(func);
+        assert_eq!(answer, oracle.is_live_in(func, v0, b2));
+        assert_eq!(art.solve(func), fresh_facts(func));
     }
 
     #[test]
@@ -445,6 +477,7 @@ mod tests {
             .expect("parses");
         let engine = AnalysisEngine::with_defaults();
         let mut session = engine.analyze(&module);
+        let stale = session.nullness(&module, 0).unwrap();
 
         // Replace %f with a CFG-different function of the SAME block
         // count (self-loop instead of straight-line).
@@ -456,6 +489,12 @@ mod tests {
         assert!(session.revalidate(&module, 0), "shape changed");
         assert_eq!(session.epoch(0), 1);
         assert!(!session.revalidate(&module, 0), "now current");
+        // The resident nullness slot was re-resolved with liveness.
+        let stats = engine.cache_stats();
+        let art = session.nullness(&module, 0).unwrap();
+        assert_eq!(engine.cache_stats(), stats);
+        assert!(!Arc::ptr_eq(&stale, &art));
+        assert_eq!(art.solve(module.func(0)), fresh_facts(module.func(0)));
 
         let v0 = module.func(0).params()[0];
         let b0 = module.func(0).entry_block();
@@ -563,13 +602,20 @@ mod tests {
         assert_eq!(engine.cache_len(), 1, "liveness artifact cached");
 
         // First nullness request is a second, independent cache entry
-        // under the same fingerprint; repeats are memory hits.
+        // under the same fingerprint; repeats never reach the engine.
         let art = session.nullness(&module, 0).unwrap();
         assert_eq!(engine.cache_len(), 2, "one entry per (shape, analysis)");
+        let stats = engine.cache_stats();
         let again = session.nullness(&module, 0).unwrap();
         assert!(
             Arc::ptr_eq(&art, &again),
             "second request shares the handle"
+        );
+        assert_eq!(engine.cache_stats(), stats, "a resident slot never probes");
+        assert_eq!(
+            session.epoch(0),
+            0,
+            "a first resolution is no recomputation"
         );
         assert_eq!(engine.cache_stats().misses, 2, "one per analysis kind");
 
@@ -578,6 +624,110 @@ mod tests {
         let facts = art.solve(func);
         let v1 = func.value("v1").unwrap();
         assert_eq!(facts.of(v1), fastlive_core::Nullness::Null, "iconst 0");
+    }
+
+    /// An engine whose cache outlives the tests' edits (one stripe, no
+    /// evictions), so a re-resolution of a known shape is a counted
+    /// memory hit.
+    fn cached_engine() -> AnalysisEngine {
+        AnalysisEngine::new(EngineConfig {
+            threads: 1,
+            cache_capacity: 8,
+            stripes: 1,
+            ..EngineConfig::default()
+        })
+    }
+
+    /// A fresh nullness analysis of the function's current state.
+    fn fresh_facts(func: &fastlive_ir::Function) -> fastlive_core::NullnessFacts {
+        NullnessArtifact::compute(func).solve(func)
+    }
+
+    #[test]
+    fn a_liveness_only_load_never_resolves_nullness() {
+        let mut module = looped_module();
+        let engine = cached_engine();
+        let mut session = engine.analyze(&module);
+        let v4 = module.func(0).value("v4").unwrap();
+        let b1 = module.func(0).block_by_index(1);
+        session.is_live_in(&module, 0, v4, b1).unwrap();
+        session.is_live_out(&module, 0, v4, b1).unwrap();
+        session.is_live_after_def(&module, 0, v4).unwrap();
+        session.batch(&module, 0).unwrap();
+        fastlive_ir::split_critical_edges(module.func_mut(0));
+        session.is_live_in(&module, 0, v4, b1).unwrap();
+        assert!(!session.revalidate(&module, 0));
+        assert_eq!(engine.cache_len(), 2, "one liveness entry per shape");
+        session.nullness(&module, 0).unwrap();
+        assert_eq!(engine.cache_len(), 3);
+    }
+
+    #[test]
+    fn a_panicking_nullness_compute_fails_only_nullness_and_retries() {
+        let module = looped_module();
+        let engine = cached_engine();
+        let mut session = engine.analyze(&module);
+        engine.set_compute_fault(Some(Box::new(|_: &CfgShape| panic!("nullness dies"))));
+        let v0 = module.func(0).params()[0];
+        let b1 = module.func(0).block_by_index(1);
+        assert!(matches!(
+            session.nullness(&module, 0),
+            Err(AnalysisError::ComputePanicked { .. })
+        ));
+        // Liveness keeps answering from its own resident slot.
+        assert_eq!(session.is_live_in(&module, 0, v0, b1), Ok(true));
+        assert!(
+            session.nullness(&module, 0).is_err(),
+            "retried, still faulty"
+        );
+
+        engine.set_compute_fault(None);
+        let epoch = session.epoch(0);
+        let art = session
+            .nullness(&module, 0)
+            .expect("the next request retries");
+        assert_eq!(session.epoch(0), epoch + 1, "the retry is a recomputation");
+        assert_eq!(art.solve(module.func(0)), fresh_facts(module.func(0)));
+        assert_eq!(session.is_live_in(&module, 0, v0, b1), Ok(true));
+    }
+
+    /// The `edit` workload's sequence: a CFG edit, a wholesale restore
+    /// of the older CFG answered by one `LiveIn`, then an instruction
+    /// edit and a nullness batch — which must recompute nothing,
+    /// because the restore re-resolved every resident kind at once.
+    #[test]
+    fn a_restored_cfg_then_an_instruction_edit_recomputes_nothing() {
+        let mut module = looped_module();
+        let pristine = module.func(0).clone();
+        let engine = cached_engine();
+        let mut session = engine.analyze(&module);
+        session.nullness(&module, 0).unwrap();
+
+        fastlive_ir::split_critical_edges(module.func_mut(0));
+        session.analysis(&module, 0).unwrap();
+        session.nullness(&module, 0).unwrap();
+
+        *module.func_mut(0) = pristine;
+        let v0 = module.func(0).params()[0];
+        let b0 = module.func(0).entry_block();
+        session.is_live_in(&module, 0, v0, b0).unwrap();
+        let (recomputations, stats) = (session.recomputations(), engine.cache_stats());
+
+        let b2 = module.func(0).block_by_index(2);
+        module
+            .func_mut(0)
+            .insert_inst(b2, 0, InstData::IntConst { imm: 0 });
+        let func = module.func(0);
+        let art = session.nullness(&module, 0).unwrap();
+        let facts = art.solve(func);
+        for v in func.values() {
+            for b in func.blocks() {
+                art.definitely_initialized_at_entry(func, v, b);
+            }
+        }
+        assert_eq!(session.recomputations(), recomputations);
+        assert_eq!(engine.cache_stats(), stats);
+        assert_eq!(facts, fresh_facts(func));
     }
 
     #[test]

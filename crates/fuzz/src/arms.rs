@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use fastlive::{Fastlive, Fault, FaultRule, FaultVfs, OpKind};
 use fastlive_construct::construct_ssa;
-use fastlive_ir::{parse_module, Block, BlockCall, InstData, Module, Value};
+use fastlive_ir::{parse_module, BinaryOp, Block, BlockCall, InstData, Module, Value};
 use fastlive_workload::{
     generate_campaigns, generate_module, generate_pre, CampaignParams, FaultOp, FaultSpec,
     FunctionStats, GenParams, ModuleParams, SplitMix64, SuiteStats,
@@ -352,9 +352,10 @@ fn arm_dup_edges(ctx: &mut Ctx) -> ArmStats {
 /// instruction insertion (analysis must stay exact with zero work), a
 /// branch-argument swap to an entry-defined value, a jump-edge split
 /// through a fresh block (a CFG edit the session must detect via the
-/// version counter), and one detached value (a result whose unused
-/// defining instruction is removed again). Returns how many edits
-/// landed.
+/// version counter), one detached value (a result whose unused
+/// defining instruction is removed again) and one orphaned block (a
+/// block no branch reaches, holding a definition and the only use of
+/// an entry constant). Returns how many edits landed.
 fn apply_edits(module: &mut Module, rng: &mut SplitMix64) -> usize {
     let mut applied = 0;
     for fi in 0..module.len() {
@@ -422,6 +423,24 @@ fn apply_edits(module: &mut Module, rng: &mut SplitMix64) -> usize {
         // `rng`, so a seed's other edits stay what they always were.
         let dead = func.insert_inst(entry, 0, InstData::IntConst { imm: 0 });
         func.remove_inst(dead);
+        applied += 1;
+
+        // Orphaned block: unreachable from the entry, so its use keeps
+        // nothing live and its definition interferes with nothing on
+        // every arm. Draws nothing from `rng` either.
+        let konst = func.insert_inst(entry, 0, InstData::IntConst { imm: 1 });
+        let konst = func.inst_result(konst).expect("a constant defines a value");
+        let param = func.params().first().copied().unwrap_or(konst);
+        let orphan = func.add_block();
+        let sum = func.append_inst(
+            orphan,
+            InstData::Binary {
+                op: BinaryOp::Iadd,
+                args: [konst, param],
+            },
+        );
+        let sum = func.inst_result(sum).expect("an add defines a value");
+        func.append_inst(orphan, InstData::Return { args: vec![sum] });
         applied += 1;
     }
     applied

@@ -55,9 +55,9 @@ impl QueryClass {
 }
 
 /// Which cache tier resolved (or contributed to) one engine analysis
-/// probe, with a duration attached. One `shaped_analysis` call records
-/// exactly one of `MemoryHit` / `DedupWait` / `Compute`; when the disk
-/// tier is consulted, one additional `Disk*` span rides along.
+/// probe, with a duration attached. One `AnalysisEngine::resolve` call
+/// records exactly one of `MemoryHit` / `DedupWait` / `Compute`; when
+/// the disk tier is consulted, one additional `Disk*` span rides along.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
     /// The striped in-memory cache answered (span: lock + probe).

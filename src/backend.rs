@@ -4,20 +4,25 @@
 //!
 //! * [`Backend::Session`] — an [`EngineSession`] over the
 //!   [`AnalysisEngine`](fastlive_engine::AnalysisEngine)'s two-tier
-//!   fingerprint cache, revalidating against CFG edits per query. The
-//!   default: this is the production path. The paper's precomputation
-//!   depends only on the CFG, so an engine built with
-//!   `cache_capacity(0)` is the per-function checker computed on
-//!   demand — the differential suites run it as their cache-less arm.
-//! * [`Backend::Oracle`] — the iterative data-flow solver
-//!   ([`IterativeLiveness`]), recomputed from scratch on every query.
-//!   Slow and stateless by design: its answers are the referee the
-//!   differential suites hold the session against.
+//!   fingerprint cache: one entry per function serves every analysis
+//!   kind, revalidating against CFG edits per query. The default: this
+//!   is the production path. The paper's precomputation depends only
+//!   on the CFG, so an engine built with `cache_capacity(0)` is the
+//!   per-function checker computed on demand — the differential suites
+//!   run it as their cache-less arm.
+//! * [`Backend::Oracle`] — the iterative data-flow solvers
+//!   ([`IterativeLiveness`], [`IterativeNullness`]), recomputed from
+//!   scratch on every query. Slow and stateless by design: their
+//!   answers are the referee the differential suites hold the session
+//!   against.
 //!
-//! Both answer byte-identical [`Response`]s for any [`Query`]
-//! (`tests/facade_oracle.rs` enforces it over reducible, irreducible
-//! and deep-live workloads, cached and cache-less); they differ only in
-//! cost model.
+//! One resolver serves both executors: the scalar path and the planner
+//! turn a function into one per-function state with a session arm and
+//! an oracle arm, resolving nullness only for queries (or groups) that
+//! ask for it. Both backends answer byte-identical [`Response`]s for
+//! any [`Query`] (`tests/facade_oracle.rs` enforces it over reducible,
+//! irreducible and deep-live workloads, cached and cache-less); they
+//! differ only in cost model.
 
 use std::sync::Arc;
 
@@ -86,68 +91,41 @@ pub enum Backend<'e> {
     Oracle,
 }
 
-/// One resolved function's analysis state for the duration of a query
-/// (or of a whole per-function query group, under the planner): the
-/// backend-specific engine plus a lazily computed dominator tree for
-/// interference tests.
-pub(crate) struct FuncAnalysis {
-    kind: LivenessState,
-    dom: Option<DomTree>,
-}
-
-/// How one resolved function's *liveness* is served. (This used to be
-/// named `AnalysisKind`, which now names the engine's analysis-id enum
-/// — the facade state is per-backend, the engine enum is per-analysis.)
-enum LivenessState {
-    /// A cache-shared checker (session backend).
-    Shared(Arc<FunctionLiveness>),
-    /// The data-flow oracle's solved sets.
-    Iterative(IterativeLiveness),
-}
-
-/// How one resolved function's *nullness* is served: the exact sparse
-/// path (shape-level artifact + solved per-value facts) or the dense
-/// iterative referee. Both answer identically — `tests/facade_oracle.rs`
-/// and the fuzz campaign's query mix enforce it.
-pub(crate) enum NullnessState {
-    /// Dominance artifact, shared through the engine cache, plus the
-    /// sparse solve over the function's current body (session backend).
-    Exact {
-        art: Arc<NullnessArtifact>,
-        facts: NullnessFacts,
+/// One resolved function's state for the duration of a query (or of a
+/// whole per-function query group, under the planner): the backend's
+/// liveness, its nullness when the query or group asks for it, and a
+/// lazily built dominator tree for interference tests. Both arms answer
+/// identically — `tests/facade_oracle.rs` and the fuzz campaign enforce
+/// it.
+pub(crate) enum FuncState {
+    /// The session's cache-shared artifacts. Nullness carries the
+    /// sparse solve over the function's current body, or the error its
+    /// resolution ended in — which fails only nullness-family queries.
+    Session {
+        live: Arc<FunctionLiveness>,
+        nullness: Option<Result<(NullnessFacts, Arc<NullnessArtifact>), QueryError>>,
+        dom: Option<DomTree>,
     },
-    /// The chaotic-iteration referee (oracle backend).
-    Oracle(IterativeNullness),
+    /// The oracle's data-flow solutions.
+    Oracle {
+        live: IterativeLiveness,
+        nullness: Option<Result<IterativeNullness, QueryError>>,
+        dom: Option<DomTree>,
+    },
 }
 
-impl NullnessState {
-    pub(crate) fn fact(&self, v: Value) -> Nullness {
-        match self {
-            NullnessState::Exact { facts, .. } => facts.of(v),
-            NullnessState::Oracle(it) => it.fact(v),
-        }
-    }
-
-    pub(crate) fn definitely_init(&self, func: &Function, v: Value, q: Block) -> bool {
-        match self {
-            NullnessState::Exact { art, .. } => art.definitely_initialized_at_entry(func, v, q),
-            NullnessState::Oracle(it) => it.definitely_initialized_at_entry(v, q),
-        }
-    }
-}
-
-impl FuncAnalysis {
+impl FuncState {
     pub(crate) fn live_in(&self, func: &Function, v: Value, b: Block) -> bool {
-        match &self.kind {
-            LivenessState::Shared(c) => c.is_live_in(func, v, b),
-            LivenessState::Iterative(it) => it.is_live_in(v, b),
+        match self {
+            FuncState::Session { live, .. } => live.is_live_in(func, v, b),
+            FuncState::Oracle { live, .. } => live.is_live_in(v, b),
         }
     }
 
     pub(crate) fn live_out(&self, func: &Function, v: Value, b: Block) -> bool {
-        match &self.kind {
-            LivenessState::Shared(c) => c.is_live_out(func, v, b),
-            LivenessState::Iterative(it) => it.is_live_out(v, b),
+        match self {
+            FuncState::Session { live, .. } => live.is_live_out(func, v, b),
+            FuncState::Oracle { live, .. } => live.is_live_out(v, b),
         }
     }
 
@@ -157,21 +135,21 @@ impl FuncAnalysis {
         v: Value,
         p: ProgramPoint,
     ) -> Result<bool, PointError> {
-        match &mut self.kind {
-            LivenessState::Shared(c) => c.is_live_at(func, v, p),
-            LivenessState::Iterative(it) => LivenessProvider::live_at(it, func, v, p),
+        match self {
+            FuncState::Session { live, .. } => live.is_live_at(func, v, p),
+            FuncState::Oracle { live, .. } => LivenessProvider::live_at(live, func, v, p),
         }
     }
 
     pub(crate) fn live_sets(&self, func: &Function) -> LiveSets {
-        match &self.kind {
-            LivenessState::Shared(c) => {
-                let (live_in, live_out) = c.live_sets(func);
+        match self {
+            FuncState::Session { live, .. } => {
+                let (live_in, live_out) = live.live_sets(func);
                 LiveSets { live_in, live_out }
             }
-            LivenessState::Iterative(it) => LiveSets {
-                live_in: func.blocks().map(|b| it.live_in_set(b)).collect(),
-                live_out: func.blocks().map(|b| it.live_out_set(b)).collect(),
+            FuncState::Oracle { live, .. } => LiveSets {
+                live_in: func.blocks().map(|b| live.live_in_set(b)).collect(),
+                live_out: func.blocks().map(|b| live.live_out_set(b)).collect(),
             },
         }
     }
@@ -180,9 +158,9 @@ impl FuncAnalysis {
     /// `LiveOut` probes from. `None` for the oracle — its block
     /// queries are already O(1) probes into the solved sets.
     pub(crate) fn batch(&self, func: &Function) -> Option<BatchLiveness> {
-        match &self.kind {
-            LivenessState::Shared(c) => Some(c.batch(func)),
-            LivenessState::Iterative(_) => None,
+        match self {
+            FuncState::Session { live, .. } => Some(live.batch(func)),
+            FuncState::Oracle { .. } => None,
         }
     }
 
@@ -192,57 +170,88 @@ impl FuncAnalysis {
         a: Value,
         b: Value,
     ) -> Result<bool, PointError> {
-        let dom = self.dom.get_or_insert_with(|| {
-            let dfs = DfsTree::compute(func);
-            DomTree::compute(func, &dfs)
-        });
-        match &mut self.kind {
-            LivenessState::Shared(arc) => {
-                let mut engine = CheckerEngine::from_shared(Arc::clone(arc));
-                values_interfere(&mut engine, func, dom, a, b)
+        let build = || DomTree::compute(func, &DfsTree::compute(func));
+        match self {
+            FuncState::Session { live, dom, .. } => {
+                let mut engine = CheckerEngine::from_shared(Arc::clone(live));
+                values_interfere(&mut engine, func, dom.get_or_insert_with(build), a, b)
             }
-            LivenessState::Iterative(it) => values_interfere(it, func, dom, a, b),
+            FuncState::Oracle { live, dom, .. } => {
+                values_interfere(live, func, dom.get_or_insert_with(build), a, b)
+            }
         }
+    }
+
+    pub(crate) fn nullness(&self, v: Value) -> Result<Nullness, QueryError> {
+        Ok(match self {
+            FuncState::Session { nullness, .. } => resolved(nullness, "nullness")?.0.of(v),
+            FuncState::Oracle { nullness, .. } => resolved(nullness, "nullness")?.fact(v),
+        })
+    }
+
+    pub(crate) fn definitely_init(
+        &self,
+        func: &Function,
+        v: Value,
+        q: Block,
+    ) -> Result<bool, QueryError> {
+        Ok(match self {
+            FuncState::Session { nullness, .. } => {
+                let (_, art) = resolved(nullness, "definite-init")?;
+                art.definitely_initialized_at_entry(func, v, q)
+            }
+            FuncState::Oracle { nullness, .. } => {
+                resolved(nullness, "definite-init")?.definitely_initialized_at_entry(v, q)
+            }
+        })
+    }
+}
+
+/// The nullness a state carries for a nullness-family query: its
+/// resolution error, or — for a state resolved without nullness — a
+/// planner bookkeeping slip, reported per query like any other internal
+/// error.
+fn resolved<'a, T>(
+    nullness: &'a Option<Result<T, QueryError>>,
+    query: &str,
+) -> Result<&'a T, QueryError> {
+    match nullness {
+        Some(n) => n.as_ref().map_err(Clone::clone),
+        None => Err(QueryError::Internal {
+            detail: format!("{query} query reached answer() without a nullness state"),
+        }),
     }
 }
 
 /// The hooks the scalar executor and the planner share.
 impl Backend<'_> {
-    /// The analysis state for one resolved function. Fallible because
-    /// the session's analysis may itself have failed (a panicked
-    /// precomputation under fault injection) — that failure becomes a
-    /// per-query [`QueryError::AnalysisFailed`], never a crash.
-    pub(crate) fn analysis_for(
+    /// The state for one resolved function, with nullness only when
+    /// `with_nullness` — so liveness-only queries and groups never pay
+    /// for the second analysis. Fallible because the session's liveness
+    /// may itself have failed (a panicked precomputation under fault
+    /// injection) — that failure becomes a per-query
+    /// [`QueryError::AnalysisFailed`], never a crash.
+    pub(crate) fn resolve(
         &mut self,
         module: &Module,
         id: FuncId,
-    ) -> Result<FuncAnalysis, QueryError> {
-        let kind = match self {
-            Backend::Session(session) => LivenessState::Shared(session.analysis(module, id)?),
-            Backend::Oracle => {
-                let func = module.func(id);
-                LivenessState::Iterative(IterativeLiveness::compute(func, &VarUniverse::all(func)))
-            }
-        };
-        Ok(FuncAnalysis { kind, dom: None })
-    }
-
-    /// The nullness state for one resolved function — only called for
-    /// groups that actually carry nullness queries, so liveness-only
-    /// batches never pay for the second analysis.
-    pub(crate) fn nullness_for(
-        &mut self,
-        module: &Module,
-        id: FuncId,
-    ) -> Result<NullnessState, QueryError> {
+        with_nullness: bool,
+    ) -> Result<FuncState, QueryError> {
         let func = module.func(id);
         Ok(match self {
-            Backend::Session(session) => {
-                let art = session.nullness(module, id)?;
-                let facts = art.solve(func);
-                NullnessState::Exact { art, facts }
-            }
-            Backend::Oracle => NullnessState::Oracle(IterativeNullness::compute(func)),
+            Backend::Session(session) => FuncState::Session {
+                live: session.analysis(module, id)?,
+                nullness: with_nullness.then(|| {
+                    let art = session.nullness(module, id)?;
+                    Ok((art.solve(func), art))
+                }),
+                dom: None,
+            },
+            Backend::Oracle => FuncState::Oracle {
+                live: IterativeLiveness::compute(func, &VarUniverse::all(func)),
+                nullness: with_nullness.then(|| Ok(IterativeNullness::compute(func))),
+                dom: None,
+            },
         })
     }
 
@@ -300,18 +309,18 @@ mod tests {
         .expect("parses")
     }
 
-    fn analyses(module: &Module) -> Vec<(&'static str, FuncAnalysis)> {
+    fn states(module: &Module) -> Vec<(&'static str, FuncState)> {
         let engine = AnalysisEngine::with_defaults();
         let mut session = Backend::Session(engine.analyze(module));
         vec![
-            ("session", session.analysis_for(module, 0).unwrap()),
-            ("oracle", Backend::Oracle.analysis_for(module, 0).unwrap()),
+            ("session", session.resolve(module, 0, true).unwrap()),
+            ("oracle", Backend::Oracle.resolve(module, 0, true).unwrap()),
         ]
     }
 
-    /// The converted `expect("checker-backed")` family: every
-    /// `LivenessState` answers every probe kind — the matches are total
-    /// by construction, and the answers agree across states.
+    /// The converted `expect("checker-backed")` family: both state arms
+    /// answer every probe kind — the matches are total by
+    /// construction, and the answers agree across arms.
     #[test]
     fn every_analysis_kind_answers_every_probe() {
         let module = sample();
@@ -321,7 +330,8 @@ mod tests {
         let b1 = func.block("block1").unwrap();
         let mut seen_live_in = Vec::new();
         let mut seen_sets = Vec::new();
-        for (name, mut a) in analyses(&module) {
+        let mut seen_nullness = Vec::new();
+        for (name, mut a) in states(&module) {
             seen_live_in.push((name, a.live_in(func, v0, b1)));
             assert!(!a.live_out(func, v1, b1), "{name}");
             let sets = a.live_sets(func);
@@ -332,9 +342,37 @@ mod tests {
             let first = a.interfere(func, v0, v1).unwrap();
             let again = a.interfere(func, v0, v1).unwrap();
             assert_eq!(first, again, "{name}");
+            seen_nullness.push((a.nullness(v1), a.definitely_init(func, v1, b1)));
         }
         assert!(seen_live_in.iter().all(|&(_, ans)| ans), "{seen_live_in:?}");
-        assert_eq!(seen_sets[0], seen_sets[1], "kinds disagree on live_sets");
+        assert_eq!(seen_sets[0], seen_sets[1], "arms disagree on live_sets");
+        assert_eq!(
+            seen_nullness[0], seen_nullness[1],
+            "arms disagree on nullness"
+        );
+        assert_eq!(seen_nullness[0], (Ok(Nullness::NonNull), Ok(true)));
+    }
+
+    /// Liveness-only resolution never touches the second analysis, and
+    /// the resulting state refuses nullness-family probes with a typed
+    /// error instead of panicking.
+    #[test]
+    fn liveness_only_states_refuse_nullness_probes() {
+        let module = sample();
+        let func = module.func(0);
+        let v1 = func.value("v1").unwrap();
+        let engine = AnalysisEngine::with_defaults();
+        let session = Backend::Session(engine.analyze(&module));
+        for mut backend in [session, Backend::Oracle] {
+            let state = backend.resolve(&module, 0, false).unwrap();
+            assert!(matches!(
+                state.nullness(v1),
+                Err(QueryError::Internal { .. })
+            ));
+            let init = state.definitely_init(func, v1, func.entry_block());
+            assert!(matches!(init, Err(QueryError::Internal { .. })));
+        }
+        assert_eq!(engine.cache_len(), 1, "no nullness artifact was resolved");
     }
 
     /// The oracle state reports no batch snapshot (its probes are O(1)
@@ -343,7 +381,7 @@ mod tests {
     fn batch_snapshots_match_kind() {
         let module = sample();
         let func = module.func(0);
-        let mut it = analyses(&module).into_iter();
+        let mut it = states(&module).into_iter();
         let (_, session) = it.next().unwrap();
         let (_, oracle) = it.next().unwrap();
         assert!(session.batch(func).is_some());

@@ -23,7 +23,7 @@ use fastlive_engine::AnalysisKind;
 use fastlive_ir::{FuncId, Function, Module};
 use fastlive_telemetry::{QueryClass, Recorder};
 
-use crate::backend::{Backend, FuncAnalysis, NullnessState};
+use crate::backend::{Backend, FuncState};
 use crate::query::{
     resolve_block, resolve_func, resolve_point, resolve_value, Query, QueryError, Response,
 };
@@ -46,32 +46,21 @@ fn batch_pays_off(func: &Function, block_probes: usize) -> bool {
     block_probes >= BATCH_THRESHOLD.max(func.num_blocks() / 2)
 }
 
-/// Resolve-and-answer for one query, given the function's analysis and
+/// Resolve-and-answer for one query, given the function's state and
 /// (optionally) a pre-materialized batch snapshot for block probes.
 fn answer(
-    analysis: &mut FuncAnalysis,
+    state: &mut FuncState,
     batch: Option<&BatchLiveness>,
-    nullness: Option<&Result<NullnessState, QueryError>>,
     func: &Function,
     query: &Query,
 ) -> Result<Response, QueryError> {
-    // Nullness-family queries answer from the group's (or scalar
-    // call's) nullness state; a `None` here is a planner bookkeeping
-    // slip, reported per-query like any other internal error.
-    let nullness = |query: &'static str| match nullness {
-        Some(Ok(state)) => Ok(state),
-        Some(Err(e)) => Err(e.clone()),
-        None => Err(QueryError::Internal {
-            detail: format!("{query} query reached answer() without a nullness state"),
-        }),
-    };
     match query {
         Query::LiveIn { value, block, .. } => {
             let v = resolve_value(func, value)?;
             let b = resolve_block(func, block)?;
             Ok(Response::Live(match batch {
                 Some(rows) => rows.is_live_in(v.index() as u32, b.as_u32()),
-                None => analysis.live_in(func, v, b),
+                None => state.live_in(func, v, b),
             }))
         }
         Query::LiveOut { value, block, .. } => {
@@ -79,41 +68,39 @@ fn answer(
             let b = resolve_block(func, block)?;
             Ok(Response::Live(match batch {
                 Some(rows) => rows.is_live_out(v.index() as u32, b.as_u32()),
-                None => analysis.live_out(func, v, b),
+                None => state.live_out(func, v, b),
             }))
         }
         Query::LiveAt { value, point, .. } => {
             let v = resolve_value(func, value)?;
             let p = resolve_point(func, point)?;
-            Ok(Response::Live(analysis.live_at(func, v, p)?))
+            Ok(Response::Live(state.live_at(func, v, p)?))
         }
         Query::LiveSets { .. } => Ok(Response::Sets(match batch {
             // The group's snapshot already holds every row — derive the
             // sets from it instead of paying another matrix pass (the
             // mapping below is exactly `FunctionLiveness::live_sets`).
             Some(rows) => sets_from_rows(rows, func),
-            None => analysis.live_sets(func),
+            None => state.live_sets(func),
         })),
         Query::Interfere { a, b, .. } => {
             let va = resolve_value(func, a)?;
             let vb = resolve_value(func, b)?;
-            Ok(Response::Interference(analysis.interfere(func, va, vb)?))
+            Ok(Response::Interference(state.interfere(func, va, vb)?))
         }
         Query::Nullness { value, .. } => {
             let v = resolve_value(func, value)?;
-            Ok(Response::Nullness(nullness("nullness")?.fact(v)))
+            Ok(Response::Nullness(state.nullness(v)?))
         }
         Query::DefiniteInit { value, block, .. } => {
             let v = resolve_value(func, value)?;
             let b = resolve_block(func, block)?;
-            Ok(Response::Init(
-                nullness("definite-init")?.definitely_init(func, v, b),
-            ))
+            Ok(Response::Init(state.definitely_init(func, v, b)?))
         }
     }
 }
 
-/// Does the query need the function's [`NullnessState`]?
+/// Does the query need the function's nullness?
 fn needs_nullness(query: &Query) -> bool {
     matches!(query, Query::Nullness { .. } | Query::DefiniteInit { .. })
 }
@@ -155,22 +142,15 @@ pub(crate) fn class_of(query: &Query) -> QueryClass {
 }
 
 /// One query, straight through: resolve the function, obtain its
-/// analysis, answer.
+/// state, answer.
 pub(crate) fn scalar_query(
     backend: &mut Backend<'_>,
     module: &Module,
     query: &Query,
 ) -> Result<Response, QueryError> {
     let id = resolve_func(module, query.func())?;
-    let mut analysis = backend.analysis_for(module, id)?;
-    let nullness = needs_nullness(query).then(|| backend.nullness_for(module, id));
-    answer(
-        &mut analysis,
-        None,
-        nullness.as_ref(),
-        module.func(id),
-        query,
-    )
+    let mut state = backend.resolve(module, id, needs_nullness(query))?;
+    answer(&mut state, None, module.func(id), query)
 }
 
 /// The planned batch executor: group by function, analyze once per
@@ -214,10 +194,9 @@ pub(crate) fn run_planned(
 
     // Cross-function batches warm the cache through the backend's
     // worker pool before the sequential group loop: one `(function,
-    // analysis)` request per distinct need, so the per-group
-    // `analysis_for` / `nullness_for` below become memory hits. A
-    // single-group batch gains nothing — the group loop would do the
-    // same work with no parallelism to exploit.
+    // analysis)` request per distinct need, so the per-group `resolve`
+    // below hits memory. A single-group batch gains nothing — the group
+    // loop would do the same work with no parallelism to exploit.
     if groups.len() >= 2 {
         let mut requests = Vec::with_capacity(groups.len());
         for (id, idxs) in &groups {
@@ -231,10 +210,13 @@ pub(crate) fn run_planned(
 
     for (id, idxs) in groups {
         let func = module.func(id);
-        // A failed analysis fails every query of its group — the other
-        // groups (other functions) still answer.
-        let mut analysis = match backend.analysis_for(module, id) {
-            Ok(a) => a,
+        // A failed liveness fails every query of its group — the other
+        // groups (other functions) still answer. Nullness is resolved
+        // only for groups that ask for it; its failure poisons just the
+        // group's nullness-family queries.
+        let with_nullness = idxs.iter().any(|&i| needs_nullness(&queries[i]));
+        let mut state = match backend.resolve(module, id, with_nullness) {
+            Ok(state) => state,
             Err(e) => {
                 for i in idxs {
                     results[i] = Some(Err(e.clone()));
@@ -242,13 +224,6 @@ pub(crate) fn run_planned(
                 continue;
             }
         };
-        // The second analysis is resolved once per group, and only for
-        // groups that ask for it; a failure poisons just the group's
-        // nullness-family queries, never its liveness ones.
-        let nullness = idxs
-            .iter()
-            .any(|&i| needs_nullness(&queries[i]))
-            .then(|| backend.nullness_for(module, id));
         let block_probes = idxs
             .iter()
             .filter(|&&i| matches!(queries[i], Query::LiveIn { .. } | Query::LiveOut { .. }))
@@ -263,7 +238,7 @@ pub(crate) fn run_planned(
         // oracle's probes are already O(1) set reads and its `batch()`
         // is `None`).
         let batch = if batch_pays_off(func, block_probes) || sets_queries >= 2 {
-            analysis.batch(func)
+            state.batch(func)
         } else {
             None
         };
@@ -291,13 +266,7 @@ pub(crate) fn run_planned(
                         resolve_block(func, block)
                             .map(|b| Response::Live(rows.is_live_out(v.index() as u32, b.as_u32())))
                     }),
-                _ => answer(
-                    &mut analysis,
-                    batch.as_ref(),
-                    nullness.as_ref(),
-                    func,
-                    &queries[i],
-                ),
+                _ => answer(&mut state, batch.as_ref(), func, &queries[i]),
             };
             results[i] = Some(result);
         }

@@ -165,3 +165,91 @@ fn planned_execution_matches_scalar_execution() {
         }
     }
 }
+
+/// Every query of every kind over every value, block and point of the
+/// module — the exhaustive batch for hand-built edge cases.
+fn exhaustive_queries(module: &Module) -> Vec<Query> {
+    let mut queries = Vec::new();
+    for (id, func) in module.iter() {
+        let values: Vec<_> = func.values().collect();
+        for &v in &values {
+            queries.push(Query::nullness(id, v));
+            for b in func.blocks() {
+                queries.push(Query::live_in(id, v, b));
+                queries.push(Query::live_out(id, v, b));
+                queries.push(Query::definitely_init(id, v, b));
+                queries.push(Query::live_at(id, v, PointRef::entry(b)));
+                for pos in 0..func.block_insts(b).len() {
+                    queries.push(Query::live_at(id, v, PointRef::after(b, pos)));
+                }
+            }
+            for &w in &values {
+                queries.push(Query::interfere(id, v, w));
+            }
+        }
+        queries.push(Query::live_sets(id));
+    }
+    queries
+}
+
+/// A strict-SSA module whose edit orphans a block: `block1` is left
+/// unreachable, holding the only use of `v1` and the definition of
+/// `v2`. The corpus cannot carry this case (`verify_strict_ssa` rejects
+/// unreachable blocks), so it is built by an edit. Every arm, scalar
+/// and planned, must answer like the oracle: an unreachable use keeps
+/// nothing live, and an unreachable definition interferes with nothing.
+#[test]
+fn orphaned_blocks_answer_identically_on_every_arm() {
+    let mut module = fastlive::parse_module(
+        "function %orphan { block0(v0):
+             v1 = iconst 0
+             brif v0, block1, block2
+         block1:
+             v2 = iadd v0, v1
+             return v2
+         block2:
+             v3 = iconst 7
+             jump block3(v3)
+         block3(v4):
+             return v4 }
+         function %intact { block0(v0): return v0 }",
+    )
+    .expect("parses");
+    fastlive::core::verify_strict_ssa(module.func(0)).expect("strict SSA before the edit");
+    let func = module.func_mut(0);
+    let term = func.terminator(func.entry_block()).expect("terminated");
+    let b2 = func.block("block2").expect("exists");
+    func.redirect_branch_target(term, 0, b2, Vec::new());
+
+    let fl = Fastlive::builder().threads(1).build().expect("valid");
+    let cacheless = Fastlive::builder()
+        .threads(1)
+        .cache_capacity(0)
+        .build()
+        .expect("valid");
+    let queries = exhaustive_queries(&module);
+    let oracle = run_all(&fl, &module, BackendKind::Oracle, &queries);
+    for (f, kind) in [
+        (&fl, BackendKind::Session),
+        (&cacheless, BackendKind::Session),
+        (&fl, BackendKind::Oracle),
+    ] {
+        let planned = run_all(f, &module, kind, &queries);
+        let mut session = f.session_with(&module, kind);
+        let scalar: Vec<_> = queries.iter().map(|q| session.query(&module, q)).collect();
+        for (i, q) in queries.iter().enumerate() {
+            let arm = format!("{kind:?} (cache capacity {})", f.config().cache_capacity);
+            assert_eq!(planned[i], oracle[i], "{arm} planned vs oracle on {q:?}");
+            assert_eq!(scalar[i], oracle[i], "{arm} scalar vs oracle on {q:?}");
+        }
+    }
+
+    let mut session = fl.session(&module);
+    let live_out = Query::live_out("orphan", "v1", "block0");
+    assert_eq!(session.query(&module, &live_out), Ok(Response::Live(false)));
+    let interfere = Query::interfere("orphan", "v2", "v0");
+    assert_eq!(
+        session.query(&module, &interfere),
+        Ok(Response::Interference(false))
+    );
+}
