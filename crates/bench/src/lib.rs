@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use fastlive::telemetry::Json;
 use fastlive::{Block, Module, PointRef, Query, Value};
-use fastlive_core::{FunctionLiveness, LivenessChecker};
+use fastlive_core::{baseline, FunctionLiveness, LivenessChecker};
 use fastlive_dataflow::{LaoLiveness, VarUniverse};
 use fastlive_destruct::{destruct_ssa, CheckerEngine, DestructResult, QueryKind, QueryRecord};
 use fastlive_ir::Function;
@@ -261,12 +261,16 @@ pub fn run_probes(live: &LivenessChecker, probes: &[(u32, u32, u32)]) -> usize {
 }
 
 /// Replays the same probes against the seed's scalar loop
-/// ([`LivenessChecker::is_live_in_scalar`]) for the before/after
-/// comparison.
-pub fn run_probes_scalar(live: &LivenessChecker, probes: &[(u32, u32, u32)]) -> usize {
+/// ([`baseline::is_live_in_scalar`]) for the before/after comparison,
+/// with or without the §4.1 subtree skipping.
+pub fn run_probes_scalar(
+    live: &LivenessChecker,
+    probes: &[(u32, u32, u32)],
+    skip_subtrees: bool,
+) -> usize {
     probes
         .iter()
-        .map(|&(d, u, q)| live.is_live_in_scalar(d, &[u], q) as usize)
+        .map(|&(d, u, q)| baseline::is_live_in_scalar(live, d, &[u], q, skip_subtrees) as usize)
         .sum()
 }
 
@@ -576,7 +580,7 @@ mod tests {
         let probes = dominance_probes(&live, 512, 42);
         assert_eq!(probes.len(), 512);
         let hits = run_probes(&live, &probes);
-        assert_eq!(hits, run_probes_scalar(&live, &probes));
+        assert_eq!(hits, run_probes_scalar(&live, &probes, true));
         assert!(hits > 0, "dominance-biased probes should find live values");
         // The probes honor the dominance bias they promise.
         for &(d, u, q) in &probes {

@@ -3,7 +3,7 @@
 //!
 //! * §4.1 dominance-ordered iteration with subtree skipping, on vs off
 //!   (Theorem 2's practical payoff). Both arms run the candidate loop
-//!   that reads the flag, `is_live_in_scalar`, on dominance-biased
+//!   that takes the flag, `baseline::is_live_in_scalar`, on dominance-biased
 //!   probes (uniform probes mostly die at the `q ∉ sdom(def)`
 //!   precheck); the fused `is_live_in` kernel never walks candidates,
 //!   so it cannot show the ablation. Each arm also reports its total
@@ -18,7 +18,8 @@
 
 use fastlive_bench::{batched_ns, dominance_probes, run_probes_scalar};
 use fastlive_cfg::{lengauer_tarjan, DfsTree, DomTree};
-use fastlive_core::{LivenessChecker, LoopForestChecker, SortedLivenessChecker};
+use fastlive_core::baseline::{self, LoopForestChecker, SortedLivenessChecker};
+use fastlive_core::LivenessChecker;
 use fastlive_ir::Function;
 use fastlive_workload::{generate_function, GenParams};
 
@@ -53,28 +54,25 @@ pub fn run(quick: bool) {
     let func = test_function();
 
     // Subtree skipping on/off, on the scalar candidate loop.
-    let mut skipping = LivenessChecker::compute(&func);
-    skipping.set_subtree_skipping(true);
-    let mut linear = LivenessChecker::compute(&func);
-    linear.set_subtree_skipping(false);
-    let probes = dominance_probes(&skipping, 512, 0x12345678);
+    let live = LivenessChecker::compute(&func);
+    let probes = dominance_probes(&live, 512, 0x12345678);
     assert_eq!(
-        run_probes_scalar(&skipping, &probes),
-        run_probes_scalar(&linear, &probes),
+        run_probes_scalar(&live, &probes, true),
+        run_probes_scalar(&live, &probes, false),
         "skipping changed an answer"
     );
-    let visits = |live: &LivenessChecker| -> usize {
+    let visits = |skip: bool| -> usize {
         probes
             .iter()
-            .map(|&(d, _, q)| live.candidates(d, q).count())
+            .map(|&(d, _, q)| baseline::candidates(&live, d, q, skip).count())
             .sum()
     };
-    let (skip_visits, linear_visits) = (visits(&skipping), visits(&linear));
-    for (id, live, n) in [
-        ("queries/subtree_skipping", &skipping, skip_visits),
-        ("queries/no_skipping", &linear, linear_visits),
+    let (skip_visits, linear_visits) = (visits(true), visits(false));
+    for (id, skip, n) in [
+        ("queries/subtree_skipping", true, skip_visits),
+        ("queries/no_skipping", false, linear_visits),
     ] {
-        let ns = batched_ns(samples, || run_probes_scalar(live, &probes));
+        let ns = batched_ns(samples, || run_probes_scalar(&live, &probes, skip));
         report(id, ns, &format!("  ({n} candidate visits)"));
     }
     assert!(

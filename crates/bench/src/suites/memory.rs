@@ -13,7 +13,8 @@
 //!
 //! `--quick` stops the sweep at 256 blocks.
 
-use fastlive_core::{LivenessChecker, LoopForestChecker, SortedLivenessChecker};
+use fastlive_core::baseline::{LoopForestChecker, SortedLivenessChecker};
+use fastlive_core::LivenessChecker;
 use fastlive_dataflow::{LaoLiveness, VarUniverse};
 use fastlive_workload::{generate_function, GenParams};
 

@@ -7,7 +7,7 @@
 //!   query: the core **fast path**
 //!   (`FunctionLiveness::is_live_at`, suffix membership scan) and the
 //!   **chain-walk shim** it replaced
-//!   (`is_live_at_chain_walk`, the destruct-private per-use
+//!   (`baseline::is_live_at_chain_walk`, the destruct-private per-use
 //!   `inst_position` walk that used to live in
 //!   `crates/destruct/src/interference.rs`). Answers are asserted
 //!   equal before timing; `speedup` is shim/fast, so ≥ 1.0 means the
@@ -22,7 +22,7 @@ use fastlive::telemetry::Json;
 use fastlive_bench::{
     ensure, host_cpus, median, prepare_suite, rows, section, time_ns, PreparedProc,
 };
-use fastlive_core::FunctionLiveness;
+use fastlive_core::{baseline, FunctionLiveness};
 use fastlive_engine::{AnalysisEngine, EngineConfig};
 use fastlive_ir::{Function, ProgramPoint, Value};
 use fastlive_workload::{generate_module, generate_suite, ModuleParams};
@@ -63,8 +63,7 @@ fn replay_shim(live: &FunctionLiveness, s: &PointStream) -> usize {
     s.points
         .iter()
         .map(|&(v, p)| {
-            live.is_live_at_chain_walk(&s.func, v, p)
-                .expect("def exists") as usize
+            baseline::is_live_at_chain_walk(live, &s.func, v, p).expect("def exists") as usize
         })
         .sum()
 }

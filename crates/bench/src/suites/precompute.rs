@@ -10,7 +10,8 @@
 //! samples.
 
 use fastlive_bench::batched_ns;
-use fastlive_core::{FunctionLiveness, LivenessChecker, SortedLivenessChecker};
+use fastlive_core::baseline::SortedLivenessChecker;
+use fastlive_core::{FunctionLiveness, LivenessChecker};
 use fastlive_dataflow::{AppelLiveness, IterativeLiveness, LaoLiveness, VarUniverse};
 use fastlive_ir::Function;
 use fastlive_workload::{generate_function, GenParams};

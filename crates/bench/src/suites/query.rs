@@ -2,7 +2,7 @@
 //! query kernel, and the batch-vs-query break-even analysis.
 //!
 //! * `query_loop` — ns per probe for the seed's scalar candidate loop
-//!   (`is_live_in_scalar`: bit-at-a-time `next_set_bit`, use numbers
+//!   (`baseline::is_live_in_scalar`: bit-at-a-time `next_set_bit`, use numbers
 //!   re-resolved per candidate) against the fused kernel
 //!   (`is_live_in`: one masked two-row AND per use), on
 //!   dominance-biased probe streams over growing CFGs. Wide CFGs have
@@ -22,7 +22,7 @@ use fastlive_bench::{
     dominance_probes, ensure, host_cpus, row_set, rows, run_probes, run_probes_scalar,
     sized_function, time_ns,
 };
-use fastlive_core::{FunctionLiveness, LivenessChecker};
+use fastlive_core::{baseline, FunctionLiveness, LivenessChecker};
 use fastlive_dataflow::{IterativeLiveness, VarUniverse};
 use fastlive_workload::random_digraph;
 
@@ -54,13 +54,17 @@ const BATCH_KEYS: &[&str] = &[
 /// `probes`.
 fn loop_row(reps: usize, shape: &str, live: &LivenessChecker, probes: &[(u32, u32, u32)]) -> Json {
     let hits = run_probes(live, probes);
-    assert_eq!(hits, run_probes_scalar(live, probes), "loops disagree");
+    assert_eq!(
+        hits,
+        run_probes_scalar(live, probes, true),
+        "loops disagree"
+    );
     let avg_cands: f64 = probes
         .iter()
-        .map(|&(d, _, q)| live.candidates(d, q).count())
+        .map(|&(d, _, q)| baseline::candidates(live, d, q, true).count())
         .sum::<usize>() as f64
         / probes.len() as f64;
-    let scalar = time_ns(reps, || run_probes_scalar(live, probes)) / probes.len() as f64;
+    let scalar = time_ns(reps, || run_probes_scalar(live, probes, true)) / probes.len() as f64;
     let fused = time_ns(reps, || run_probes(live, probes)) / probes.len() as f64;
     let blocks = live.dom().num_reachable();
     Json::obj()
@@ -84,7 +88,7 @@ fn batch_row(reps: usize, target: usize) -> Json {
     let batch_ns = time_ns(reps, || live.batch(&func));
     // `live_sets` itself is batch-backed now; the scalar row keeps
     // measuring the per-(value, block) query loop it replaced.
-    let scalar_ns = time_ns(reps.min(5), || live.live_sets_scalar(&func));
+    let scalar_ns = time_ns(reps.min(5), || baseline::live_sets_scalar(&live, &func));
     let iterative_ns = time_ns(reps, || IterativeLiveness::compute(&func, &universe));
     // Per-query cost on this function's own shape, for the break-even
     // estimate.

@@ -8,7 +8,7 @@
 //!
 //! * Every wide kernel has a `*_scalar` twin computing the same
 //!   function with the plain one-word-at-a-time loop it replaced
-//!   (mirroring the `is_live_in_scalar` convention of the query layer).
+//!   (mirroring `fastlive_core::baseline::is_live_in_scalar`).
 //!   The property suite (`tests/kernel_differential.rs`) pins them
 //!   bit-for-bit equal across word-boundary sweeps.
 //! * Binary kernels use *zip semantics*: they operate on the common

@@ -26,7 +26,7 @@ use fastlive_graph::{Cfg, NodeId};
 /// # Examples
 ///
 /// ```
-/// use fastlive_core::LoopForestChecker;
+/// use fastlive_core::baseline::LoopForestChecker;
 /// use fastlive_graph::DiGraph;
 ///
 /// let g = DiGraph::from_edges(4, 0, &[(0, 1), (1, 2), (2, 1), (2, 3)]);

@@ -11,7 +11,7 @@ use fastlive_graph::{Cfg, NodeId};
 ///
 /// Memory is proportional to the total number of *set elements* rather
 /// than `|V|²` bits, which moves the §6.1 break-even point for large
-/// CFGs: the `memory_breakeven` benchmark binary compares the two
+/// CFGs: the `memory` suite of `fastlive-bench` compares the two
 /// representations across block counts. Queries use binary search
 /// (`O(log |R_t|)` per use test) instead of bit probes, mirroring the
 /// trade-off the paper describes for LAO's sorted-array live sets.
@@ -23,7 +23,7 @@ use fastlive_graph::{Cfg, NodeId};
 /// # Examples
 ///
 /// ```
-/// use fastlive_core::SortedLivenessChecker;
+/// use fastlive_core::baseline::SortedLivenessChecker;
 /// use fastlive_graph::DiGraph;
 ///
 /// let g = DiGraph::from_edges(4, 0, &[(0, 1), (1, 2), (2, 1), (2, 3)]);

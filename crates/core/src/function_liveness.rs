@@ -148,7 +148,8 @@ impl FunctionLiveness {
     ///
     /// Routed through one [`batch`](Self::batch) matrix pass rather
     /// than `O(values × blocks)` scalar queries (the 20–60× measured in
-    /// `BENCH_query.json`); [`live_sets_scalar`](Self::live_sets_scalar)
+    /// `BENCH_query.json`);
+    /// [`baseline::live_sets_scalar`](crate::baseline::live_sets_scalar)
     /// keeps the query-loop materialization as the reference both paths
     /// are tested against.
     ///
@@ -166,29 +167,6 @@ impl FunctionLiveness {
         for b in func.blocks() {
             live_in.push(to_values(batch.live_in_vars(b.as_u32())));
             live_out.push(to_values(batch.live_out_vars(b.as_u32())));
-        }
-        (live_in, live_out)
-    }
-
-    /// The scalar materialization [`live_sets`](Self::live_sets)
-    /// replaced: one [`is_live_in`](Self::is_live_in) /
-    /// [`is_live_out`](Self::is_live_out) query per `(value, block)`
-    /// pair. Kept callable as the executable specification of the
-    /// batch-backed path (the two must agree bit-for-bit) and for the
-    /// break-even benchmarks.
-    pub fn live_sets_scalar(&self, func: &Function) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
-        let n = func.num_blocks();
-        let mut live_in = vec![Vec::new(); n];
-        let mut live_out = vec![Vec::new(); n];
-        for v in func.values() {
-            for b in func.blocks() {
-                if self.is_live_in(func, v, b) {
-                    live_in[b.index()].push(v);
-                }
-                if self.is_live_out(func, v, b) {
-                    live_out[b.index()].push(v);
-                }
-            }
         }
         (live_in, live_out)
     }
@@ -262,32 +240,6 @@ impl FunctionLiveness {
         self.is_live_at(func, v, def)
     }
 
-    /// [`is_live_at`](Self::is_live_at) the way the SSA-destruction
-    /// crate's private shim used to compute it: the "use after `p`"
-    /// part walks the def-use chain and resolves every same-block
-    /// use's absolute position with a full `inst_position` scan —
-    /// O(uses × block length) per query. Kept callable as the
-    /// executable specification of the fast path (the two must agree
-    /// bit-for-bit; see the point-oracle tests) and as the baseline of
-    /// `BENCH_point.json`.
-    pub fn is_live_at_chain_walk(
-        &self,
-        func: &Function,
-        v: Value,
-        p: ProgramPoint,
-    ) -> Result<bool, PointError> {
-        let def = func.def_point(v).ok_or(PointError::DefinitionRemoved(v))?;
-        if def > p {
-            return Ok(false);
-        }
-        let b = p.block();
-        let used_later = func
-            .uses(v)
-            .iter()
-            .any(|&i| func.inst_block(i) == Some(b) && func.inst_position(i) >= p.next_index());
-        Ok(used_later || self.is_live_out(func, v, b))
-    }
-
     /// Is `v` live at the program point *just after* `inst`? A
     /// convenience wrapper around [`is_live_at`](Self::is_live_at).
     ///
@@ -342,11 +294,11 @@ fn with_use_nums<R>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fastlive_ir::parse_function;
 
-    fn loop_func() -> Function {
+    pub(crate) fn loop_func() -> Function {
         parse_function(
             "function %loop { block0(v0):
                 v1 = iconst 0
@@ -432,23 +384,6 @@ mod tests {
         assert!(live.is_live_after(&f, v4, iadd));
         assert!(live.is_live_before(&f, v4, icmp));
         assert!(live.is_live_after(&f, v4, icmp)); // used by brif + block2
-    }
-
-    #[test]
-    fn fast_point_path_matches_chain_walk_at_every_point() {
-        let f = loop_func();
-        let live = FunctionLiveness::compute(&f);
-        for v in f.values() {
-            for b in f.blocks() {
-                for p in f.block_points(b) {
-                    assert_eq!(
-                        live.is_live_at(&f, v, p),
-                        live.is_live_at_chain_walk(&f, v, p),
-                        "{v} at {p}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -35,8 +35,7 @@
 //!
 //! * [`LivenessChecker`] — the graph-level engine (any
 //!   [`Cfg`](fastlive_graph::Cfg)): precomputation + Algorithm 1/2/3
-//!   queries with subtree skipping and the Theorem 2 reducible fast
-//!   path.
+//!   queries through one fused interval kernel per use.
 //! * [`FunctionLiveness`] — the same engine bound to an
 //!   [`fastlive_ir::Function`], reading live def-use chains, plus the
 //!   program-point queries
@@ -53,10 +52,13 @@
 //!   the same precomputation by word-level row unions instead of
 //!   per-query candidate scans
 //!   ([`FunctionLiveness::batch`] binds it to a function).
-//! * [`reference::ReferenceChecker`] — a deliberately literal
-//!   implementation of Definitions 4/5 and Algorithms 1/2, used as an
-//!   executable specification in tests.
 //! * [`verify_strict_ssa`] — checks the paper's §2.2 prerequisite.
+//! * [`baseline`] — the paper-reproduction code, fenced off from the
+//!   production API: the sorted-array, loop-forest and literal
+//!   reference checkers, the explicit candidate walk with §4.1 subtree
+//!   skipping as an argument, and the scalar twins of the fused
+//!   queries that the benchmarks and differential tests compare
+//!   against.
 //!
 //! # Examples
 //!
@@ -85,25 +87,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod baseline;
 mod batch;
 mod checker;
 mod error;
 mod function_liveness;
-mod loop_forest_check;
 mod nullness;
 mod precompute;
 mod provider;
-pub mod reference;
-mod sorted;
 mod verify;
 
 pub use batch::{BatchError, BatchLiveness};
-pub use checker::{Candidates, LivenessChecker};
+pub use checker::LivenessChecker;
 pub use error::AnalysisError;
 pub use function_liveness::FunctionLiveness;
-pub use loop_forest_check::LoopForestChecker;
 pub use nullness::{Nullness, NullnessArtifact, NullnessFacts};
 pub use precompute::Precomputation;
 pub use provider::{LivenessProvider, PointError};
-pub use sorted::SortedLivenessChecker;
 pub use verify::{verify_strict_ssa, SsaError};

@@ -27,7 +27,7 @@
 //!   at full speed — both layout legs are the prefix/suffix membership
 //!   scans of `fastlive_ir` (the per-use position walk this replaced
 //!   survives only as
-//!   [`is_live_at_chain_walk`](crate::FunctionLiveness::is_live_at_chain_walk),
+//!   [`baseline::is_live_at_chain_walk`](crate::baseline::is_live_at_chain_walk),
 //!   the executable spec and bench baseline).
 //!
 //! Point queries read positions from the *current* instruction layout

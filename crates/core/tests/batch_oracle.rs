@@ -140,8 +140,9 @@ fn batch_snapshot_vs_live_sets_materialization() {
 
 #[test]
 fn live_sets_batch_route_matches_the_scalar_route() {
-    // `live_sets` is now one batch matrix pass; `live_sets_scalar`
-    // keeps the per-(value, block) query loop it replaced. Identical
+    // `live_sets` is now one batch matrix pass;
+    // `baseline::live_sets_scalar` keeps the per-(value, block) query
+    // loop it replaced. Identical
     // output on structured and goto-injected functions alike.
     for seed in 0..8u64 {
         let params = GenParams {
@@ -160,7 +161,7 @@ fn live_sets_batch_route_matches_the_scalar_route() {
         let live = FunctionLiveness::compute(&func);
         assert_eq!(
             live.live_sets(&func),
-            live.live_sets_scalar(&func),
+            fastlive_core::baseline::live_sets_scalar(&live, &func),
             "seed {seed}"
         );
     }

@@ -51,8 +51,9 @@ impl LivenessProvider for CheckerEngine {
     fn live_at(&mut self, func: &Function, v: Value, p: ProgramPoint) -> Result<bool, PointError> {
         // Same decomposition as the trait default; routed through the
         // inherent method so the two entry points cannot drift. (The
-        // genuinely slower variant is `is_live_at_chain_walk`, kept
-        // only as the executable spec and bench baseline.)
+        // genuinely slower variant is
+        // `fastlive_core::baseline::is_live_at_chain_walk`, kept only
+        // as the executable spec and bench baseline.)
         self.0.is_live_at(func, v, p)
     }
     fn name(&self) -> &'static str {
@@ -60,19 +61,21 @@ impl LivenessProvider for CheckerEngine {
     }
 }
 
-/// The LAO-style baseline as a destruction engine.
+/// A set-based baseline as a destruction engine: the solved analysis
+/// `B` answers for the values it was solved over, and a per-value
+/// patch-up walk answers for the rest.
 ///
-/// The precomputed sorted-array sets know nothing about values created
-/// mid-pass; like LAO, the engine patches liveness for new names on
-/// demand (here: an exact per-value backward walk, memoized). Stale
-/// entries for *old* values whose uses were rewritten stay
-/// over-approximate — which is conservative (at worst an extra copy),
-/// and precisely the maintenance burden §1 of the paper attributes to
-/// set-based liveness. Point queries come from the trait's default
-/// decomposition over the patched block answers.
+/// The precomputed sets know nothing about values created mid-pass;
+/// like LAO, the engine patches liveness for new names on demand
+/// (here: an exact per-value backward walk, memoized). Stale entries
+/// for *old* values whose uses were rewritten stay over-approximate —
+/// which is conservative (at worst an extra copy), and precisely the
+/// maintenance burden §1 of the paper attributes to set-based
+/// liveness. Point queries come from the trait's default decomposition
+/// over the patched block answers.
 #[derive(Clone, Debug)]
-pub struct NativeEngine {
-    base: LaoLiveness,
+pub struct PatchedEngine<B> {
+    base: B,
     known_values: usize,
     /// Values whose precomputed sets went stale (uses rewritten).
     overridden: std::collections::HashSet<Value>,
@@ -81,11 +84,18 @@ pub struct NativeEngine {
     patched: HashMap<Value, (Vec<bool>, Vec<bool>)>,
 }
 
-impl NativeEngine {
-    /// Wraps a solved LAO analysis; `func` determines which values the
+/// The LAO-style baseline (sorted-array sets over φ-related values).
+pub type NativeEngine = PatchedEngine<LaoLiveness>;
+
+/// The plain bit-vector iterative solver; a third reference point for
+/// the ablation benchmarks.
+pub type BitvecEngine = PatchedEngine<IterativeLiveness>;
+
+impl<B: LivenessProvider> PatchedEngine<B> {
+    /// Wraps a solved analysis; `func` determines which values the
     /// base analysis can answer for.
-    pub fn new(base: LaoLiveness, func: &Function) -> Self {
-        NativeEngine {
+    pub fn new(base: B, func: &Function) -> Self {
+        PatchedEngine {
             base,
             known_values: func.num_values(),
             overridden: std::collections::HashSet::new(),
@@ -103,19 +113,19 @@ impl NativeEngine {
     }
 }
 
-impl LivenessProvider for NativeEngine {
+impl<B: LivenessProvider> LivenessProvider for PatchedEngine<B> {
     fn live_in(&mut self, func: &Function, v: Value, b: Block) -> bool {
         if self.needs_patch(v) {
             patch_walk(&mut self.patched, func, v).0[b.index()]
         } else {
-            self.base.is_live_in(v, b)
+            self.base.live_in(func, v, b)
         }
     }
     fn live_out(&mut self, func: &Function, v: Value, b: Block) -> bool {
         if self.needs_patch(v) {
             patch_walk(&mut self.patched, func, v).1[b.index()]
         } else {
-            self.base.is_live_out(v, b)
+            self.base.live_out(func, v, b)
         }
     }
     fn invalidate_value(&mut self, _func: &Function, v: Value) {
@@ -123,62 +133,11 @@ impl LivenessProvider for NativeEngine {
         self.patched.remove(&v);
     }
     fn name(&self) -> &'static str {
-        "native (LAO-style)"
+        self.base.name()
     }
 }
 
-/// The plain bit-vector iterative solver as an engine (same patch-up
-/// strategy as [`NativeEngine`]); a third reference point for the
-/// ablation benchmarks.
-#[derive(Clone, Debug)]
-pub struct BitvecEngine {
-    base: IterativeLiveness,
-    known_values: usize,
-    overridden: std::collections::HashSet<Value>,
-    patched: HashMap<Value, (Vec<bool>, Vec<bool>)>,
-}
-
-impl BitvecEngine {
-    /// Wraps a solved bit-vector analysis.
-    pub fn new(base: IterativeLiveness, func: &Function) -> Self {
-        BitvecEngine {
-            base,
-            known_values: func.num_values(),
-            overridden: std::collections::HashSet::new(),
-            patched: HashMap::new(),
-        }
-    }
-
-    fn needs_patch(&self, v: Value) -> bool {
-        v.index() >= self.known_values || self.overridden.contains(&v)
-    }
-}
-
-impl LivenessProvider for BitvecEngine {
-    fn live_in(&mut self, func: &Function, v: Value, b: Block) -> bool {
-        if self.needs_patch(v) {
-            patch_walk(&mut self.patched, func, v).0[b.index()]
-        } else {
-            self.base.is_live_in(v, b)
-        }
-    }
-    fn live_out(&mut self, func: &Function, v: Value, b: Block) -> bool {
-        if self.needs_patch(v) {
-            patch_walk(&mut self.patched, func, v).1[b.index()]
-        } else {
-            self.base.is_live_out(v, b)
-        }
-    }
-    fn invalidate_value(&mut self, _func: &Function, v: Value) {
-        self.overridden.insert(v);
-        self.patched.remove(&v);
-    }
-    fn name(&self) -> &'static str {
-        "bitvector data-flow"
-    }
-}
-
-/// Shared per-value patch-up walk (see [`NativeEngine`]).
+/// The per-value patch-up walk (see [`PatchedEngine`]).
 fn patch_walk<'a>(
     cache: &'a mut HashMap<Value, (Vec<bool>, Vec<bool>)>,
     func: &Function,

@@ -47,7 +47,7 @@ mod out_of_ssa;
 mod sreedhar;
 
 pub use congruence::Congruence;
-pub use engines::{BitvecEngine, CheckerEngine, NativeEngine};
+pub use engines::{BitvecEngine, CheckerEngine, NativeEngine, PatchedEngine};
 pub use interference::values_interfere;
 pub use out_of_ssa::out_of_ssa;
 pub use sreedhar::{destruct_ssa, DestructResult, DestructStats, QueryKind, QueryRecord};

@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use crate::cache::CacheStats;
 use crate::persist::GcStats;
 use crate::vfs::lock_recover;
-use fastlive_telemetry::Event;
+use fastlive_telemetry::{Event, Json};
 
 /// Tuning knobs of the disk circuit breaker (and the per-shape reject
 /// quarantine riding along with it). See the [module docs](self) for
@@ -144,52 +144,39 @@ pub struct HealthReport {
 
 impl HealthReport {
     /// The report as one JSON object (stable key order; the same
-    /// hand-rolled discipline as
+    /// writer as
     /// [`TelemetrySnapshot::to_json`](fastlive_telemetry::TelemetrySnapshot::to_json)).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"persist_configured\":{},\"disk_state\":\"{}\",\"disk_trips\":{},\
-             \"disk_restores\":{},\"disk_probes_skipped\":{},\
-             \"consecutive_disk_failures\":{},\"quarantined_shapes\":{},\"cache\":{}",
-            self.persist_configured,
-            self.disk_state.name(),
-            self.disk_trips,
-            self.disk_restores,
-            self.disk_probes_skipped,
-            self.consecutive_disk_failures,
-            self.quarantined_shapes,
-            self.cache.to_json()
-        );
-        out.push_str(",\"stripes\":[");
-        for (i, s) in self.stripes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&s.to_json());
-        }
-        out.push(']');
-        match &self.last_gc {
-            Some(gc) => {
-                let _ = write!(
-                    out,
-                    ",\"last_gc\":{{\"retained\":{},\"removed\":{}}}",
-                    gc.retained, gc.removed
-                );
-            }
-            None => out.push_str(",\"last_gc\":null"),
-        }
-        out.push_str(",\"recent_events\":[");
-        for (i, e) in self.recent_events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.to_json());
-        }
-        out.push_str("]}");
-        out
+    pub fn to_json(&self) -> Json {
+        let last_gc = match &self.last_gc {
+            Some(gc) => Json::obj()
+                .field("retained", gc.retained)
+                .field("removed", gc.removed),
+            None => Json::Null,
+        };
+        Json::obj()
+            .field("persist_configured", self.persist_configured)
+            .field("disk_state", self.disk_state.name())
+            .field("disk_trips", self.disk_trips)
+            .field("disk_restores", self.disk_restores)
+            .field("disk_probes_skipped", self.disk_probes_skipped)
+            .field("consecutive_disk_failures", self.consecutive_disk_failures)
+            .field("quarantined_shapes", self.quarantined_shapes)
+            .field("cache", self.cache.to_json())
+            .field(
+                "stripes",
+                self.stripes
+                    .iter()
+                    .map(CacheStats::to_json)
+                    .collect::<Json>(),
+            )
+            .field("last_gc", last_gc)
+            .field(
+                "recent_events",
+                self.recent_events
+                    .iter()
+                    .map(Event::to_json)
+                    .collect::<Json>(),
+            )
     }
 }
 
@@ -610,13 +597,13 @@ mod tests {
                 detail: "streak=3".into(),
             }],
         };
-        let json = report.to_json();
+        let json = report.to_json().to_string();
         for key in [
-            "\"disk_state\":\"half_open\"",
-            "\"cache\":{\"hits\":5",
-            "\"stripes\":[{",
-            "\"last_gc\":{\"retained\":4,\"removed\":1}",
-            "\"kind\":\"breaker_tripped\"",
+            "\"disk_state\": \"half_open\"",
+            "\"cache\": {\"hits\": 5",
+            "\"stripes\": [{",
+            "\"last_gc\": {\"retained\": 4, \"removed\": 1}",
+            "\"kind\": \"breaker_tripped\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
@@ -631,7 +618,7 @@ mod tests {
             recent_events: Vec::new(),
             ..report
         };
-        assert!(none.to_json().contains("\"last_gc\":null"));
+        assert!(none.to_json().to_string().contains("\"last_gc\": null"));
     }
 
     #[test]

@@ -11,6 +11,8 @@
 
 use std::collections::HashMap;
 
+use fastlive_telemetry::Json;
+
 use crate::artifact::{AnalysisKind, ArtifactHandle};
 use crate::fingerprint::CfgShape;
 
@@ -77,21 +79,18 @@ impl CacheStats {
         }
     }
 
-    /// The counters as one JSON object (stable key order — the same
-    /// hand-rolled discipline as the telemetry snapshot).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"dedup_hits\":{},\
-             \"disk_hits\":{},\"disk_misses\":{},\"disk_rejects\":{},\"disk_errors\":{}}}",
-            self.hits,
-            self.misses,
-            self.evictions,
-            self.dedup_hits,
-            self.disk_hits,
-            self.disk_misses,
-            self.disk_rejects,
-            self.disk_errors
-        )
+    /// The counters as one JSON object (stable key order, the same
+    /// writer as the telemetry snapshot).
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .field("hits", self.hits)
+            .field("misses", self.misses)
+            .field("evictions", self.evictions)
+            .field("dedup_hits", self.dedup_hits)
+            .field("disk_hits", self.disk_hits)
+            .field("disk_misses", self.disk_misses)
+            .field("disk_rejects", self.disk_rejects)
+            .field("disk_errors", self.disk_errors)
     }
 
     /// Field-wise sum — folds per-stripe stats back into engine totals.
@@ -342,9 +341,9 @@ mod tests {
             ..CacheStats::default()
         };
         assert_eq!(
-            s.to_json(),
-            "{\"hits\":3,\"misses\":1,\"evictions\":0,\"dedup_hits\":0,\
-             \"disk_hits\":0,\"disk_misses\":1,\"disk_rejects\":0,\"disk_errors\":0}"
+            s.to_json().to_string(),
+            "{\"hits\": 3, \"misses\": 1, \"evictions\": 0, \"dedup_hits\": 0, \
+             \"disk_hits\": 0, \"disk_misses\": 1, \"disk_rejects\": 0, \"disk_errors\": 0}"
         );
         assert_eq!(
             s.to_string(),

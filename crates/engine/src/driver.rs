@@ -13,13 +13,12 @@
 //! that miss on the same shape are deduplicated.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fastlive_core::AnalysisError;
 use fastlive_destruct::{destruct_ssa, CheckerEngine, DestructResult};
 use fastlive_ir::Module;
 
-use crate::engine::{panic_message, AnalysisEngine};
+use crate::engine::{fan_out, panic_message, AnalysisEngine};
 
 impl AnalysisEngine {
     /// Runs SSA destruction on every function of `module` — in
@@ -65,46 +64,14 @@ impl AnalysisEngine {
                 },
             })
         };
-        if workers <= 1 {
-            return (0..n).map(run_one).collect();
-        }
-        let mut slots: Vec<Option<Result<DestructResult, AnalysisError>>> = Vec::new();
-        slots.resize_with(n, || None);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        // Same self-scheduling queue pop as `analyze`:
-                        // skewed function sizes still balance.
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            done.push((i, run_one(i)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                // A worker that dies outright (catch_unwind can't stop
-                // e.g. a stack overflow abort path, but a plain unwind
-                // that escapes run_one is caught here) forfeits its
-                // claimed indices; those slots become typed errors
-                // below instead of taking the whole module down.
-                if let Ok(done) = handle.join() {
-                    for (i, result) in done {
-                        slots[i] = Some(result);
-                    }
-                }
-            }
-        });
-        slots
+        fan_out(workers, n, run_one)
             .into_iter()
             .map(|s| {
+                // A worker that dies outright (catch_unwind can't stop
+                // e.g. a stack overflow abort path, but a plain unwind
+                // that escapes run_one is caught by the pool) forfeits
+                // its claimed indices; those slots become typed errors
+                // instead of taking the whole module down.
                 s.unwrap_or_else(|| {
                     Err(AnalysisError::ComputePanicked {
                         message: "destruction worker terminated before publishing".into(),

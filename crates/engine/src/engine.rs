@@ -362,57 +362,19 @@ impl AnalysisEngine {
     /// session's queries for that function), every other function
     /// analyzes normally.
     pub fn analyze(&self, module: &Module) -> EngineSession<'_> {
-        type Slot = (CfgShape, Result<Arc<FunctionLiveness>, AnalysisError>);
-        let shaped = |f: &Function| -> Slot {
-            let shape = CfgShape::of(f);
-            let live = self.resolve(&shape);
-            (shape, live)
-        };
         let n = module.len();
         let workers = self.worker_count(n);
-        let mut slots: Vec<Option<Slot>> = Vec::new();
-        if workers <= 1 {
-            slots.extend(module.functions().iter().map(|f| Some(shaped(f))));
-        } else {
-            slots.resize_with(n, || None);
-            let next = AtomicUsize::new(0);
-            let meter_queue = self.recorder.enabled();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            // Self-scheduling queue pop: each worker takes
-                            // the next unclaimed function until none remain.
-                            let mut done = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                if meter_queue {
-                                    // Unclaimed functions at claim time,
-                                    // including the one just taken.
-                                    self.recorder.queue_depth((n - i) as u64);
-                                }
-                                done.push((i, shaped(&module.functions()[i])));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    // A worker that died outside the per-function
-                    // catch_unwind (out of memory, a bug in the queue)
-                    // loses its claimed slots; those degrade to typed
-                    // errors below instead of aborting the session.
-                    if let Ok(done) = handle.join() {
-                        for (i, result) in done {
-                            slots[i] = Some(result);
-                        }
-                    }
-                }
-            });
-        }
+        let meter_queue = workers > 1 && self.recorder.enabled();
+        let slots = fan_out(workers, n, |i| {
+            if meter_queue {
+                // Unclaimed functions at claim time, including the one
+                // just taken.
+                self.recorder.queue_depth((n - i) as u64);
+            }
+            let shape = CfgShape::of(&module.functions()[i]);
+            let live = self.resolve(&shape);
+            (shape, live)
+        });
         EngineSession::new(
             self,
             module,
@@ -420,6 +382,10 @@ impl AnalysisEngine {
                 .into_iter()
                 .zip(module.functions())
                 .map(|(s, f)| {
+                    // A worker that died outside the per-function
+                    // catch_unwind (out of memory, a bug in the queue)
+                    // lost its claimed slots; those degrade to typed
+                    // errors instead of aborting the session.
                     s.unwrap_or_else(|| {
                         let lost = AnalysisError::ComputePanicked {
                             message: "analysis worker terminated before publishing".into(),
@@ -451,21 +417,10 @@ impl AnalysisEngine {
         self.resolve(&CfgShape::of(func))
     }
 
-    /// Resolves `kind` for `func` through the cache, returning the
-    /// dynamically-typed handle — the dispatch point
-    /// [`prefetch`](Self::prefetch) and cross-analysis batch planners
-    /// use when the artifact type is only known at runtime.
-    pub fn artifact_for(
-        &self,
-        func: &Function,
-        kind: AnalysisKind,
-    ) -> Result<ArtifactHandle, AnalysisError> {
-        self.resolve_kind(&CfgShape::of(func), kind)
-    }
-
     /// [`resolve`](Self::resolve) for a kind known only at runtime —
     /// how sessions re-resolve every resident slot of a function under
-    /// one fingerprint.
+    /// one fingerprint, and how [`prefetch`](Self::prefetch) warms a
+    /// mixed batch.
     pub(crate) fn resolve_kind(
         &self,
         shape: &CfgShape,
@@ -488,26 +443,10 @@ impl AnalysisEngine {
     /// query path reports its own errors.
     pub fn prefetch(&self, module: &Module, requests: &[(FuncId, AnalysisKind)]) {
         let n = requests.len();
-        let workers = self.worker_count(n);
-        let run = |&(id, kind): &(FuncId, AnalysisKind)| {
+        fan_out(self.worker_count(n), n, |i| {
+            let (id, kind) = requests[i];
             if id < module.len() {
-                let _ = self.artifact_for(module.func(id), kind);
-            }
-        };
-        if workers <= 1 {
-            requests.iter().for_each(run);
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    run(&requests[i]);
-                });
+                let _ = self.resolve_kind(&CfgShape::of(module.func(id)), kind);
             }
         });
     }
@@ -906,6 +845,51 @@ impl AnalysisEngine {
         };
         configured.clamp(1, n.max(1))
     }
+}
+
+/// Runs `job(i)` for every `i < n` on `workers` self-scheduling
+/// threads and returns the results in index order: each worker claims
+/// the next unclaimed index off a shared atomic cursor, so skewed job
+/// sizes still balance. With one worker everything runs inline on the
+/// calling thread, spawning nothing. A worker that dies (a panic that
+/// escapes `job`) loses every index it claimed: those slots come back
+/// `None`, and the caller picks the fallback.
+pub(crate) fn fan_out<T: Send>(
+    workers: usize,
+    n: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<Option<T>> {
+    if workers <= 1 {
+        return (0..n).map(|i| Some(job(i))).collect();
+    }
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(n, || None);
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        done.push((i, job(i)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for handle in handles {
+            if let Ok(done) = handle.join() {
+                for (i, result) in done {
+                    slots[i] = Some(result);
+                }
+            }
+        }
+    });
+    slots
 }
 
 /// Stringifies a `catch_unwind` payload: `&str` and `String` payloads

@@ -164,29 +164,6 @@ pub fn encode_artifact<A: AnalysisArtifact>(shape: &CfgShape, artifact: &A) -> V
     out
 }
 
-/// Serializes `pre` (computed over `shape`'s canonical graph) into a
-/// liveness-tagged entry — the [`encode_artifact`] body format without
-/// requiring a revived checker.
-pub fn encode(shape: &CfgShape, pre: &Precomputation) -> Vec<u8> {
-    let enc = shape.encoding();
-    let mut out = Vec::with_capacity(
-        32 + 4 * enc.len() + <FunctionLiveness as AnalysisArtifact>::max_body_len(shape) as usize,
-    );
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&AnalysisKind::Liveness.tag().to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes()); // reserved
-    out.extend_from_slice(&shape.hash64().to_le_bytes());
-    out.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-    for &w in enc {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    encode_liveness_body(pre, &mut out);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
 /// Appends the liveness body — the `R` and `T` matrices — to `out`.
 /// `to_words` strips the in-memory arena padding: the byte format
 /// stores exactly `rows * ceil(cols/64)` words per matrix, so the
@@ -389,7 +366,7 @@ pub struct GcStats {
     pub removed: usize,
 }
 
-/// What a [`PersistStore::load`] probe found.
+/// What a [`PersistStore::load_artifact`] probe found.
 ///
 /// `Reject` and `Error` are deliberately distinct outcomes: a reject
 /// means the *disk worked* but the bytes were invalid (corruption,
@@ -401,7 +378,7 @@ pub struct GcStats {
 /// `disk_rejects` vs `disk_errors` in
 /// [`CacheStats`](crate::CacheStats).
 #[derive(Debug)]
-pub enum LoadOutcome<T = Precomputation> {
+pub enum LoadOutcome<T> {
     /// A valid entry for exactly this `(shape, kind)`.
     Hit(T),
     /// No file for this fingerprint.
@@ -430,7 +407,7 @@ pub enum LoadOutcome<T = Precomputation> {
 /// # Examples
 ///
 /// ```
-/// use fastlive_core::FunctionLiveness;
+/// use fastlive_core::{FunctionLiveness, LivenessChecker};
 /// use fastlive_engine::persist::{LoadOutcome, PersistStore};
 /// use fastlive_engine::CfgShape;
 /// use fastlive_ir::parse_function;
@@ -439,11 +416,12 @@ pub enum LoadOutcome<T = Precomputation> {
 /// let store = PersistStore::new(&dir);
 /// let f = parse_function("function %f { block0(v0): jump block1 block1: return v0 }")?;
 /// let shape = CfgShape::of(&f);
-/// assert!(matches!(store.load(&shape), LoadOutcome::Absent));
+/// let probe = || store.load_artifact::<FunctionLiveness>(&shape);
+/// assert!(matches!(probe(), LoadOutcome::Absent));
 ///
-/// let checker = fastlive_core::LivenessChecker::compute(&shape.to_graph());
-/// store.save(&shape, checker.precomputation())?;
-/// assert!(matches!(store.load(&shape), LoadOutcome::Hit(_)));
+/// let checker = LivenessChecker::compute(&shape.to_graph());
+/// store.save_artifact(&shape, &FunctionLiveness::from_checker(checker))?;
+/// assert!(matches!(probe(), LoadOutcome::Hit(_)));
 /// # std::fs::remove_dir_all(&dir).ok();
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -545,12 +523,6 @@ impl PersistStore {
         &self.dir
     }
 
-    /// The file a given shape's **liveness** entry persists to (salt
-    /// 0 — see [`entry_path_for`](Self::entry_path_for)).
-    pub fn entry_path(&self, shape: &CfgShape) -> PathBuf {
-        self.entry_path_for(shape, AnalysisKind::Liveness)
-    }
-
     /// The file a given `(shape, kind)` persists to: the shape hash
     /// XOR the kind's salt, hex, plus the common extension. Distinct
     /// kinds of one shape are distinct files, so GC, the tmp sweep and
@@ -560,13 +532,6 @@ impl PersistStore {
             "{:016x}.{FILE_EXTENSION}",
             shape.hash64() ^ kind.salt()
         ))
-    }
-
-    /// Probes the store for `shape`'s liveness precomputation (see
-    /// [`load_artifact`](Self::load_artifact) for the generic path and
-    /// the outcome classification).
-    pub fn load(&self, shape: &CfgShape) -> LoadOutcome {
-        self.probe(shape, AnalysisKind::Liveness, |bytes| decode(shape, bytes))
     }
 
     /// Probes the store for `shape`'s `A::KIND` artifact, fully
@@ -622,12 +587,6 @@ impl PersistStore {
             }
         };
         32 + 4 * shape.encoding().len() as u64 + body + 4
-    }
-
-    /// Writes (or overwrites) `shape`'s liveness entry atomically (see
-    /// [`save_artifact`](Self::save_artifact) for the contract).
-    pub fn save(&self, shape: &CfgShape, pre: &Precomputation) -> Result<(), std::io::Error> {
-        self.publish(shape, AnalysisKind::Liveness, encode(shape, pre))
     }
 
     /// Writes (or overwrites) `shape`'s `A::KIND` entry atomically:
@@ -737,12 +696,20 @@ mod tests {
     use super::*;
     use fastlive_ir::parse_function;
 
-    fn shape_and_pre(src: &str) -> (CfgShape, Precomputation) {
+    fn shape_and_live(src: &str) -> (CfgShape, FunctionLiveness) {
         let f = parse_function(src).expect("parses");
         let shape = CfgShape::of(&f);
-        let checker = LivenessChecker::compute(&shape.to_graph());
-        let pre = checker.precomputation().clone();
-        (shape, pre)
+        let live = <FunctionLiveness as AnalysisArtifact>::compute(&shape);
+        (shape, live)
+    }
+
+    fn shape_and_pre(src: &str) -> (CfgShape, Precomputation) {
+        let (shape, live) = shape_and_live(src);
+        (shape, live.checker().precomputation().clone())
+    }
+
+    fn load(store: &PersistStore, shape: &CfgShape) -> LoadOutcome<FunctionLiveness> {
+        store.load_artifact(shape)
     }
 
     const LOOP_SRC: &str = "function %f { block0(v0):
@@ -778,15 +745,15 @@ mod tests {
         ];
         let mut shapes = Vec::new();
         for (i, src) in sources.iter().enumerate() {
-            let (shape, pre) = shape_and_pre(src);
-            assert!(store.save(&shape, &pre).is_ok());
+            let (shape, live) = shape_and_live(src);
+            assert!(store.save_artifact(&shape, &live).is_ok());
             // Space the mtimes out so "oldest" is deterministic even on
             // coarse-grained filesystems.
             let t = std::time::SystemTime::UNIX_EPOCH
                 + std::time::Duration::from_secs(1_000 + i as u64);
             let f = std::fs::File::options()
                 .append(true)
-                .open(store.entry_path(&shape))
+                .open(store.entry_path_for(&shape, AnalysisKind::Liveness))
                 .unwrap();
             f.set_modified(t).unwrap();
             shapes.push(shape);
@@ -804,9 +771,9 @@ mod tests {
             }
         );
         // The oldest entry (index 0) went; the newer two survive.
-        assert!(matches!(store.load(&shapes[0]), LoadOutcome::Absent));
-        assert!(matches!(store.load(&shapes[1]), LoadOutcome::Hit(_)));
-        assert!(matches!(store.load(&shapes[2]), LoadOutcome::Hit(_)));
+        assert!(matches!(load(&store, &shapes[0]), LoadOutcome::Absent));
+        assert!(matches!(load(&store, &shapes[1]), LoadOutcome::Hit(_)));
+        assert!(matches!(load(&store, &shapes[2]), LoadOutcome::Hit(_)));
         assert!(bystander.exists());
 
         // Age-based expiry: everything is decades past a zero max-age.
@@ -818,7 +785,7 @@ mod tests {
                 removed: 2
             }
         );
-        assert!(matches!(store.load(&shapes[1]), LoadOutcome::Absent));
+        assert!(matches!(load(&store, &shapes[1]), LoadOutcome::Absent));
         assert!(bystander.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -846,17 +813,17 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trips() {
-        let (shape, pre) = shape_and_pre(LOOP_SRC);
-        let bytes = encode(&shape, &pre);
+        let (shape, live) = shape_and_live(LOOP_SRC);
+        let bytes = encode_artifact(&shape, &live);
         let back = decode(&shape, &bytes).expect("own encoding decodes");
-        assert_eq!(back, pre);
+        assert_eq!(&back, live.checker().precomputation());
     }
 
     #[test]
     fn decode_rejects_other_shapes_entries() {
-        let (shape, pre) = shape_and_pre(LOOP_SRC);
-        let (other, _) = shape_and_pre("function %g { block0: return }");
-        let bytes = encode(&shape, &pre);
+        let (shape, live) = shape_and_live(LOOP_SRC);
+        let (other, _) = shape_and_live("function %g { block0: return }");
+        let bytes = encode_artifact(&shape, &live);
         // A different probing shape must see a reject, not a wrong hit
         // — this is the hash-collision safety net.
         assert!(decode(&other, &bytes).is_none());
@@ -870,26 +837,33 @@ mod tests {
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         let store = PersistStore::new(&dir);
-        let (shape, pre) = shape_and_pre(LOOP_SRC);
-        assert!(matches!(store.load(&shape), LoadOutcome::Absent));
-        assert!(store.save(&shape, &pre).is_ok());
-        match store.load(&shape) {
-            LoadOutcome::Hit(back) => assert_eq!(back, pre),
+        let (shape, live) = shape_and_live(LOOP_SRC);
+        assert!(matches!(load(&store, &shape), LoadOutcome::Absent));
+        assert!(store.save_artifact(&shape, &live).is_ok());
+        match load(&store, &shape) {
+            LoadOutcome::Hit(back) => assert_eq!(
+                back.checker().precomputation(),
+                live.checker().precomputation()
+            ),
             other => panic!("expected hit, got {other:?}"),
         }
         // Corrupt the file in place: load degrades to Reject; saving
         // again repairs it.
-        std::fs::write(store.entry_path(&shape), b"garbage").unwrap();
-        assert!(matches!(store.load(&shape), LoadOutcome::Reject));
-        assert!(store.save(&shape, &pre).is_ok());
-        assert!(matches!(store.load(&shape), LoadOutcome::Hit(_)));
+        std::fs::write(
+            store.entry_path_for(&shape, AnalysisKind::Liveness),
+            b"garbage",
+        )
+        .unwrap();
+        assert!(matches!(load(&store, &shape), LoadOutcome::Reject));
+        assert!(store.save_artifact(&shape, &live).is_ok());
+        assert!(matches!(load(&store, &shape), LoadOutcome::Hit(_)));
         // An absurdly oversized file is rejected on metadata alone
         // (the size gate — no multi-gigabyte slurp before validation).
-        let valid = std::fs::read(store.entry_path(&shape)).unwrap();
+        let valid = std::fs::read(store.entry_path_for(&shape, AnalysisKind::Liveness)).unwrap();
         let mut huge = valid.clone();
         huge.resize(valid.len() + 4096, 0);
-        std::fs::write(store.entry_path(&shape), &huge).unwrap();
-        assert!(matches!(store.load(&shape), LoadOutcome::Reject));
+        std::fs::write(store.entry_path_for(&shape, AnalysisKind::Liveness), &huge).unwrap();
+        assert!(matches!(load(&store, &shape), LoadOutcome::Reject));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -903,26 +877,26 @@ mod tests {
         ));
         let fv = Arc::new(FaultVfs::healthy());
         let store = PersistStore::with_vfs(&dir, fv.clone());
-        let (shape, pre) = shape_and_pre(LOOP_SRC);
-        assert!(store.save(&shape, &pre).is_ok());
+        let (shape, live) = shape_and_live(LOOP_SRC);
+        assert!(store.save_artifact(&shape, &live).is_ok());
 
         // A failing stat is an Error (the device's fault), not Reject.
         fv.set_rules(vec![FaultRule::every(OpKind::Metadata, Fault::eacces())]);
-        match store.load(&shape) {
+        match load(&store, &shape) {
             LoadOutcome::Error(e) => assert_eq!(e.raw_os_error(), Some(13)),
             other => panic!("expected Error(EACCES), got {other:?}"),
         }
 
         // A failing read (after a clean stat) likewise.
         fv.set_rules(vec![FaultRule::every(OpKind::Read, Fault::eio())]);
-        match store.load(&shape) {
+        match load(&store, &shape) {
             LoadOutcome::Error(e) => assert_eq!(e.raw_os_error(), Some(5)),
             other => panic!("expected Error(EIO), got {other:?}"),
         }
 
         // Faults cleared: the entry was never harmed.
         fv.set_rules(Vec::new());
-        assert!(matches!(store.load(&shape), LoadOutcome::Hit(_)));
+        assert!(matches!(load(&store, &shape), LoadOutcome::Hit(_)));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -936,28 +910,30 @@ mod tests {
         ));
         let fv = Arc::new(FaultVfs::healthy());
         let store = PersistStore::with_vfs(&dir, fv.clone());
-        let (shape, pre) = shape_and_pre(LOOP_SRC);
+        let (shape, live) = shape_and_live(LOOP_SRC);
 
         // ENOSPC on the tmp write: error surfaces, nothing published.
         fv.set_rules(vec![FaultRule::every(OpKind::Write, Fault::enospc())]);
-        let err = store.save(&shape, &pre).expect_err("write faulted");
+        let err = store
+            .save_artifact(&shape, &live)
+            .expect_err("write faulted");
         assert_eq!(err.raw_os_error(), Some(28));
         fv.set_rules(Vec::new());
-        assert!(matches!(store.load(&shape), LoadOutcome::Absent));
+        assert!(matches!(load(&store, &shape), LoadOutcome::Absent));
 
         // EIO on the rename: tmp cleaned up best-effort, still absent.
         fv.set_rules(vec![FaultRule::every(OpKind::Rename, Fault::eio())]);
-        assert!(store.save(&shape, &pre).is_err());
+        assert!(store.save_artifact(&shape, &live).is_err());
         fv.set_rules(Vec::new());
-        assert!(matches!(store.load(&shape), LoadOutcome::Absent));
+        assert!(matches!(load(&store, &shape), LoadOutcome::Absent));
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .map(|rd| rd.flatten().map(|e| e.file_name()).collect())
             .unwrap_or_default();
         assert!(leftovers.is_empty(), "tmp files left behind: {leftovers:?}");
 
         // Disk healed: the same save now lands.
-        assert!(store.save(&shape, &pre).is_ok());
-        assert!(matches!(store.load(&shape), LoadOutcome::Hit(_)));
+        assert!(store.save_artifact(&shape, &live).is_ok());
+        assert!(matches!(load(&store, &shape), LoadOutcome::Hit(_)));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -971,10 +947,10 @@ mod tests {
         ));
         let fv = Arc::new(FaultVfs::healthy());
         let store = PersistStore::with_vfs(&dir, fv.clone());
-        let (shape_a, pre_a) = shape_and_pre(LOOP_SRC);
-        let (shape_b, pre_b) = shape_and_pre("function %g { block0: return }");
-        assert!(store.save(&shape_a, &pre_a).is_ok());
-        assert!(store.save(&shape_b, &pre_b).is_ok());
+        let (shape_a, live_a) = shape_and_live(LOOP_SRC);
+        let (shape_b, live_b) = shape_and_live("function %g { block0: return }");
+        assert!(store.save_artifact(&shape_a, &live_a).is_ok());
+        assert!(store.save_artifact(&shape_b, &live_b).is_ok());
         let a_name = format!("{:016x}", shape_a.hash64());
 
         // Make `a`'s mtime unreadable: under entry pressure it must be
@@ -991,12 +967,12 @@ mod tests {
             }
         );
         fv.set_rules(Vec::new());
-        assert!(matches!(store.load(&shape_a), LoadOutcome::Absent));
-        assert!(matches!(store.load(&shape_b), LoadOutcome::Hit(_)));
+        assert!(matches!(load(&store, &shape_a), LoadOutcome::Absent));
+        assert!(matches!(load(&store, &shape_b), LoadOutcome::Hit(_)));
 
         // And under an age bound, unreadable = expired by *any* age —
         // even one generous enough to keep every readable entry.
-        assert!(store.save(&shape_a, &pre_a).is_ok());
+        assert!(store.save_artifact(&shape_a, &live_a).is_ok());
         fv.set_rules(vec![
             FaultRule::every(OpKind::Metadata, Fault::eio()).on_paths(&a_name)
         ]);
@@ -1009,8 +985,8 @@ mod tests {
             }
         );
         fv.set_rules(Vec::new());
-        assert!(matches!(store.load(&shape_a), LoadOutcome::Absent));
-        assert!(matches!(store.load(&shape_b), LoadOutcome::Hit(_)));
+        assert!(matches!(load(&store, &shape_a), LoadOutcome::Absent));
+        assert!(matches!(load(&store, &shape_b), LoadOutcome::Hit(_)));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1018,9 +994,8 @@ mod tests {
     fn revive_answers_like_a_fresh_checker() {
         let f = parse_function(LOOP_SRC).expect("parses");
         let shape = CfgShape::of(&f);
-        let canonical = LivenessChecker::compute(&shape.to_graph());
-        let pre = canonical.precomputation().clone();
-        let bytes = encode(&shape, &pre);
+        let canonical = <FunctionLiveness as AnalysisArtifact>::compute(&shape);
+        let bytes = encode_artifact(&shape, &canonical);
         let revived =
             revive(&shape, decode(&shape, &bytes).expect("decodes")).expect("dimensions match");
         let fresh = FunctionLiveness::compute(&f);
@@ -1058,14 +1033,14 @@ mod tests {
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         let store = PersistStore::new(&dir);
-        let (_, pre) = shape_and_pre(LOOP_SRC);
-        assert!(store.save(&shape, &pre).is_ok());
+        let (_, live) = shape_and_live(LOOP_SRC);
+        assert!(store.save_artifact(&shape, &live).is_ok());
         assert!(store.save_artifact(&shape, &null).is_ok());
         assert_ne!(
             store.entry_path_for(&shape, AnalysisKind::Liveness),
             store.entry_path_for(&shape, AnalysisKind::Nullness),
         );
-        assert!(matches!(store.load(&shape), LoadOutcome::Hit(_)));
+        assert!(matches!(load(&store, &shape), LoadOutcome::Hit(_)));
         match store.load_artifact::<NullnessArtifact>(&shape) {
             LoadOutcome::Hit(got) => assert_eq!(got.df(), null.df()),
             other => panic!("expected nullness hit, got {other:?}"),
@@ -1076,9 +1051,9 @@ mod tests {
     #[test]
     fn decode_rejects_the_wrong_analysis_tag() {
         use fastlive_core::NullnessArtifact;
-        let (shape, pre) = shape_and_pre(LOOP_SRC);
+        let (shape, live) = shape_and_live(LOOP_SRC);
         let null = <NullnessArtifact as AnalysisArtifact>::compute(&shape);
-        let live_bytes = encode(&shape, &pre);
+        let live_bytes = encode_artifact(&shape, &live);
         let null_bytes = encode_artifact(&shape, &null);
         // Each kind's decoder refuses the other kind's (CRC-valid)
         // bytes at the tag gate — before any body parsing.

@@ -14,6 +14,7 @@
 //! of a general, deterministic harness:
 //!
 //! ```
+//! use fastlive_core::{FunctionLiveness, LivenessChecker};
 //! use fastlive_engine::vfs::{Fault, FaultRule, FaultVfs, OpKind};
 //! use fastlive_engine::persist::{LoadOutcome, PersistStore};
 //! use std::sync::Arc;
@@ -27,11 +28,10 @@
 //! let store = PersistStore::with_vfs(&dir, vfs.clone());
 //! let f = fastlive_ir::parse_function("function %f { block0(v0): return v0 }")?;
 //! let shape = fastlive_engine::CfgShape::of(&f);
-//! let pre = fastlive_core::LivenessChecker::compute(&shape.to_graph())
-//!     .precomputation()
-//!     .clone();
-//! assert!(store.save(&shape, &pre).is_err(), "full disk");
-//! assert!(matches!(store.load(&shape), LoadOutcome::Absent));
+//! let live = FunctionLiveness::from_checker(LivenessChecker::compute(&shape.to_graph()));
+//! assert!(store.save_artifact(&shape, &live).is_err(), "full disk");
+//! let probe = store.load_artifact::<FunctionLiveness>(&shape);
+//! assert!(matches!(probe, LoadOutcome::Absent));
 //! assert!(vfs.faults_injected() >= 1);
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok::<(), Box<dyn std::error::Error>>(())

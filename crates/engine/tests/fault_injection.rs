@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::{distinct_shapes, temp_dir};
-use fastlive_core::FunctionLiveness;
+use fastlive_core::{FunctionLiveness, LivenessChecker};
 use fastlive_engine::vfs::{Fault, FaultRule, FaultVfs, OpKind};
 use fastlive_engine::{AnalysisEngine, BreakerConfig, BreakerState, CfgShape, EngineConfig};
 use fastlive_ir::{parse_module, Module};
@@ -96,8 +96,8 @@ fn enospc_storm_never_loses_a_computation() {
 /// a wrong answer, and a healthy rewrite heals the store.
 #[test]
 fn torn_write_at_every_boundary_is_a_clean_reject() {
-    use fastlive_core::LivenessChecker;
     use fastlive_engine::persist::{LoadOutcome, PersistStore};
+    use fastlive_engine::AnalysisKind;
 
     let module = parse_module(
         "function %f { block0(v0): jump block1
@@ -105,18 +105,20 @@ fn torn_write_at_every_boundary_is_a_clean_reject() {
     )
     .expect("parses");
     let shape = CfgShape::of(module.func(0));
-    let pre = LivenessChecker::compute(&shape.to_graph())
-        .precomputation()
-        .clone();
+    let live = FunctionLiveness::from_checker(LivenessChecker::compute(&shape.to_graph()));
+    let load = |store: &PersistStore| store.load_artifact::<FunctionLiveness>(&shape);
 
     let dir = temp_dir("fi-torn");
     let fv = Arc::new(FaultVfs::healthy());
     let store = PersistStore::with_vfs(&dir, fv.clone());
-    store.save(&shape, &pre).expect("healthy save");
-    let full_len = match store.load(&shape) {
+    store.save_artifact(&shape, &live).expect("healthy save");
+    let full_len = match load(&store) {
         LoadOutcome::Hit(got) => {
-            assert_eq!(got, pre);
-            std::fs::metadata(store.entry_path(&shape))
+            assert_eq!(
+                got.checker().precomputation(),
+                live.checker().precomputation()
+            );
+            std::fs::metadata(store.entry_path_for(&shape, AnalysisKind::Liveness))
                 .expect("entry exists")
                 .len() as usize
         }
@@ -126,10 +128,10 @@ fn torn_write_at_every_boundary_is_a_clean_reject() {
     for cut in 0..full_len {
         fv.set_rules(vec![FaultRule::every(OpKind::Write, Fault::TornWrite(cut))]);
         store
-            .save(&shape, &pre)
+            .save_artifact(&shape, &live)
             .expect("a torn write lies: it reports success");
         fv.set_rules(vec![]);
-        match store.load(&shape) {
+        match load(&store) {
             LoadOutcome::Reject => {}
             LoadOutcome::Hit(got) => {
                 panic!("cut={cut}: a {cut}-byte prefix of {full_len} decoded as a hit: {got:?}")
@@ -137,9 +139,9 @@ fn torn_write_at_every_boundary_is_a_clean_reject() {
             other => panic!("cut={cut}: expected reject, got {other:?}"),
         }
         // Healthy rewrite heals the entry.
-        store.save(&shape, &pre).expect("healing save");
+        store.save_artifact(&shape, &live).expect("healing save");
         assert!(
-            matches!(store.load(&shape), LoadOutcome::Hit(_)),
+            matches!(load(&store), LoadOutcome::Hit(_)),
             "cut={cut}: store must heal"
         );
     }
@@ -214,8 +216,8 @@ fn breaker_trips_backs_off_and_restores() {
 /// probed for that one shape while everything else proceeds normally.
 #[test]
 fn repeatedly_rejecting_entry_is_quarantined() {
-    use fastlive_core::LivenessChecker;
     use fastlive_engine::persist::PersistStore;
+    use fastlive_engine::AnalysisKind;
 
     let module =
         parse_module("function %f { block0(v0): jump block1 block1: return v0 }").expect("parses");
@@ -226,11 +228,9 @@ fn repeatedly_rejecting_entry_is_quarantined() {
     // engine can neither use nor heal the file.
     {
         let healthy = PersistStore::with_vfs(&dir, Arc::new(FaultVfs::healthy()));
-        let pre = LivenessChecker::compute(&shape.to_graph())
-            .precomputation()
-            .clone();
-        healthy.save(&shape, &pre).expect("plant");
-        let path = healthy.entry_path(&shape);
+        let live = FunctionLiveness::from_checker(LivenessChecker::compute(&shape.to_graph()));
+        healthy.save_artifact(&shape, &live).expect("plant");
+        let path = healthy.entry_path_for(&shape, AnalysisKind::Liveness);
         let mut bytes = std::fs::read(&path).expect("read entry");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;

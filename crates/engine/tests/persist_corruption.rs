@@ -7,10 +7,10 @@
 //! reject the engine recomputes and overwrites, leaving a valid entry
 //! behind.
 
-use fastlive_core::LivenessChecker;
+use fastlive_core::{FunctionLiveness, LivenessChecker};
 use fastlive_dataflow::oracle;
-use fastlive_engine::persist::{crc32, decode, encode, LoadOutcome, PersistStore};
-use fastlive_engine::{AnalysisEngine, CfgShape, EngineConfig};
+use fastlive_engine::persist::{crc32, decode, encode_artifact, LoadOutcome, PersistStore};
+use fastlive_engine::{AnalysisEngine, AnalysisKind, CfgShape, EngineConfig};
 use fastlive_ir::{parse_function, parse_module};
 use fastlive_workload::{generate_function, GenParams};
 use proptest::prelude::*;
@@ -29,10 +29,10 @@ const SMALL_SRC: &str = "function %small { block0(v0):
 fn encoded_entry(src: &str) -> (CfgShape, Vec<u8>) {
     let f = parse_function(src).expect("parses");
     let shape = CfgShape::of(&f);
-    let pre = LivenessChecker::compute(&shape.to_graph())
-        .precomputation()
-        .clone();
-    let bytes = encode(&shape, &pre);
+    let bytes = encode_artifact(
+        &shape,
+        &FunctionLiveness::from_checker(LivenessChecker::compute(&shape.to_graph())),
+    );
     (shape, bytes)
 }
 
@@ -142,8 +142,7 @@ fn version_and_magic_gates_hold_even_with_a_valid_crc() {
 #[test]
 fn a_tag_swapped_forgery_never_decodes_as_the_other_analysis() {
     use fastlive_core::NullnessArtifact;
-    use fastlive_engine::persist::{decode_artifact, encode_artifact};
-    use fastlive_engine::AnalysisKind;
+    use fastlive_engine::persist::decode_artifact;
 
     let f = parse_function(SMALL_SRC).expect("parses");
     let shape = CfgShape::of(&f);
@@ -151,10 +150,10 @@ fn a_tag_swapped_forgery_never_decodes_as_the_other_analysis() {
     // Liveness bytes re-tagged as nullness: the tag gate refuses them
     // even though the CRC is freshly valid. The forged body would even
     // parse as a plausible matrix — the tag must reject first.
-    let pre = LivenessChecker::compute(&shape.to_graph())
-        .precomputation()
-        .clone();
-    let mut forged_null = encode(&shape, &pre);
+    let mut forged_null = encode_artifact(
+        &shape,
+        &FunctionLiveness::from_checker(LivenessChecker::compute(&shape.to_graph())),
+    );
     forged_null[8..12].copy_from_slice(&AnalysisKind::Nullness.tag().to_le_bytes());
     fix_crc(&mut forged_null);
     assert!(decode_artifact::<NullnessArtifact>(&shape, &forged_null).is_none());
@@ -180,7 +179,11 @@ fn a_tag_swapped_forgery_never_decodes_as_the_other_analysis() {
         &forged_null,
     )
     .expect("plant nullness forgery");
-    std::fs::write(store.entry_path(&shape), &forged_live).expect("plant liveness forgery");
+    std::fs::write(
+        store.entry_path_for(&shape, AnalysisKind::Liveness),
+        &forged_live,
+    )
+    .expect("plant liveness forgery");
 
     let engine = AnalysisEngine::new(EngineConfig {
         persist_dir: Some(dir.clone()),
@@ -194,7 +197,10 @@ fn a_tag_swapped_forgery_never_decodes_as_the_other_analysis() {
     assert_eq!(stats.disk_hits, 0, "{stats:?}");
 
     // Both paths were overwritten with valid same-kind entries.
-    assert!(matches!(store.load(&shape), LoadOutcome::Hit(_)));
+    assert!(matches!(
+        store.load_artifact::<FunctionLiveness>(&shape),
+        LoadOutcome::Hit(_)
+    ));
     assert!(matches!(
         store.load_artifact::<NullnessArtifact>(&shape),
         LoadOutcome::Hit(_)
@@ -231,10 +237,8 @@ proptest! {
             seed,
         );
         let shape = CfgShape::of(&f);
-        let pre = LivenessChecker::compute(&shape.to_graph())
-            .precomputation()
-            .clone();
-        let original = encode(&shape, &pre);
+        let live = FunctionLiveness::from_checker(LivenessChecker::compute(&shape.to_graph()));
+        let original = encode_artifact(&shape, &live);
         let mut mutated = original.clone();
         match kind {
             // Stomp `n` pseudo-random bytes starting at a random offset.
@@ -254,7 +258,7 @@ proptest! {
         if mutated != original {
             prop_assert!(out.is_none(), "a mutated entry must never load");
         } else {
-            prop_assert_eq!(out.as_ref(), Some(&pre));
+            prop_assert_eq!(out.as_ref(), Some(live.checker().precomputation()));
         }
     }
 }
@@ -276,7 +280,7 @@ fn engine_recovers_from_corrupt_files_and_overwrites_them() {
     let _ = seeder.analyze(&module);
     let store = PersistStore::new(&dir);
     let shape = CfgShape::of(module.func(0));
-    let path = store.entry_path(&shape);
+    let path = store.entry_path_for(&shape, AnalysisKind::Liveness);
     let valid = std::fs::read(&path).expect("entry was written");
 
     for (round, vandalize) in [
@@ -313,7 +317,10 @@ fn engine_recovers_from_corrupt_files_and_overwrites_them() {
         }
         // The reject was overwritten: the store is healthy again.
         assert!(
-            matches!(store.load(&shape), LoadOutcome::Hit(_)),
+            matches!(
+                store.load_artifact::<FunctionLiveness>(&shape),
+                LoadOutcome::Hit(_)
+            ),
             "round {round}: recomputation must overwrite the bad entry"
         );
     }

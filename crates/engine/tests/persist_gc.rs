@@ -155,7 +155,10 @@ fn gc_treats_mixed_analysis_kinds_as_ordinary_entries() {
     assert_eq!(count(), 4, "write-through restores both kinds");
     for (_, func) in module.iter() {
         let shape = CfgShape::of(func);
-        assert!(matches!(store.load(&shape), LoadOutcome::Hit(_)));
+        assert!(matches!(
+            store.load_artifact::<FunctionLiveness>(&shape),
+            LoadOutcome::Hit(_)
+        ));
         assert!(matches!(
             store.load_artifact::<NullnessArtifact>(&shape),
             LoadOutcome::Hit(_)
@@ -194,7 +197,7 @@ fn age_gc_expires_everything_past_the_horizon() {
     let store = PersistStore::new(&dir);
     let shape = fastlive_engine::CfgShape::of(module.func(0));
     assert!(matches!(
-        store.load(&shape),
+        store.load_artifact::<FunctionLiveness>(&shape),
         fastlive_engine::persist::LoadOutcome::Absent
     ));
 

@@ -8,9 +8,9 @@
 //! pointed at the same `persist_dir` serves every distinct fingerprint
 //! from disk, with zero in-memory hits and byte-identical answers.
 
-use fastlive_core::LivenessChecker;
+use fastlive_core::{FunctionLiveness, LivenessChecker};
 use fastlive_dataflow::oracle;
-use fastlive_engine::persist::{decode, encode, revive, LoadOutcome, PersistStore};
+use fastlive_engine::persist::{decode, encode_artifact, revive, LoadOutcome, PersistStore};
 use fastlive_engine::{AnalysisEngine, CfgShape, EngineConfig};
 use fastlive_ir::{parse_module, Module};
 use fastlive_workload::{generate_module, ModuleParams};
@@ -49,13 +49,12 @@ proptest! {
         let module = test_module(seed, irr * 450, deep * 600);
         for (_, func) in module.iter() {
             let shape = CfgShape::of(func);
-            let pre = LivenessChecker::compute(&shape.to_graph())
-                .precomputation()
-                .clone();
-            let bytes = encode(&shape, &pre);
+            let live = FunctionLiveness::from_checker(LivenessChecker::compute(&shape.to_graph()));
+            let bytes = encode_artifact(&shape, &live);
             let back = decode(&shape, &bytes)
                 .unwrap_or_else(|| panic!("{}: own encoding must decode", func.name));
-            prop_assert_eq!(&back, &pre, "{}: decode(encode(p)) != p", func.name);
+            let pre = live.checker().precomputation();
+            prop_assert_eq!(&back, pre, "{}: decode(encode(p)) != p", func.name);
 
             let revived = revive(&shape, back).expect("dimensions match the canonical graph");
             for v in func.values() {
@@ -94,10 +93,8 @@ proptest! {
             let store = PersistStore::new(&dir);
             for (_, func) in module.iter() {
                 let shape = CfgShape::of(func);
-                let pre = LivenessChecker::compute(&shape.to_graph())
-                    .precomputation()
-                    .clone();
-                prop_assert!(store.save(&shape, &pre).is_ok());
+                let live = FunctionLiveness::from_checker(LivenessChecker::compute(&shape.to_graph()));
+                prop_assert!(store.save_artifact(&shape, &live).is_ok());
             }
         }
         let reopened = PersistStore::new(&dir);
@@ -106,8 +103,10 @@ proptest! {
             let expect = LivenessChecker::compute(&shape.to_graph())
                 .precomputation()
                 .clone();
-            match reopened.load(&shape) {
-                LoadOutcome::Hit(pre) => prop_assert_eq!(pre, expect, "{}", func.name),
+            match reopened.load_artifact::<FunctionLiveness>(&shape) {
+                LoadOutcome::Hit(got) => {
+                    prop_assert_eq!(got.checker().precomputation(), &expect, "{}", func.name)
+                }
                 other => prop_assert!(false, "{}: expected hit, got {:?}", func.name, other),
             }
         }
@@ -136,9 +135,8 @@ fn padded_arena_never_leaks_into_the_encoding() {
     );
     for (_, func) in module.iter() {
         let shape = CfgShape::of(func);
-        let pre = LivenessChecker::compute(&shape.to_graph())
-            .precomputation()
-            .clone();
+        let live = FunctionLiveness::from_checker(LivenessChecker::compute(&shape.to_graph()));
+        let pre = live.checker().precomputation();
         let n = pre.r.rows();
         assert!(n > 64, "need multi-word rows for padding to exist");
         let words_per_row = pre.r.cols().div_ceil(64);
@@ -154,14 +152,14 @@ fn padded_arena_never_leaks_into_the_encoding() {
         // encoding) + two matrices of exactly rows × words_per_row
         // words + CRC.
         assert_eq!(pre.r.to_words().len(), n * words_per_row);
-        let bytes = encode(&shape, &pre);
+        let bytes = encode_artifact(&shape, &live);
         // magic(4) + version(4) + tag(4) + reserved(4) + hash(8) +
         // enc count(4) = 28 bytes.
         let expect_len = 28 + 4 * shape.encoding().len() + 2 * (8 + 8 * n * words_per_row) + 4;
         assert_eq!(bytes.len(), expect_len, "{}: padding leaked", func.name);
 
         let back = decode(&shape, &bytes).expect("own encoding decodes");
-        assert_eq!(back, pre, "{}: decode(encode(p)) != p", func.name);
+        assert_eq!(&back, pre, "{}: decode(encode(p)) != p", func.name);
 
         let revived = revive(&shape, back).expect("dimensions match");
         for v in func.values().take(12) {

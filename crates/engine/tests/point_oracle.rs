@@ -8,7 +8,7 @@
 //! chain-walk shim it replaced, and point queries must never move
 //! `cfg_version` (the ROADMAP point-API invariant).
 
-use fastlive_core::FunctionLiveness;
+use fastlive_core::{baseline, FunctionLiveness};
 use fastlive_dataflow::oracle;
 use fastlive_engine::{AnalysisEngine, EngineConfig, EngineSession};
 use fastlive_ir::Module;
@@ -47,7 +47,7 @@ fn assert_points_match_oracle(session: &mut EngineSession<'_>, module: &Module, 
                     // The fast suffix scan and the retired chain-walk
                     // shim are the same function.
                     assert_eq!(
-                        standalone.is_live_at_chain_walk(func, v, p),
+                        baseline::is_live_at_chain_walk(&standalone, func, v, p),
                         Ok(want),
                         "{label}: chain walk diverged for {} {v} at {p}",
                         func.name

@@ -17,6 +17,7 @@
 //! | `bitset_clippy` | `crates/bitset/src/` | no clippy suppressions in the hot kernels |
 //! | `bitset_unsafe` | `crates/bitset/src/` | `#![forbid(unsafe_code)]` stays, and any future `unsafe` carries a `// SAFETY:` line |
 //! | `facade_only_examples` | `examples/` | examples demonstrate the facade, not the internals |
+//! | `baseline_fence` | `src/`, `crates/*/src/` | only `fastlive_core::baseline` itself and the bench runner name the paper-reproduction code |
 //!
 //! Test modules are exempt where the rule says so: the scanner treats
 //! everything at or below the first `#[cfg(test)]` line as test code
@@ -111,6 +112,11 @@ pub const RULES: &[Rule] = &[
         summary: "examples import the fastlive facade, not fastlive_engine/fastlive_core",
         check: check_facade_only_examples,
     },
+    Rule {
+        name: "baseline_fence",
+        summary: "library code never reaches into the paper-reproduction baseline module",
+        check: check_baseline_fence,
+    },
 ];
 
 /// 0-indexed line where the file's test region starts (`usize::MAX`
@@ -146,6 +152,17 @@ fn has_token(line: &str, token: &str) -> bool {
         start = at + 1;
     }
     false
+}
+
+/// `true` if `line` names a path through the module `name`: the
+/// token `name` (no identifier character before it) followed by `::`,
+/// spaces allowed.
+fn names_path_through(line: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices(name).any(|(at, _)| {
+        line[..at].chars().next_back().is_none_or(|c| !ident(c))
+            && line[at + name.len()..].trim_start().starts_with("::")
+    })
 }
 
 /// The line with all whitespace squeezed out — how rules match
@@ -305,6 +322,28 @@ pub fn check_facade_only_examples(file: &SourceFile) -> Vec<Violation> {
         })
         .map(|(i, l)| violation("facade_only_examples", file, i, l))
         .collect()
+}
+
+/// Paths exempt from `baseline_fence`: the module itself and the
+/// bench runner, whose reproduction suites are its reason to exist.
+pub const BASELINE_ALLOWLIST: &[&str] = &["crates/core/src/baseline", "crates/bench/src/"];
+
+/// `baseline_fence`: `fastlive_core::baseline` holds the §6
+/// evaluation devices and the executable specifications (sorted-array
+/// and loop-forest checkers, the scalar twins of the fused queries).
+/// They answer like the production path, only slower, so a library
+/// that calls one silently ships the slow path. Library sources may
+/// not name a `baseline::` path outside test modules; tests, the
+/// module itself and the bench runner may.
+pub fn check_baseline_fence(file: &SourceFile) -> Vec<Violation> {
+    let scanned = file.path.starts_with("src/")
+        || (file.path.starts_with("crates/") && file.path.contains("/src/"));
+    if !scanned || BASELINE_ALLOWLIST.iter().any(|a| file.path.starts_with(a)) {
+        return Vec::new();
+    }
+    scan_lines("baseline_fence", file, true, |l| {
+        names_path_through(l, "baseline")
+    })
 }
 
 /// Runs every rule over one file.
@@ -497,6 +536,35 @@ mod tests {
             "use fastlive::{Fastlive, Query};\nuse fastlive_ir::parse_module;",
         );
         assert!(check_facade_only_examples(&ok).is_empty());
+    }
+
+    #[test]
+    fn baseline_fence_keeps_reproduction_code_out_of_libraries() {
+        let bad = SourceFile::new(
+            "crates/engine/src/session.rs",
+            "use fastlive_core::baseline::SortedLivenessChecker;\nfn f() { baseline :: is_live_in_scalar(); }",
+        );
+        assert_eq!(
+            names(&check_baseline_fence(&bad)),
+            ["baseline_fence", "baseline_fence"]
+        );
+
+        // The module itself, the bench runner, comments, test modules
+        // and look-alike identifiers are exempt.
+        for allowed in [
+            "crates/core/src/baseline/mod.rs",
+            "crates/core/src/baseline.rs",
+            "crates/bench/src/suites/ablation.rs",
+        ] {
+            let f = SourceFile::new(allowed, "use fastlive_core::baseline::candidates;");
+            assert!(check_baseline_fence(&f).is_empty(), "{allowed}");
+        }
+        let exempt = SourceFile::new(
+            "crates/core/src/checker.rs",
+            "/// see [`crate::baseline::candidates`]\nfn f() { my_baseline::g(); }\n\
+             #[cfg(test)]\nmod tests {\n    use crate::baseline::candidates;\n}",
+        );
+        assert!(check_baseline_fence(&exempt).is_empty());
     }
 
     #[test]

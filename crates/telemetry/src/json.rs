@@ -1,5 +1,7 @@
 //! [`Json`]: the one JSON value type the workspace's report files
-//! (`BENCH_*.json`) are built and read back with.
+//! (`BENCH_*.json`) are built and read back with, and that every
+//! `to_json` rendering (telemetry snapshots, cache statistics, health
+//! reports) returns.
 //!
 //! A report is assembled as a value, checked, and only then rendered,
 //! so nothing prints half a document. Two renderings exist: the inline
@@ -10,11 +12,11 @@
 
 use std::fmt::{self, Write as _};
 
-use crate::snapshot::json_escape;
-
 /// A JSON value. Objects keep their fields in insertion order.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
+    /// `null`.
+    Null,
     /// `true` / `false`.
     Bool(bool),
     /// A count, size or other non-negative integer.
@@ -125,6 +127,7 @@ impl Json {
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
             Json::Int(n) => write!(f, "{n}"),
             Json::Num(x, decimals) if x.is_finite() => write!(f, "{x:.decimals$}"),
@@ -148,6 +151,27 @@ impl fmt::Display for Json {
             }
         }
     }
+}
+
+/// Escapes `s` for embedding in a JSON string literal (quotes,
+/// backslashes and control characters; everything else passes
+/// through).
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 impl From<bool> for Json {

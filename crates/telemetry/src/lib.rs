@@ -27,11 +27,12 @@
 //! * [`Telemetry`] — the real recorder: per-query-kind, per-tier and
 //!   per-VFS-op histograms, planner counters, queue-depth
 //!   distribution, and the event log, snapshotted into a plain
-//!   comparable [`TelemetrySnapshot`] with hand-rolled JSON /
-//!   Prometheus-text / `Display` renderings (no serde — the same
-//!   discipline as the persist codec).
-//! * [`Json`] — the JSON value the benchmark and fuzz report files are
-//!   built, checked and rendered with.
+//!   comparable [`TelemetrySnapshot`] with JSON / Prometheus-text /
+//!   `Display` renderings (no serde — the same discipline as the
+//!   persist codec).
+//! * [`Json`] — the one JSON writer: the benchmark and fuzz report
+//!   files and every `to_json` rendering are built, checked and
+//!   rendered with it.
 //!
 //! # Examples
 //!
@@ -47,7 +48,7 @@
 //! let live_in = &snap.queries[QueryClass::LiveIn as usize].hist;
 //! assert_eq!(live_in.count, 2);
 //! assert_eq!(live_in.sum, 2_090);
-//! assert!(snap.to_json().starts_with('{'));
+//! assert_eq!(snap.to_json().get("events_dropped"), Some(&0u64.into()));
 //! assert!(snap.to_prometheus().contains("fastlive_query_latency_ns"));
 //! ```
 

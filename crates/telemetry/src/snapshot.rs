@@ -1,71 +1,44 @@
 //! [`TelemetrySnapshot`]: the plain, comparable export value, with
-//! hand-rolled JSON and Prometheus-text renderings.
+//! JSON and Prometheus-text renderings.
 //!
-//! No serde anywhere — the renderings are built with `std::fmt::Write`
-//! exactly like the persist codec builds bytes, so the exposition
-//! formats are auditable in one file and cost nothing at build time.
+//! No serde anywhere: the JSON renderings are [`Json`] values from the
+//! workspace's one writer, and the Prometheus exposition is built with
+//! `std::fmt::Write`, so the formats are auditable in two files and
+//! cost nothing at build time.
 
 use std::fmt::Write as _;
 
 use crate::events::Event;
 use crate::hist::HistogramSnapshot;
-
-/// Escapes `s` for embedding in a JSON string literal (quotes,
-/// backslashes and control characters; everything else passes
-/// through). Shared by every `to_json` in the workspace.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::json::Json;
 
 impl HistogramSnapshot {
     /// JSON object: count/sum/max, the three stock quantiles, and the
     /// non-empty buckets as `[upper_bound, count]` pairs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-            self.count,
-            self.sum,
-            self.max,
-            self.p50(),
-            self.p90(),
-            self.p99()
-        );
-        for (i, (upper, n)) in self.nonzero_buckets().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{upper},{n}]");
-        }
-        out.push_str("]}");
-        out
+    pub fn to_json(&self) -> Json {
+        let buckets: Json = self
+            .nonzero_buckets()
+            .into_iter()
+            .map(|(upper, n)| Json::Arr(vec![Json::Int(upper), Json::Int(n)]))
+            .collect();
+        Json::obj()
+            .field("count", self.count)
+            .field("sum", self.sum)
+            .field("max", self.max)
+            .field("p50", self.p50())
+            .field("p90", self.p90())
+            .field("p99", self.p99())
+            .field("buckets", buckets)
     }
 }
 
 impl Event {
-    /// JSON object: `{"seq":…,"kind":"…","detail":"…"}`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"seq\":{},\"kind\":\"{}\",\"detail\":\"{}\"}}",
-            self.seq,
-            self.kind.name(),
-            json_escape(&self.detail)
-        )
+    /// JSON object: `{"seq": …, "kind": "…", "detail": "…"}`.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .field("seq", self.seq)
+            .field("kind", self.kind.name())
+            .field("detail", self.detail.as_str())
     }
 }
 
@@ -176,61 +149,50 @@ impl TelemetrySnapshot {
 
     /// The whole snapshot as one JSON object (stable key order; see
     /// the README's "Observability" section for the schema).
-    pub fn to_json(&self) -> String {
-        let named_hists = |out: &mut String, items: &[NamedHistogram]| {
-            for (i, nh) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":{}", nh.name, nh.hist.to_json());
-            }
+    pub fn to_json(&self) -> Json {
+        let named_hists = |items: &[NamedHistogram]| {
+            Json::Obj(
+                items
+                    .iter()
+                    .map(|nh| (nh.name.to_string(), nh.hist.to_json()))
+                    .collect(),
+            )
         };
-        let mut out = String::from("{\"queries\":{");
-        named_hists(&mut out, &self.queries);
-        out.push_str("},\"backend_queries\":{");
-        for (i, nc) in self.backend_queries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", nc.name, nc.count);
-        }
-        out.push_str("},\"tiers\":{");
-        named_hists(&mut out, &self.tiers);
-        out.push_str("},\"vfs\":{");
-        for (i, op) in self.vfs_ops.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"latency\":{},\"bytes\":{},\"errors\":{}}}",
-                op.name,
-                op.latency.to_json(),
-                op.bytes,
-                op.errors
-            );
-        }
-        let _ = write!(
-            out,
-            "}},\"plan\":{{\"batches\":{},\"queries\":{},\"grouped_groups\":{},\
-             \"scalar_groups\":{},\"batch_size\":{},\"batch_ns\":{}}}",
-            self.plan.batches,
-            self.plan.queries,
-            self.plan.grouped_groups,
-            self.plan.scalar_groups,
-            self.plan.batch_size.to_json(),
-            self.plan.batch_ns.to_json()
-        );
-        let _ = write!(out, ",\"queue_depth\":{}", self.queue_depth.to_json());
-        out.push_str(",\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.to_json());
-        }
-        let _ = write!(out, "],\"events_dropped\":{}}}", self.events_dropped);
-        out
+        let backend_queries = self
+            .backend_queries
+            .iter()
+            .map(|nc| (nc.name.to_string(), Json::Int(nc.count)))
+            .collect();
+        let vfs = self
+            .vfs_ops
+            .iter()
+            .map(|op| {
+                let io = Json::obj()
+                    .field("latency", op.latency.to_json())
+                    .field("bytes", op.bytes)
+                    .field("errors", op.errors);
+                (op.name.to_string(), io)
+            })
+            .collect();
+        let plan = Json::obj()
+            .field("batches", self.plan.batches)
+            .field("queries", self.plan.queries)
+            .field("grouped_groups", self.plan.grouped_groups)
+            .field("scalar_groups", self.plan.scalar_groups)
+            .field("batch_size", self.plan.batch_size.to_json())
+            .field("batch_ns", self.plan.batch_ns.to_json());
+        Json::obj()
+            .field("queries", named_hists(&self.queries))
+            .field("backend_queries", Json::Obj(backend_queries))
+            .field("tiers", named_hists(&self.tiers))
+            .field("vfs", Json::Obj(vfs))
+            .field("plan", plan)
+            .field("queue_depth", self.queue_depth.to_json())
+            .field(
+                "events",
+                self.events.iter().map(Event::to_json).collect::<Json>(),
+            )
+            .field("events_dropped", self.events_dropped)
     }
 
     /// Prometheus text exposition (version 0.0.4): proper `histogram`
@@ -467,7 +429,7 @@ mod tests {
 
     #[test]
     fn json_is_balanced_and_carries_every_family() {
-        let json = sample().to_json();
+        let json = sample().to_json().to_string();
         assert_balanced_json(&json);
         for key in [
             "\"queries\"",
@@ -488,9 +450,8 @@ mod tests {
 
     #[test]
     fn json_escapes_event_details() {
-        let json = sample().to_json();
+        let json = sample().to_json().to_string();
         assert!(json.contains("streak=5 \\\"quoted\\\"\\n"));
-        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 
     #[test]
@@ -539,7 +500,7 @@ mod tests {
     fn default_snapshot_is_the_disabled_rendering() {
         let d = TelemetrySnapshot::default();
         assert_eq!(d.total_queries(), 0);
-        assert_balanced_json(&d.to_json());
+        assert_balanced_json(&d.to_json().to_string());
         assert!(d.to_prometheus().contains("fastlive_plan_batches_total 0"));
     }
 }

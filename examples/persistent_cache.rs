@@ -11,7 +11,7 @@
 //! cargo run --example persistent_cache
 //! ```
 
-use fastlive::{parse_module, CfgShape, Fastlive, PersistStore};
+use fastlive::{parse_module, AnalysisKind, CfgShape, Fastlive, PersistStore};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let module = parse_module(
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Corruption: flip a byte in %count's entry.
     let store = PersistStore::new(&dir);
     let count = module.by_name("count").unwrap();
-    let path = store.entry_path(&CfgShape::of(module.func(count)));
+    let path = store.entry_path_for(&CfgShape::of(module.func(count)), AnalysisKind::Liveness);
     let mut bytes = std::fs::read(&path)?;
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;

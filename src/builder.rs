@@ -110,7 +110,6 @@ pub struct FastliveBuilder {
     cache_capacity: usize,
     stripes: usize,
     persist_dir: Option<PathBuf>,
-    backend: BackendKind,
     gc: Option<GcPolicy>,
     disk_breaker: BreakerConfig,
     vfs: Option<Arc<dyn Vfs>>,
@@ -124,7 +123,6 @@ impl std::fmt::Debug for FastliveBuilder {
             .field("cache_capacity", &self.cache_capacity)
             .field("stripes", &self.stripes)
             .field("persist_dir", &self.persist_dir)
-            .field("backend", &self.backend)
             .field("gc", &self.gc)
             .field("disk_breaker", &self.disk_breaker)
             .field("vfs", &self.vfs.as_ref().map(|_| "<dyn Vfs>"))
@@ -144,7 +142,6 @@ impl Default for FastliveBuilder {
             cache_capacity: config.cache_capacity,
             stripes: config.stripes,
             persist_dir: config.persist_dir,
-            backend: BackendKind::default(),
             gc: None,
             disk_breaker: config.disk_breaker,
             vfs: None,
@@ -181,13 +178,6 @@ impl FastliveBuilder {
     /// default).
     pub fn persist_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.persist_dir = Some(dir.into());
-        self
-    }
-
-    /// Default backend for [`Fastlive::session`]
-    /// ([`BackendKind::Session`] unless overridden).
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
         self
     }
 
@@ -287,7 +277,6 @@ impl FastliveBuilder {
         }
         Ok(Fastlive {
             engine,
-            backend: self.backend,
             gc: self.gc,
             recorder,
         })
@@ -301,11 +290,10 @@ impl FastliveBuilder {
 /// Most code needs exactly three lines: build once, open a session per
 /// module, ask typed [`Query`]s (or use the named conveniences on
 /// [`FastliveSession`]). The underlying layers stay reachable —
-/// [`engine()`](Self::engine) for cache statistics, and every legacy
-/// type re-exported at the crate root — but nothing requires them.
+/// [`engine()`](Self::engine) for cache statistics, and the entry-point
+/// types re-exported at the crate root — but nothing requires them.
 pub struct Fastlive {
     engine: AnalysisEngine,
-    backend: BackendKind,
     gc: Option<GcPolicy>,
     recorder: Arc<dyn Recorder>,
 }
@@ -314,7 +302,6 @@ impl std::fmt::Debug for Fastlive {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fastlive")
             .field("config", self.engine.config())
-            .field("backend", &self.backend)
             .field("gc", &self.gc)
             .field("telemetry", &self.recorder.enabled())
             .finish()
@@ -346,11 +333,6 @@ impl Fastlive {
         self.engine.config()
     }
 
-    /// The backend [`session`](Self::session) opens by default.
-    pub fn default_backend(&self) -> BackendKind {
-        self.backend
-    }
-
     /// A point-in-time health snapshot of the stack: the disk tier's
     /// circuit-breaker state and counters, the quarantine population,
     /// and the aggregated cache statistics. Cheap enough to poll; see
@@ -380,16 +362,17 @@ impl Fastlive {
         self.engine.gc_persist(policy.max_entries, policy.max_age)
     }
 
-    /// Opens a query session over `module` on the default backend.
+    /// Opens a query session over `module` on the engine backend
+    /// ([`BackendKind::Session`]).
     ///
-    /// On [`BackendKind::Session`] this analyzes the whole module up
-    /// front (in parallel, through the caches); the oracle defers all
-    /// work to query time. The module is **not** borrowed — it is
-    /// passed by reference to every query, so it stays freely editable
-    /// between queries and the session revalidates against its current
-    /// state.
+    /// This analyzes the whole module up front (in parallel, through
+    /// the caches); [`session_with`](Self::session_with) opens the
+    /// oracle, which defers all work to query time. The module is
+    /// **not** borrowed — it is passed by reference to every query, so
+    /// it stays freely editable between queries and the session
+    /// revalidates against its current state.
     pub fn session(&self, module: &Module) -> FastliveSession<'_> {
-        self.session_with(module, self.backend)
+        self.session_with(module, BackendKind::Session)
     }
 
     /// Opens a query session on an explicit backend — the handle for
@@ -440,7 +423,7 @@ impl<'fl> FastliveSession<'fl> {
     /// Plan-and-run batch execution: groups `queries` per function,
     /// resolves each function once, and serves grouped
     /// `LiveIn`/`LiveOut` probes from one
-    /// [`BatchLiveness`](crate::BatchLiveness) row snapshot per
+    /// [`BatchLiveness`](fastlive_core::BatchLiveness) row snapshot per
     /// function. Answers are identical to one-at-a-time
     /// [`query`](Self::query) calls, in input order — only faster (see
     /// `BENCH_facade.json`). With telemetry enabled, the planner

@@ -69,9 +69,10 @@
 //!
 //! The workspace members remain available under stable module names —
 //! depend on individual `fastlive-*` crates for a narrower footprint —
-//! and the historical entry-point types are re-exported at the crate
-//! root, so `use fastlive::{FunctionLiveness, AnalysisEngine}` is the
-//! single import root for pre-facade code.
+//! and the entry-point types that examples and facade signatures use
+//! are re-exported at the crate root, so
+//! `use fastlive::{FunctionLiveness, AnalysisEngine}` is the single
+//! import root for pre-facade code.
 //!
 //! | module | contents |
 //! |--------|----------|
@@ -79,7 +80,7 @@
 //! | [`bitset`] | dense bitsets, bit matrices, sparse & sorted sets |
 //! | [`mod@cfg`] | DFS trees, dominators, dominance frontiers, loop forests |
 //! | [`ir`] | SSA IR: functions, builder, parser, printer, interpreter |
-//! | [`core`] | the paper's algorithm: precomputation + live-in/live-out checks |
+//! | [`core`] | the paper's algorithm: precomputation + live-in/live-out checks; reproduction variants under [`core::baseline`] |
 //! | [`engine`] | module-level analysis: worker pool, CFG-fingerprint cache, sessions |
 //! | [`dataflow`] | baseline engines and the brute-force oracle |
 //! | [`construct`] | SSA construction (Cytron et al.) |
@@ -115,24 +116,20 @@ pub use fastlive_workload as workload;
 // code written against the pre-facade surfaces imports everything from
 // `fastlive::` without naming the member crates.
 pub use fastlive_core::{
-    AnalysisError, BatchError, BatchLiveness, FunctionLiveness, LivenessChecker, LivenessProvider,
-    Nullness, NullnessArtifact, NullnessFacts, PointError, Precomputation,
+    AnalysisError, FunctionLiveness, LivenessChecker, Nullness, NullnessArtifact,
 };
-pub use fastlive_dataflow::{IterativeLiveness, IterativeNullness, VarUniverse};
+pub use fastlive_dataflow::{IterativeLiveness, VarUniverse};
 pub use fastlive_destruct::values_interfere;
 pub use fastlive_engine::{
     persist::GcStats,
-    vfs::{Fault, FaultRule, FaultVfs, OpKind, StdVfs, Vfs},
+    vfs::{Fault, FaultRule, FaultVfs, OpKind, Vfs},
     AnalysisEngine, AnalysisKind, BreakerConfig, BreakerState, CacheStats, CfgShape, EngineConfig,
     EngineSession, HealthReport, PersistStore,
 };
 pub use fastlive_ir::{
-    parse_function, parse_module, Block, FuncId, Function, Inst, Module, ProgramPoint, Value,
+    parse_function, parse_module, Block, FuncId, Function, Module, ProgramPoint, Value,
 };
 // The observability surface: the recorder seam plus the snapshot and
 // label types [`Fastlive::telemetry`] and [`Fastlive::health`] report
 // in terms of.
-pub use fastlive_telemetry::{
-    Event, EventKind, HistogramSnapshot, NoopRecorder, QueryClass, Recorder, Telemetry,
-    TelemetrySnapshot, Tier, VfsOp,
-};
+pub use fastlive_telemetry::{EventKind, Recorder, Telemetry, TelemetrySnapshot};

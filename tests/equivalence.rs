@@ -2,7 +2,8 @@
 //! every liveness engine must agree with the brute-force Definition-2
 //! oracle for every value at every block, live-in and live-out.
 
-use fastlive::core::{FunctionLiveness, LivenessChecker, LoopForestChecker, SortedLivenessChecker};
+use fastlive::core::baseline::{LoopForestChecker, SortedLivenessChecker};
+use fastlive::core::{FunctionLiveness, LivenessChecker};
 use fastlive::dataflow::{oracle, AppelLiveness, IterativeLiveness, LaoLiveness, VarUniverse};
 use fastlive::ir::Function;
 use fastlive::workload::{generate_function, GenParams};

@@ -250,7 +250,7 @@ fn renderings_are_well_formed() {
         .run_queries(&module, &dense_batch(&module));
     let snap = fl.telemetry();
 
-    let json = snap.to_json();
+    let json = snap.to_json().to_string();
     let mut depth = 0i64;
     let mut in_str = false;
     let mut prev = '\0';
@@ -280,7 +280,7 @@ fn renderings_are_well_formed() {
     let display = format!("{snap}");
     assert!(display.contains("queries"), "{display}");
 
-    let health_json = fl.health().to_json();
+    let health_json = fl.health().to_json().to_string();
     assert!(health_json.contains("\"disk_state\""));
     assert!(health_json.contains("\"stripes\""));
 }

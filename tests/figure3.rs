@@ -3,7 +3,8 @@
 //! must hold for every engine in the workspace.
 
 use fastlive::cfg::{DfsTree, DomTree, LoopForest, Reducibility};
-use fastlive::core::{reference::ReferenceChecker, LivenessChecker, SortedLivenessChecker};
+use fastlive::core::baseline::{self, ReferenceChecker, SortedLivenessChecker};
+use fastlive::core::LivenessChecker;
 use fastlive::dataflow::oracle;
 use fastlive::graph::DiGraph;
 
@@ -232,7 +233,7 @@ fn w_fails_for_the_reason_the_paper_gives() {
     // candidate reaches the use.
     let g = figure3();
     let live = LivenessChecker::compute(&g);
-    let candidates: Vec<u32> = live.candidates(W.0, 9).collect();
+    let candidates: Vec<u32> = baseline::candidates(&live, W.0, 9, true).collect();
     assert!(!candidates.contains(&W.0), "def(w) itself must be excluded");
     for t in candidates {
         assert!(

@@ -4,7 +4,7 @@
 //! dominance order.
 
 use fastlive::cfg::{DfsTree, DomTree, LoopForest, Reducibility};
-use fastlive::core::{FunctionLiveness, LivenessChecker};
+use fastlive::core::{baseline, FunctionLiveness, LivenessChecker};
 use fastlive::dataflow::oracle;
 use fastlive::ir::{InstData, UnaryOp};
 use fastlive::workload::{generate_function, GenParams};
@@ -37,7 +37,7 @@ fn theorem2_single_candidate_on_reducible_cfgs() {
         let n = f.num_blocks() as u32;
         for def in 0..n {
             for q in 0..n {
-                let count = live.candidates(def, q).count();
+                let count = baseline::candidates(&live, def, q, true).count();
                 assert!(
                     count <= 1,
                     "{}: {count} candidates for (def={def}, q={q})",

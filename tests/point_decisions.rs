@@ -5,14 +5,14 @@
 //! program, same query stream, same counters — on reducible and
 //! goto-injected irreducible workloads.
 
-use fastlive::core::{FunctionLiveness, LivenessProvider, PointError};
+use fastlive::core::{baseline, FunctionLiveness, LivenessProvider, PointError};
 use fastlive::destruct::{destruct_ssa, CheckerEngine, DestructResult};
 use fastlive::ir::{Block, Function, ProgramPoint, Value};
 use fastlive::workload::{generate_function, generate_pre, inject_gotos, GenParams};
 
 /// The pre-refactor query procedure as an engine: block queries from
 /// the checker, point queries through
-/// [`FunctionLiveness::is_live_at_chain_walk`] — the per-use
+/// [`baseline::is_live_at_chain_walk`] — the per-use
 /// `inst_position` walk that used to live in
 /// `crates/destruct/src/interference.rs`.
 struct ShimEngine(FunctionLiveness);
@@ -25,7 +25,7 @@ impl LivenessProvider for ShimEngine {
         self.0.is_live_out(func, v, b)
     }
     fn live_at(&mut self, func: &Function, v: Value, p: ProgramPoint) -> Result<bool, PointError> {
-        self.0.is_live_at_chain_walk(func, v, p)
+        baseline::is_live_at_chain_walk(&self.0, func, v, p)
     }
     fn name(&self) -> &'static str {
         "chain-walk shim (pre-refactor)"

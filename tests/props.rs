@@ -5,7 +5,8 @@ use std::collections::BTreeSet;
 
 use fastlive::bitset::{DenseBitSet, SortedSet, SparseSet};
 use fastlive::cfg::{DfsTree, DomTree, EdgeClass};
-use fastlive::core::{LivenessChecker, SortedLivenessChecker};
+use fastlive::core::baseline::SortedLivenessChecker;
+use fastlive::core::LivenessChecker;
 use fastlive::dataflow::oracle;
 use fastlive::graph::{Cfg as _, DiGraph};
 use proptest::prelude::*;
