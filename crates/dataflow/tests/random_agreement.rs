@@ -114,7 +114,6 @@ fn phi_universe_tracks_only_phi_resources() {
             let is_branch_arg = func.uses(v).iter().any(|&i| {
                 func.inst_data(i)
                     .branch_targets()
-                    .iter()
                     .any(|c| c.args.contains(&v))
             });
             assert!(

@@ -276,7 +276,7 @@ fn process_phi<E: LivenessProvider>(
     preds.dedup();
     for pred in preds {
         let term = func.terminator(pred).expect("predecessor is terminated");
-        for (ti, call) in func.inst_data(term).branch_targets().iter().enumerate() {
+        for (ti, call) in func.inst_data(term).branch_targets().enumerate() {
             if call.block == block {
                 resources.push(Resource::Arg {
                     value: call.args[pi],

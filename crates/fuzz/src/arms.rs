@@ -380,8 +380,7 @@ fn apply_edits(module: &mut Module, rng: &mut SplitMix64) -> usize {
             let Some(term) = func.terminator(block) else {
                 continue;
             };
-            let targets = func.inst_data(term).branch_targets();
-            for (ti, call) in targets.iter().enumerate() {
+            for (ti, call) in func.inst_data(term).branch_targets().enumerate() {
                 if !call.args.is_empty() {
                     let ai = rng.index(call.args.len());
                     func.set_branch_arg(term, ti, ai, fresh);

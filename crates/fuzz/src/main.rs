@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! fastlive-fuzz [--quick] [--seed N] [--out PATH]   # the campaign
-//! fastlive-fuzz --broken [--seed N]                 # shrinker self-test
+//! fastlive-fuzz --broken [--seed N] [--out PATH]    # shrinker self-test
 //! ```
 //!
 //! The campaign runs nine adversarial arms (see `arms`), prints one
@@ -11,8 +11,10 @@
 //! cases, or no irreducible function was covered. `--broken` swaps in
 //! the deliberately wrong [`BrokenBackend`] and demands the opposite:
 //! the harness must *catch* it, and the shrinker must minimize a
-//! 200-block failing case to a reproducer of at most 10 blocks.
+//! 200-block failing case to a reproducer of at most 10 blocks, which
+//! it writes to `--out` (default: a temp file named after the process).
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use fastlive::telemetry::Json;
@@ -30,7 +32,8 @@ struct Args {
     quick: bool,
     seed: u64,
     broken: bool,
-    out: String,
+    /// The report (campaign) or reproducer (`--broken`) path, if given.
+    out: Option<String>,
 }
 
 impl Args {
@@ -48,7 +51,7 @@ fn parse_args() -> Result<Args, String> {
         quick: false,
         seed: 9,
         broken: false,
-        out: "BENCH_fuzz.json".to_string(),
+        out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -59,10 +62,12 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--seed needs a value")?;
                 args.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
             }
-            "--out" => args.out = it.next().ok_or("--out needs a path")?,
+            "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
             "--help" | "-h" => {
                 return Err(
-                    "usage: fastlive-fuzz [--quick] [--seed N] [--out PATH] [--broken]".to_string(),
+                    "usage: fastlive-fuzz [--quick] [--seed N] [--out PATH]\n       \
+                     fastlive-fuzz --broken [--seed N] [--out PATH]"
+                        .to_string(),
                 )
             }
             other => return Err(format!("unknown flag `{other}`")),
@@ -236,15 +241,15 @@ fn run_fuzz(args: &Args) -> ExitCode {
     // The report is written before it is checked, so a failing
     // campaign's findings stay inspectable.
     let json = report_json(args, &report);
-    if let Err(e) = std::fs::write(&args.out, json.to_document()) {
-        eprintln!("fastlive-fuzz: cannot write {}: {e}", args.out);
+    let out = args.out.as_deref().unwrap_or("BENCH_fuzz.json");
+    if let Err(e) = std::fs::write(out, json.to_document()) {
+        eprintln!("fastlive-fuzz: cannot write {out}: {e}");
         return ExitCode::from(2);
     }
     println!(
-        "\ntotal: {} divergences, {} findings -> {}",
+        "\ntotal: {} divergences, {} findings -> {out}",
         report.total_divergences(),
         report.findings.len(),
-        args.out
     );
     match check_report(args, &json) {
         Ok(()) => ExitCode::SUCCESS,
@@ -338,9 +343,20 @@ fn run_broken(args: &Args) -> ExitCode {
         println!("FAIL: re-parsed reproducer no longer fails");
         ok = false;
     }
-    let path = std::env::temp_dir().join("fuzz-repro-broken.fl");
-    if std::fs::write(&path, &out.text).is_ok() {
-        println!("reproducer written to {}", path.display());
+    // A process-unique default keeps concurrent self-tests apart.
+    let path = args.out.as_ref().map_or_else(
+        || std::env::temp_dir().join(format!("fuzz-repro-broken-{}.fl", std::process::id())),
+        PathBuf::from,
+    );
+    match std::fs::write(&path, &out.text) {
+        Ok(()) => println!("reproducer written to {}", path.display()),
+        Err(e) => {
+            println!(
+                "FAIL: cannot write the reproducer to {}: {e}",
+                path.display()
+            );
+            ok = false;
+        }
     }
     if ok {
         ExitCode::SUCCESS

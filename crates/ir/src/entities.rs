@@ -123,6 +123,11 @@ impl<K: EntityRef, V> PrimaryMap<K, V> {
         k
     }
 
+    /// Reserves capacity for `additional` more entities.
+    pub fn reserve(&mut self, additional: usize) {
+        self.elems.reserve(additional);
+    }
+
     /// Number of entities.
     pub fn len(&self) -> usize {
         self.elems.len()

@@ -23,7 +23,7 @@ pub enum ValueDef {
 }
 
 /// Per-block storage: parameters and the instruction list.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct BlockData {
     params: Vec<Value>,
     insts: Vec<Inst>,
@@ -118,10 +118,19 @@ impl Function {
 
     /// Appends a new empty block. The first block becomes the entry.
     pub fn add_block(&mut self) -> Block {
+        self.add_block_with_capacity(0, 0)
+    }
+
+    /// (parser support) [`add_block`](Self::add_block) with room for
+    /// `params` parameters and `insts` instructions.
+    pub(crate) fn add_block_with_capacity(&mut self, params: usize, insts: usize) -> Block {
         self.cfg_version += 1;
         self.succs.push(Vec::new());
         self.preds.push(Vec::new());
-        self.blocks.push(BlockData::default())
+        self.blocks.push(BlockData {
+            params: Vec::with_capacity(params),
+            insts: Vec::with_capacity(insts),
+        })
     }
 
     /// The entry block.
@@ -184,21 +193,30 @@ impl Function {
         v
     }
 
-    /// (parser support) Reserves `n` unbound value slots, so a source
-    /// with textual forward references can have every definition's
-    /// entity allocated — in textual definition order — before any use
-    /// is appended. Each slot holds a placeholder `ValueDef` until
-    /// bound by [`bind_block_param`](Self::bind_block_param) or
+    /// (parser support) Pre-sizes the function for `blocks` more blocks
+    /// and `insts` more instructions, and reserves `values` unbound
+    /// value slots, so a source with textual forward references can
+    /// have every definition's entity allocated — in textual definition
+    /// order — before any use is appended. Each slot holds a
+    /// placeholder `ValueDef` until bound by
+    /// [`bind_block_param`](Self::bind_block_param) or
     /// [`append_inst_bound`](Self::append_inst_bound); the parser binds
     /// every slot before a function is returned to a caller.
-    pub(crate) fn reserve_values(&mut self, n: usize) {
-        for _ in 0..n {
+    pub(crate) fn reserve(&mut self, blocks: usize, values: usize, insts: usize) {
+        self.blocks.reserve(blocks);
+        self.succs.reserve(blocks);
+        self.preds.reserve(blocks);
+        self.insts.reserve(insts);
+        self.inst_block.reserve(insts);
+        self.results.reserve(insts);
+        self.values.reserve(values);
+        for _ in 0..values {
             self.values.push(ValueDef::Param {
                 block: Block::from_index(0),
                 index: u32::MAX,
             });
-            self.uses.push(Vec::new());
         }
+        self.uses.resize_with(self.uses.len() + values, Vec::new);
     }
 
     /// (parser support) Binds reserved slot `v` as the next parameter
@@ -311,12 +329,8 @@ impl Function {
         let inst = self.insts.push(data);
         self.inst_block.push(Some(block));
         // Register uses.
-        let data_ref = &self.insts[inst];
-        let mut used: Vec<Value> = Vec::new();
-        data_ref.for_each_operand(|v| used.push(v));
-        for v in used {
-            self.uses[v.index()].push(inst);
-        }
+        let uses = &mut self.uses;
+        self.insts[inst].for_each_operand(|v| uses[v.index()].push(inst));
         // Result value: a fresh entity, or — on the parser's
         // forward-reference path — a pre-reserved slot bound here.
         let result = if self.insts[inst].has_result() {
@@ -342,14 +356,9 @@ impl Function {
                 let dest = t.block;
                 assert!(dest.index() < self.blocks.len(), "branch to unknown {dest}");
             }
-            let targets: Vec<Block> = self.insts[inst]
-                .branch_targets()
-                .iter()
-                .map(|t| t.block)
-                .collect();
-            for dest in targets {
-                self.succs[block.index()].push(dest.as_u32());
-                self.preds[dest.index()].push(block.as_u32());
+            for t in self.insts[inst].branch_targets() {
+                self.succs[block.index()].push(t.block.as_u32());
+                self.preds[t.block.index()].push(block.as_u32());
             }
         }
         self.blocks[block].insts.insert(pos, inst);
@@ -374,11 +383,8 @@ impl Function {
                 "result {r} of removed {inst} still used"
             );
         }
-        let mut used: Vec<Value> = Vec::new();
-        self.insts[inst].for_each_operand(|v| used.push(v));
-        for v in used {
-            remove_one(&mut self.uses[v.index()], inst);
-        }
+        let uses = &mut self.uses;
+        self.insts[inst].for_each_operand(|v| remove_one(&mut uses[v.index()], inst));
         let insts = &mut self.blocks[block].insts;
         let pos = insts
             .iter()
@@ -616,9 +622,9 @@ impl Function {
             "operand {new} does not exist"
         );
         let old = {
-            let mut targets = self.insts[inst].branch_targets_mut();
-            let call = targets
-                .get_mut(target_index)
+            let call = self.insts[inst]
+                .branch_targets_mut()
+                .nth(target_index)
                 .expect("target index out of range");
             let slot = call
                 .args
@@ -657,9 +663,9 @@ impl Function {
         }
         let from = self.inst_block(inst).expect("terminator was removed");
         let (old_block, old_args) = {
-            let mut targets = self.insts[inst].branch_targets_mut();
-            let call = targets
-                .get_mut(target_index)
+            let call = self.insts[inst]
+                .branch_targets_mut()
+                .nth(target_index)
                 .expect("target index out of range");
             let old_block = call.block;
             let old_args = std::mem::replace(&mut call.args, new_args.clone());
@@ -721,17 +727,11 @@ impl Function {
         for p in preds {
             let pb = Block::from_index(p as usize);
             let term = self.terminator(pb).expect("predecessor is terminated");
-            let mut removed_args = Vec::new();
-            {
-                let mut targets = self.insts[term].branch_targets_mut();
-                for call in targets.iter_mut() {
-                    if call.block == block {
-                        removed_args.push(call.args.remove(index));
-                    }
+            for call in self.insts[term].branch_targets_mut() {
+                if call.block == block {
+                    let a = call.args.remove(index);
+                    remove_one(&mut self.uses[a.index()], term);
                 }
-            }
-            for a in removed_args {
-                remove_one(&mut self.uses[a.index()], term);
             }
         }
     }

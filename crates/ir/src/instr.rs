@@ -32,6 +32,16 @@ impl UnaryOp {
         }
     }
 
+    /// The opcode whose [`mnemonic`](Self::mnemonic) is `text`.
+    pub fn from_mnemonic(text: &str) -> Option<Self> {
+        Some(match text {
+            "copy" => UnaryOp::Copy,
+            "ineg" => UnaryOp::Ineg,
+            "bnot" => UnaryOp::Bnot,
+            _ => return None,
+        })
+    }
+
     /// All unary opcodes (used by the workload generator).
     pub const ALL: [UnaryOp; 3] = [UnaryOp::Copy, UnaryOp::Ineg, UnaryOp::Bnot];
 }
@@ -88,6 +98,25 @@ impl BinaryOp {
             BinaryOp::IcmpSlt => "icmp_slt",
             BinaryOp::IcmpSle => "icmp_sle",
         }
+    }
+
+    /// The opcode whose [`mnemonic`](Self::mnemonic) is `text`.
+    pub fn from_mnemonic(text: &str) -> Option<Self> {
+        Some(match text {
+            "iadd" => BinaryOp::Iadd,
+            "isub" => BinaryOp::Isub,
+            "imul" => BinaryOp::Imul,
+            "sdiv" => BinaryOp::Sdiv,
+            "srem" => BinaryOp::Srem,
+            "band" => BinaryOp::Band,
+            "bor" => BinaryOp::Bor,
+            "bxor" => BinaryOp::Bxor,
+            "icmp_eq" => BinaryOp::IcmpEq,
+            "icmp_ne" => BinaryOp::IcmpNe,
+            "icmp_slt" => BinaryOp::IcmpSlt,
+            "icmp_sle" => BinaryOp::IcmpSle,
+            _ => return None,
+        })
     }
 
     /// Evaluates the operation on concrete values (total semantics).
@@ -300,33 +329,55 @@ impl InstData {
         }
     }
 
-    /// The branch targets of a terminator (empty for `return` and
-    /// non-terminators).
-    pub fn branch_targets(&self) -> Vec<&BlockCall> {
-        match self {
-            InstData::Jump { dest } => vec![dest],
+    /// The branch targets of a terminator: none for `return` and
+    /// non-terminators, `dest` for `jump`, `then_dest` then `else_dest`
+    /// for `brif`. Allocation-free; `.nth(i)` is the `i`-th target.
+    pub fn branch_targets(&self) -> BranchTargets<&BlockCall> {
+        BranchTargets(match self {
+            InstData::Jump { dest } => [Some(dest), None],
             InstData::Brif {
                 then_dest,
                 else_dest,
                 ..
-            } => vec![then_dest, else_dest],
-            _ => Vec::new(),
-        }
+            } => [Some(then_dest), Some(else_dest)],
+            _ => [None, None],
+        })
     }
 
-    /// Mutable access to the branch targets.
-    pub fn branch_targets_mut(&mut self) -> Vec<&mut BlockCall> {
-        match self {
-            InstData::Jump { dest } => vec![dest],
+    /// Mutable access to the branch targets, in the same order.
+    pub fn branch_targets_mut(&mut self) -> BranchTargets<&mut BlockCall> {
+        BranchTargets(match self {
+            InstData::Jump { dest } => [Some(dest), None],
             InstData::Brif {
                 then_dest,
                 else_dest,
                 ..
-            } => vec![then_dest, else_dest],
-            _ => Vec::new(),
-        }
+            } => [Some(then_dest), Some(else_dest)],
+            _ => [None, None],
+        })
     }
 }
+
+/// The at most two branch targets of a terminator, as an exact-size
+/// iterator of `&BlockCall` ([`InstData::branch_targets`]) or
+/// `&mut BlockCall` ([`InstData::branch_targets_mut`]).
+#[derive(Clone, Debug)]
+pub struct BranchTargets<T>([Option<T>; 2]);
+
+impl<T> Iterator for BranchTargets<T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        self.0.iter_mut().find_map(Option::take)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.0.iter().flatten().count();
+        (n, Some(n))
+    }
+}
+
+impl<T> ExactSizeIterator for BranchTargets<T> {}
 
 #[cfg(test)]
 mod tests {
@@ -407,6 +458,16 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), total, "duplicate mnemonic");
+        for op in UnaryOp::ALL {
+            assert_eq!(UnaryOp::from_mnemonic(op.mnemonic()), Some(op));
+        }
+        for op in BinaryOp::ALL {
+            assert_eq!(BinaryOp::from_mnemonic(op.mnemonic()), Some(op));
+        }
+        for other in ["iconst", "jump", "brif", "return", "Iadd", ""] {
+            assert_eq!(UnaryOp::from_mnemonic(other), None);
+            assert_eq!(BinaryOp::from_mnemonic(other), None);
+        }
     }
 
     #[test]
@@ -415,12 +476,30 @@ mod tests {
             dest: BlockCall::no_args(Block::from_index(3)),
         };
         assert_eq!(data.branch_targets().len(), 1);
-        data.branch_targets_mut()[0].args.push(v(9));
+        data.branch_targets_mut().next().unwrap().args.push(v(9));
         let mut ops = Vec::new();
         data.for_each_operand(|x| ops.push(x));
         assert_eq!(ops, vec![v(9)]);
         assert!(InstData::Return { args: vec![] }
             .branch_targets()
-            .is_empty());
+            .next()
+            .is_none());
+
+        // `brif` yields then, else; the length counts down exactly.
+        let mut brif = InstData::Brif {
+            cond: v(0),
+            then_dest: BlockCall::no_args(Block::from_index(1)),
+            else_dest: BlockCall::no_args(Block::from_index(2)),
+        };
+        let mut targets = brif.branch_targets();
+        assert_eq!(targets.len(), 2);
+        assert_eq!(targets.next().map(|c| c.block.index()), Some(1));
+        assert_eq!(targets.len(), 1);
+        assert_eq!(targets.next().map(|c| c.block.index()), Some(2));
+        assert_eq!(targets.len(), 0);
+        assert!(targets.next().is_none());
+        brif.branch_targets_mut().nth(1).unwrap().block = Block::from_index(5);
+        let blocks: Vec<usize> = brif.branch_targets().map(|c| c.block.index()).collect();
+        assert_eq!(blocks, vec![1, 5]);
     }
 }

@@ -32,8 +32,13 @@
 //! [`parse_function`] accepts exactly one `function` unit;
 //! [`parse_module`] accepts one or more and returns a
 //! [`Module`](crate::Module).
+//!
+//! A parse allocates little beyond the IR it builds: the source is
+//! lexed once into tokens that borrow identifiers from it, and error
+//! positions (1-based line, column counted in chars) are recovered from
+//! a token's byte offset only when an error is reported.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::entities::{Block, Value};
@@ -113,18 +118,16 @@ pub fn parse_function(src: &str) -> Result<Function, ParseError> {
 pub fn parse_module(src: &str) -> Result<Module, ParseError> {
     let mut parser = Parser::new(src)?;
     let mut module = Module::new();
-    if parser.tok == Tok::Eof {
+    if *parser.tok() == Tok::Eof {
         return Err(parser.err("empty module: expected at least one `function`"));
     }
-    while parser.tok != Tok::Eof {
-        let (line, col) = (parser.line, parser.col);
+    let mut names = HashSet::new();
+    while *parser.tok() != Tok::Eof {
+        let at = parser.toks[parser.pos].at;
         let func = parser.parse_unit()?;
-        if module.by_name(&func.name).is_some() {
-            return Err(ParseError {
-                line,
-                col,
-                message: format!("function %{} defined twice", func.name),
-            });
+        if !names.insert(func.name.clone()) {
+            let message = format!("function %{} defined twice", func.name);
+            return Err(error_at(src, at, message));
         }
         module.push(func);
     }
@@ -133,11 +136,11 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
 
 // ------------------------------------------------------------- lexer
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Tok {
-    Ident(String), // iadd, function, v3, block0, ...
-    Str(String),   // "quoted function name"
-    Int(i64),      // possibly negative
+#[derive(Debug, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str), // iadd, function, v3, block0, ... (a slice of the source)
+    Str(String),    // "quoted function name", unescaped
+    Int(i64),       // possibly negative
     Percent,
     LBrace,
     RBrace,
@@ -149,7 +152,7 @@ enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -168,223 +171,257 @@ impl fmt::Display for Tok {
     }
 }
 
-struct Lexer<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-    line: usize,
-    col: usize,
+/// A token and the byte offset where it starts.
+struct Token<'a> {
+    tok: Tok<'a>,
+    at: usize,
 }
 
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer {
-            chars: src.chars().peekable(),
-            line: 1,
-            col: 1,
+/// A [`ParseError`] at byte offset `at` of `src`: 1-based line, and
+/// 1-based column counted in chars.
+fn error_at(src: &str, at: usize, message: impl Into<String>) -> ParseError {
+    let before = &src[..at];
+    let line_start = before.rfind('\n').map_or(0, |i| i + 1);
+    ParseError {
+        line: 1 + before.bytes().filter(|&b| b == b'\n').count(),
+        col: 1 + before[line_start..].chars().count(),
+        message: message.into(),
+    }
+}
+
+/// Lexes all of `src`; the last token is always `Eof`. Every token
+/// starts with an ASCII byte, so the lexer walks bytes and decodes a
+/// full char only inside quoted names and for other non-ASCII input,
+/// which is whitespace (U+00A0, ...) or an error. A comment ends at
+/// the next `\n` byte, which no multi-byte char contains.
+fn lex(src: &str) -> Result<Vec<Token<'_>>, ParseError> {
+    let bytes = src.as_bytes();
+    let mut toks = Vec::new();
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
+        let at = i;
+        i += 1;
+        let tok = match b {
+            b' ' | b'\t' | b'\n' | b'\r' => {
+                // Indentation comes in runs.
+                while bytes.get(i) == Some(&b' ') {
+                    i += 1;
+                }
+                continue;
+            }
+            b';' => {
+                i = bytes[i..]
+                    .iter()
+                    .position(|&c| c == b'\n')
+                    .map_or(bytes.len(), |p| i + p + 1);
+                continue;
+            }
+            b'%' => Tok::Percent,
+            b'{' => Tok::LBrace,
+            b'}' => Tok::RBrace,
+            b'(' => Tok::LParen,
+            b')' => Tok::RParen,
+            b',' => Tok::Comma,
+            b':' => Tok::Colon,
+            b'=' => Tok::Eq,
+            b'"' => {
+                let (name, end) = string_literal(src, at)?;
+                i = end;
+                Tok::Str(name)
+            }
+            b'-' | b'0'..=b'9' => {
+                i += bytes[i..].iter().take_while(|c| c.is_ascii_digit()).count();
+                let text = &src[at..i];
+                match text.parse() {
+                    Ok(value) => Tok::Int(value),
+                    Err(_) => {
+                        let message = format!("invalid integer literal `{text}`");
+                        return Err(error_at(src, at, message));
+                    }
+                }
+            }
+            b'_' | b'a'..=b'z' | b'A'..=b'Z' => {
+                i += bytes[i..]
+                    .iter()
+                    .take_while(|&&c| c.is_ascii_alphanumeric() || c == b'_' || c == b'.')
+                    .count();
+                Tok::Ident(&src[at..i])
+            }
+            _ => {
+                let c = src[at..].chars().next().expect("`at` is a char boundary");
+                if !c.is_whitespace() {
+                    return Err(error_at(src, at, format!("unexpected character `{c}`")));
+                }
+                i = at + c.len_utf8();
+                continue;
+            }
+        };
+        toks.push(Token { tok, at });
+    }
+    toks.push(Token {
+        tok: Tok::Eof,
+        at: src.len(),
+    });
+    Ok(toks)
+}
+
+/// Lexes the quoted name whose opening `"` is at byte `at`, returning
+/// its unescaped text and the offset just past the closing `"`. Total
+/// over arbitrary input: an unterminated literal or a bad escape is a
+/// [`ParseError`] at the opening `"`, never a panic or a hang.
+fn string_literal(src: &str, at: usize) -> Result<(String, usize), ParseError> {
+    let fail = |message: String| error_at(src, at, message);
+    let mut chars = src[at + 1..].chars();
+    let mut s = String::new();
+    loop {
+        match chars.next() {
+            None => return Err(fail("unterminated string literal".into())),
+            Some('"') => break,
+            Some('\\') => match chars.next() {
+                Some('"') => s.push('"'),
+                Some('\\') => s.push('\\'),
+                Some('n') => s.push('\n'),
+                Some('t') => s.push('\t'),
+                Some('r') => s.push('\r'),
+                Some('u') => {
+                    if chars.next() != Some('{') {
+                        return Err(fail("expected `{` after `\\u`".into()));
+                    }
+                    let mut hex = String::new();
+                    loop {
+                        match chars.next() {
+                            Some('}') => break,
+                            Some(c) if c.is_ascii_hexdigit() && hex.len() < 6 => hex.push(c),
+                            _ => return Err(fail("malformed `\\u{...}` escape".into())),
+                        }
+                    }
+                    let cp = u32::from_str_radix(&hex, 16)
+                        .map_err(|_| fail("empty `\\u{}` escape".into()))?;
+                    s.push(
+                        char::from_u32(cp)
+                            .ok_or_else(|| fail(format!("`\\u{{{hex}}}` is not a character")))?,
+                    );
+                }
+                other => {
+                    let shown = other.map_or("end of input".into(), |c| format!("`\\{c}`"));
+                    return Err(fail(format!("invalid escape {shown}")));
+                }
+            },
+            Some(c) => s.push(c),
+        }
+    }
+    Ok((s, src.len() - chars.as_str().len()))
+}
+
+/// Parses the `N` of a `v<N>` or `block<N>` identifier: one or more
+/// ASCII digits after `prefix`, without overflowing `u64`.
+fn entity_num(name: &str, prefix: &str) -> Option<u64> {
+    let digits = name.strip_prefix(prefix)?.as_bytes();
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &d| {
+        if !d.is_ascii_digit() {
+            return None;
+        }
+        n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+    })
+}
+
+/// Source entity number -> entity index, for the unit being parsed.
+/// Numbers below the source's token count (all a printed function
+/// uses) index `dense`, whose entries carry the unit that set them, so
+/// starting a unit is O(1); larger numbers go to `sparse`.
+struct EntityMap {
+    unit: usize,
+    limit: u64,
+    dense: Vec<(usize, u32)>,
+    sparse: HashMap<u64, u32>,
+}
+
+impl EntityMap {
+    fn new(limit: usize) -> Self {
+        EntityMap {
+            unit: 0,
+            limit: limit as u64,
+            dense: Vec::new(),
+            sparse: HashMap::new(),
         }
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next()?;
-        if c == '\n' {
-            self.line += 1;
-            self.col = 1;
+    /// Starts a unit with no mappings; called before any `get` or
+    /// `insert`, so `dense`'s zeroed entries never match.
+    fn start_unit(&mut self) {
+        self.unit += 1;
+        self.sparse.clear();
+    }
+
+    fn get(&self, n: u64) -> Option<u32> {
+        if n >= self.limit {
+            return self.sparse.get(&n).copied();
+        }
+        match self.dense.get(n as usize) {
+            Some(&(unit, e)) if unit == self.unit => Some(e),
+            _ => None,
+        }
+    }
+
+    /// Maps `n` to `e`; returns `false`, changing nothing, if `n` is
+    /// already mapped.
+    fn insert(&mut self, n: u64, e: u32) -> bool {
+        if self.get(n).is_some() {
+            return false;
+        }
+        if n >= self.limit {
+            self.sparse.insert(n, e);
         } else {
-            self.col += 1;
+            let i = n as usize;
+            if i >= self.dense.len() {
+                self.dense.resize(i + 1, (0, 0));
+            }
+            self.dense[i] = (self.unit, e);
         }
-        Some(c)
-    }
-
-    fn next_token(&mut self) -> Result<(Tok, usize, usize), ParseError> {
-        loop {
-            // Skip whitespace and comments.
-            match self.chars.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
-                }
-                Some(';') => {
-                    while let Some(c) = self.bump() {
-                        if c == '\n' {
-                            break;
-                        }
-                    }
-                }
-                _ => break,
-            }
-        }
-        let (line, col) = (self.line, self.col);
-        let Some(&c) = self.chars.peek() else {
-            return Ok((Tok::Eof, line, col));
-        };
-        let tok = match c {
-            '%' => {
-                self.bump();
-                Tok::Percent
-            }
-            '{' => {
-                self.bump();
-                Tok::LBrace
-            }
-            '}' => {
-                self.bump();
-                Tok::RBrace
-            }
-            '(' => {
-                self.bump();
-                Tok::LParen
-            }
-            ')' => {
-                self.bump();
-                Tok::RParen
-            }
-            ',' => {
-                self.bump();
-                Tok::Comma
-            }
-            ':' => {
-                self.bump();
-                Tok::Colon
-            }
-            '=' => {
-                self.bump();
-                Tok::Eq
-            }
-            '"' => {
-                self.bump();
-                self.string_literal(line, col)?
-            }
-            '-' | '0'..='9' => {
-                let mut s = String::new();
-                s.push(self.bump().expect("peeked"));
-                while let Some(&d) = self.chars.peek() {
-                    if d.is_ascii_digit() {
-                        s.push(self.bump().expect("peeked"));
-                    } else {
-                        break;
-                    }
-                }
-                let value = s.parse::<i64>().map_err(|_| ParseError {
-                    line,
-                    col,
-                    message: format!("invalid integer literal `{s}`"),
-                })?;
-                Tok::Int(value)
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&d) = self.chars.peek() {
-                    if d.is_ascii_alphanumeric() || d == '_' || d == '.' {
-                        s.push(self.bump().expect("peeked"));
-                    } else {
-                        break;
-                    }
-                }
-                Tok::Ident(s)
-            }
-            other => {
-                return Err(ParseError {
-                    line,
-                    col,
-                    message: format!("unexpected character `{other}`"),
-                })
-            }
-        };
-        Ok((tok, line, col))
-    }
-
-    /// Lexes the body of a quoted string; the opening `"` is consumed.
-    /// Total over arbitrary input: an unterminated literal or a bad
-    /// escape is a [`ParseError`], never a panic or a hang.
-    fn string_literal(&mut self, line: usize, col: usize) -> Result<Tok, ParseError> {
-        let fail = |message: String| ParseError { line, col, message };
-        let mut s = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(fail("unterminated string literal".into())),
-                Some('"') => break,
-                Some('\\') => match self.bump() {
-                    Some('"') => s.push('"'),
-                    Some('\\') => s.push('\\'),
-                    Some('n') => s.push('\n'),
-                    Some('t') => s.push('\t'),
-                    Some('r') => s.push('\r'),
-                    Some('u') => {
-                        if self.bump() != Some('{') {
-                            return Err(fail("expected `{` after `\\u`".into()));
-                        }
-                        let mut hex = String::new();
-                        loop {
-                            match self.bump() {
-                                Some('}') => break,
-                                Some(c) if c.is_ascii_hexdigit() && hex.len() < 6 => hex.push(c),
-                                _ => return Err(fail("malformed `\\u{...}` escape".into())),
-                            }
-                        }
-                        let cp = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| fail("empty `\\u{}` escape".into()))?;
-                        s.push(
-                            char::from_u32(cp).ok_or_else(|| {
-                                fail(format!("`\\u{{{hex}}}` is not a character"))
-                            })?,
-                        );
-                    }
-                    other => {
-                        let shown = other.map_or("end of input".into(), |c| format!("`\\{c}`"));
-                        return Err(fail(format!("invalid escape {shown}")));
-                    }
-                },
-                Some(c) => s.push(c),
-            }
-        }
-        Ok(Tok::Str(s))
+        true
     }
 }
 
 // ------------------------------------------------------------ parser
 
-struct Parser {
+struct Parser<'a> {
+    src: &'a str,
     /// The whole source, pre-lexed (the last entry is always `Eof`).
-    toks: Vec<(Tok, usize, usize)>,
+    toks: Vec<Token<'a>>,
     /// Index of the current token within `toks`.
     pos: usize,
-    tok: Tok,
-    line: usize,
-    col: usize,
     /// Source block number -> entity, for the function being parsed.
     /// Headers are pre-registered in definition order so that block
     /// numbering is stable under print/parse round trips regardless of
     /// forward references.
-    blocks: HashMap<u64, Block>,
+    blocks: EntityMap,
     /// Source value number -> reserved entity slot. Definition sites
     /// are pre-registered in textual order (so numbering is stable),
     /// and each slot is bound to its block parameter or instruction
     /// result when the body parse reaches the definition.
-    values: HashMap<u64, Value>,
+    values: EntityMap,
+    /// Parameters and instructions of each header the pre-pass found,
+    /// in block order: the capacity each block is created with.
+    block_sizes: Vec<(usize, usize)>,
     func: Function,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     /// Lexes the whole source up front (a module can then be parsed as
     /// a sequence of function units without re-lexing).
-    fn new(src: &str) -> Result<Self, ParseError> {
-        let mut lexer = Lexer::new(src);
-        let mut toks = Vec::new();
-        loop {
-            let entry = lexer.next_token()?;
-            let done = entry.0 == Tok::Eof;
-            toks.push(entry);
-            if done {
-                break;
-            }
-        }
-        let (tok, line, col) = toks[0].clone();
+    fn new(src: &'a str) -> Result<Self, ParseError> {
+        let toks = lex(src)?;
+        let limit = toks.len();
         Ok(Parser {
+            src,
             toks,
             pos: 0,
-            tok,
-            line,
-            col,
-            blocks: HashMap::new(),
-            values: HashMap::new(),
+            blocks: EntityMap::new(limit),
+            values: EntityMap::new(limit),
+            block_sizes: Vec::new(),
             func: Function::new(""),
         })
     }
@@ -401,153 +438,167 @@ impl Parser {
     /// site.
     fn preregister_defs(&mut self) -> Result<(), ParseError> {
         let mut depth = 0usize;
-        let mut i = self.pos;
-        let mut reserved = 0usize;
-        while i < self.toks.len() {
-            match &self.toks[i].0 {
+        let (mut reserved, mut results) = (0, 0);
+        self.block_sizes.clear();
+        for i in self.pos..self.toks.len() {
+            match self.toks[i].tok {
                 Tok::LBrace => depth += 1,
                 Tok::RBrace if depth == 0 => break,
                 Tok::RBrace => depth -= 1,
                 Tok::Eof => break,
-                Tok::Ident(name) if Self::entity_num(name, "block").is_some() => {
-                    // A potential block header: scan its parenthesized
-                    // parameter list (if any) without committing until
-                    // the trailing `:` confirms the shape.
-                    let mut j = i + 1;
-                    let mut params: Vec<(u64, usize, usize)> = Vec::new();
-                    let mut params_clean = true;
-                    if self.toks.get(j).map(|t| &t.0) == Some(&Tok::LParen) {
-                        j += 1;
-                        while j < self.toks.len() && self.toks[j].0 != Tok::RParen {
-                            match &self.toks[j].0 {
-                                Tok::Ident(p) => match Self::entity_num(p, "v") {
-                                    Some(n) => params.push((n, self.toks[j].1, self.toks[j].2)),
-                                    // The body parse will reject this
-                                    // parameter list; register nothing.
-                                    None => params_clean = false,
-                                },
-                                Tok::Comma => {}
-                                _ => params_clean = false,
-                            }
-                            j += 1;
-                        }
-                        j += 1;
-                    }
-                    if self.toks.get(j).map(|t| &t.0) == Some(&Tok::Colon) {
-                        let name = name.clone();
-                        self.block_ref(&name)?;
-                        if params_clean {
-                            for (n, line, col) in params {
-                                self.register_value_def(n, line, col, &mut reserved)?;
+                Tok::Ident(name) => {
+                    if let Some(n) = entity_num(name, "block") {
+                        self.preregister_header(i, n, &mut reserved)?;
+                    } else if let Some(n) = entity_num(name, "v") {
+                        // `vN =` is an instruction-result definition.
+                        if self.toks.get(i + 1).is_some_and(|t| t.tok == Tok::Eq) {
+                            self.register_value_def(n, i, &mut reserved)?;
+                            results += 1;
+                            if let Some(size) = self.block_sizes.last_mut() {
+                                size.1 += 1;
                             }
                         }
                     }
-                }
-                // `vN =` is an instruction-result definition.
-                Tok::Ident(name)
-                    if Self::entity_num(name, "v").is_some()
-                        && self.toks.get(i + 1).map(|t| &t.0) == Some(&Tok::Eq) =>
-                {
-                    let n = Self::entity_num(name, "v").expect("matched by guard");
-                    let (line, col) = (self.toks[i].1, self.toks[i].2);
-                    self.register_value_def(n, line, col, &mut reserved)?;
                 }
                 _ => {}
             }
-            i += 1;
         }
-        self.func.reserve_values(reserved);
+        // Each header's block ends in a terminator.
+        let headers = self.block_sizes.len();
+        self.func.reserve(headers, reserved, results + headers);
+        for &(params, insts) in &self.block_sizes {
+            self.func.add_block_with_capacity(params, insts);
+        }
         Ok(())
     }
 
-    /// Registers source value `n` as the `next`-th defined value of the
-    /// unit, erroring (at the definition's position) on duplicates.
+    /// The pre-pass on an identifier `blockN` at token `i`: a block
+    /// header if a `:` follows, directly or after a parenthesized list.
+    /// The list's values are registered only if each entry is a value
+    /// name (the body parse rejects any other list).
+    fn preregister_header(
+        &mut self,
+        i: usize,
+        n: u64,
+        reserved: &mut usize,
+    ) -> Result<(), ParseError> {
+        let mut j = i + 1;
+        let (mut params, mut count) = (i..i, 0);
+        if self.toks.get(j).is_some_and(|t| t.tok == Tok::LParen) {
+            j += 1;
+            let start = j;
+            let mut clean = true;
+            while j < self.toks.len() && self.toks[j].tok != Tok::RParen {
+                clean &= match self.toks[j].tok {
+                    Tok::Ident(p) => {
+                        count += 1;
+                        entity_num(p, "v").is_some()
+                    }
+                    Tok::Comma => true,
+                    _ => false,
+                };
+                j += 1;
+            }
+            if clean {
+                params = start..j;
+            } else {
+                count = 0;
+            }
+            j += 1;
+        }
+        if self.toks.get(j).is_some_and(|t| t.tok == Tok::Colon) {
+            // Block entities follow header order; `preregister_defs`
+            // creates them once the count is known.
+            if self.blocks.insert(n, self.block_sizes.len() as u32) {
+                self.block_sizes.push((count, 1));
+            }
+            for k in params {
+                if let Tok::Ident(p) = self.toks[k].tok {
+                    let n = entity_num(p, "v").expect("checked above");
+                    self.register_value_def(n, k, reserved)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Registers source value `n`, defined at token `tok`, as the
+    /// `next`-th defined value of the unit, erroring (at the
+    /// definition's position) on duplicates.
     fn register_value_def(
         &mut self,
         n: u64,
-        line: usize,
-        col: usize,
+        tok: usize,
         next: &mut usize,
     ) -> Result<(), ParseError> {
-        if self.values.insert(n, Value::from_index(*next)).is_some() {
-            return Err(ParseError {
-                line,
-                col,
-                message: format!("value `v{n}` defined twice"),
-            });
+        if !self.values.insert(n, *next as u32) {
+            let message = format!("value `v{n}` defined twice");
+            return Err(error_at(self.src, self.toks[tok].at, message));
         }
         *next += 1;
         Ok(())
     }
 
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            line: self.line,
-            col: self.col,
-            message: message.into(),
+    fn tok(&self) -> &Tok<'a> {
+        &self.toks[self.pos].tok
+    }
+
+    /// The current token's text, if it is an identifier.
+    fn ident(&self) -> Option<&'a str> {
+        match self.toks[self.pos].tok {
+            Tok::Ident(s) => Some(s),
+            _ => None,
         }
     }
 
-    fn advance(&mut self) -> Result<(), ParseError> {
+    fn err(&self, message: impl Into<String>) -> ParseError {
+        error_at(self.src, self.toks[self.pos].at, message)
+    }
+
+    /// Moves to the next token, staying on the final `Eof`.
+    fn advance(&mut self) {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
-        let (tok, line, col) = self.toks[self.pos].clone();
-        self.tok = tok;
-        self.line = line;
-        self.col = col;
-        Ok(())
     }
 
-    /// Peeks one token past `self.tok` without consuming anything.
-    fn peek_next(&mut self) -> Result<&Tok, ParseError> {
-        Ok(self.toks.get(self.pos + 1).map_or(&Tok::Eof, |t| &t.0))
+    /// Peeks one token past the current one without consuming anything.
+    fn peek_next(&self) -> &Tok<'a> {
+        self.toks.get(self.pos + 1).map_or(&Tok::Eof, |t| &t.tok)
     }
 
-    fn expect(&mut self, tok: Tok) -> Result<(), ParseError> {
-        if self.tok == tok {
-            self.advance()
+    fn expect(&mut self, tok: Tok<'a>) -> Result<(), ParseError> {
+        if *self.tok() == tok {
+            self.advance();
+            Ok(())
         } else {
-            Err(self.err(format!("expected {tok}, found {}", self.tok)))
+            Err(self.err(format!("expected {tok}, found {}", self.tok())))
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match std::mem::replace(&mut self.tok, Tok::Eof) {
-            Tok::Ident(s) => {
-                self.advance()?;
-                Ok(s)
-            }
-            other => {
-                self.tok = other;
-                Err(self.err(format!("expected identifier, found {}", self.tok)))
-            }
-        }
+    fn expect_ident(&mut self) -> Result<&'a str, ParseError> {
+        let s = self
+            .ident()
+            .ok_or_else(|| self.err(format!("expected identifier, found {}", self.tok())))?;
+        self.advance();
+        Ok(s)
     }
 
     /// A function name: a bare identifier or a quoted string.
     fn expect_name(&mut self) -> Result<String, ParseError> {
-        match std::mem::replace(&mut self.tok, Tok::Eof) {
-            Tok::Ident(s) | Tok::Str(s) => {
-                self.advance()?;
-                Ok(s)
-            }
-            other => {
-                self.tok = other;
-                Err(self.err(format!("expected function name, found {}", self.tok)))
-            }
-        }
-    }
-
-    /// Parses `v<NUM>` or `block<NUM>` identifiers.
-    fn entity_num(name: &str, prefix: &str) -> Option<u64> {
-        name.strip_prefix(prefix)?.parse().ok()
+        let name = match self.tok() {
+            Tok::Ident(s) => (*s).to_owned(),
+            Tok::Str(s) => s.clone(),
+            other => return Err(self.err(format!("expected function name, found {other}"))),
+        };
+        self.advance();
+        Ok(name)
     }
 
     fn parse(mut self) -> Result<Function, ParseError> {
         let func = self.parse_unit()?;
-        if self.tok != Tok::Eof {
-            return Err(self.err(format!("trailing input: {}", self.tok)));
+        if *self.tok() != Tok::Eof {
+            return Err(self.err(format!("trailing input: {}", self.tok())));
         }
         Ok(func)
     }
@@ -557,33 +608,33 @@ impl Parser {
     /// `function` keyword, or `Eof`). Per-function entity maps reset
     /// here, so source numbering restarts with every unit.
     fn parse_unit(&mut self) -> Result<Function, ParseError> {
-        self.blocks.clear();
-        self.values.clear();
+        self.blocks.start_unit();
+        self.values.start_unit();
         self.func = Function::new("");
-        match &self.tok {
-            Tok::Ident(k) if k == "function" => self.advance()?,
-            _ => return Err(self.err(format!("expected `function`, found {}", self.tok))),
+        if self.ident() != Some("function") {
+            return Err(self.err(format!("expected `function`, found {}", self.tok())));
         }
+        self.advance();
         self.expect(Tok::Percent)?;
         self.func.name = self.expect_name()?;
 
         // Optional (and ignored) parameter list echoing block0's params.
-        if self.tok == Tok::LParen {
-            while self.tok != Tok::RParen {
-                if self.tok == Tok::Eof {
+        if *self.tok() == Tok::LParen {
+            while *self.tok() != Tok::RParen {
+                if *self.tok() == Tok::Eof {
                     // `advance` saturates at `Eof`; erroring here (not
                     // spinning) keeps the parser total on truncated
                     // input like `function %f (`.
                     return Err(self.err("unterminated function parameter list"));
                 }
-                self.advance()?;
+                self.advance();
             }
-            self.advance()?;
+            self.advance();
         }
         self.expect(Tok::LBrace)?;
         self.preregister_defs()?;
 
-        while self.tok != Tok::RBrace {
+        while *self.tok() != Tok::RBrace {
             self.parse_block()?;
         }
         self.expect(Tok::RBrace)?;
@@ -591,125 +642,130 @@ impl Parser {
         // Every referenced block must have been defined with a header.
         for b in self.func.blocks() {
             if !self.func.is_terminated(b) {
-                return Err(ParseError {
-                    line: self.line,
-                    col: self.col,
-                    message: format!("{b} has no terminator (or was referenced but never defined)"),
-                });
+                return Err(self.err(format!(
+                    "{b} has no terminator (or was referenced but never defined)"
+                )));
             }
         }
         Ok(std::mem::replace(&mut self.func, Function::new("")))
     }
 
-    fn block_ref(&mut self, name: &str) -> Result<Block, ParseError> {
-        let n = Self::entity_num(name, "block")
-            .ok_or_else(|| self.err(format!("expected block reference, found `{name}`")))?;
-        if let Some(&b) = self.blocks.get(&n) {
-            return Ok(b);
+    /// The block entity of source block `n`, created on first mention.
+    fn block(&mut self, n: u64) -> Block {
+        match self.blocks.get(n) {
+            Some(b) => Block::from_index(b as usize),
+            None => {
+                let b = self.func.add_block();
+                self.blocks.insert(n, b.as_u32());
+                b
+            }
         }
-        let b = self.func.add_block();
-        self.blocks.insert(n, b);
-        Ok(b)
     }
 
-    fn value_use(&mut self, name: &str) -> Result<Value, ParseError> {
-        let n = Self::entity_num(name, "v")
+    fn block_ref(&mut self, name: &str) -> Result<Block, ParseError> {
+        let n = entity_num(name, "block")
+            .ok_or_else(|| self.err(format!("expected block reference, found `{name}`")))?;
+        Ok(self.block(n))
+    }
+
+    fn value_use(&self, name: &str) -> Result<Value, ParseError> {
+        let n = entity_num(name, "v")
             .ok_or_else(|| self.err(format!("expected value reference, found `{name}`")))?;
+        self.value_num(n)
+    }
+
+    fn value_num(&self, n: u64) -> Result<Value, ParseError> {
         self.values
-            .get(&n)
-            .copied()
+            .get(n)
+            .map(|v| Value::from_index(v as usize))
             .ok_or_else(|| self.err(format!("use of undefined value `v{n}`")))
     }
 
     /// The reserved slot for a definition site the pre-pass registered.
-    fn value_def_slot(&mut self, name: &str) -> Result<Value, ParseError> {
-        let n = Self::entity_num(name, "v")
+    fn value_def_slot(&self, name: &str) -> Result<Value, ParseError> {
+        let n = entity_num(name, "v")
             .ok_or_else(|| self.err(format!("expected value name, found `{name}`")))?;
         self.values
-            .get(&n)
-            .copied()
+            .get(n)
+            .map(|v| Value::from_index(v as usize))
             .ok_or_else(|| self.err(format!("value `v{n}` has no registered definition")))
     }
 
     /// `true` iff the current token opens a block definition:
     /// a `blockN` identifier followed by `(` or `:`.
-    fn at_block_header(&mut self) -> Result<bool, ParseError> {
-        let is_block_name = matches!(&self.tok, Tok::Ident(name)
-            if Self::entity_num(name, "block").is_some());
-        if !is_block_name {
-            return Ok(false);
-        }
-        Ok(matches!(self.peek_next()?, Tok::LParen | Tok::Colon))
+    fn at_block_header(&self) -> bool {
+        matches!(self.peek_next(), Tok::LParen | Tok::Colon)
+            && self
+                .ident()
+                .is_some_and(|name| entity_num(name, "block").is_some())
     }
 
     fn parse_block(&mut self) -> Result<(), ParseError> {
         let name = self.expect_ident()?;
-        let block = self.block_ref(&name)?;
+        let block = self.block_ref(name)?;
         if self.func.is_terminated(block) || !self.func.block_insts(block).is_empty() {
             return Err(self.err(format!("{block} defined twice")));
         }
-        if self.tok == Tok::LParen {
-            self.advance()?;
-            while self.tok != Tok::RParen {
+        if *self.tok() == Tok::LParen {
+            self.advance();
+            while *self.tok() != Tok::RParen {
                 let pname = self.expect_ident()?;
-                let v = self.value_def_slot(&pname)?;
+                let v = self.value_def_slot(pname)?;
                 self.func.bind_block_param(block, v);
-                if self.tok == Tok::Comma {
-                    self.advance()?;
+                if *self.tok() == Tok::Comma {
+                    self.advance();
                 }
             }
-            self.advance()?;
+            self.advance();
         }
         self.expect(Tok::Colon)?;
 
         loop {
-            if self.tok == Tok::RBrace || self.at_block_header()? {
+            if *self.tok() == Tok::RBrace || self.at_block_header() {
                 if !self.func.is_terminated(block) {
                     return Err(self.err(format!("{block} has no terminator")));
                 }
                 return Ok(());
             }
-            match &self.tok {
-                Tok::Ident(_) => {
-                    let ident = self.expect_ident()?;
-                    self.parse_inst(block, ident)?;
-                }
-                other => return Err(self.err(format!("expected instruction, found {other}"))),
-            }
+            let Some(first) = self.ident() else {
+                return Err(self.err(format!("expected instruction, found {}", self.tok())));
+            };
+            self.advance();
+            self.parse_inst(block, first)?;
         }
     }
 
     fn parse_call(&mut self) -> Result<BlockCall, ParseError> {
         let name = self.expect_ident()?;
-        let block = self.block_ref(&name)?;
+        let block = self.block_ref(name)?;
         let mut args = Vec::new();
-        if self.tok == Tok::LParen {
-            self.advance()?;
-            while self.tok != Tok::RParen {
+        if *self.tok() == Tok::LParen {
+            self.advance();
+            while *self.tok() != Tok::RParen {
                 let a = self.expect_ident()?;
-                args.push(self.value_use(&a)?);
-                if self.tok == Tok::Comma {
-                    self.advance()?;
+                args.push(self.value_use(a)?);
+                if *self.tok() == Tok::Comma {
+                    self.advance();
                 }
             }
-            self.advance()?;
+            self.advance();
         }
         Ok(BlockCall::with_args(block, args))
     }
 
     /// Parses one instruction whose first identifier is already consumed.
-    fn parse_inst(&mut self, block: Block, first: String) -> Result<(), ParseError> {
+    fn parse_inst(&mut self, block: Block, first: &str) -> Result<(), ParseError> {
         if self.func.is_terminated(block) {
             return Err(self.err(format!("instruction after terminator of {block}")));
         }
-        match first.as_str() {
+        match first {
             "jump" => {
                 let dest = self.parse_call()?;
                 self.func.append_inst(block, InstData::Jump { dest });
             }
             "brif" => {
                 let c = self.expect_ident()?;
-                let cond = self.value_use(&c)?;
+                let cond = self.value_use(c)?;
                 self.expect(Tok::Comma)?;
                 let then_dest = self.parse_call()?;
                 self.expect(Tok::Comma)?;
@@ -725,17 +781,13 @@ impl Parser {
             }
             "return" => {
                 let mut args = Vec::new();
-                while let Tok::Ident(name) = &self.tok {
-                    if !name.starts_with('v') || Self::entity_num(name, "v").is_none() {
+                while let Some(n) = self.ident().and_then(|name| entity_num(name, "v")) {
+                    self.advance();
+                    args.push(self.value_num(n)?);
+                    if *self.tok() != Tok::Comma {
                         break;
                     }
-                    let name = self.expect_ident()?;
-                    args.push(self.value_use(&name)?);
-                    if self.tok == Tok::Comma {
-                        self.advance()?;
-                    } else {
-                        break;
-                    }
+                    self.advance();
                 }
                 self.func.append_inst(block, InstData::Return { args });
             }
@@ -744,8 +796,8 @@ impl Parser {
                 self.expect(Tok::Eq)
                     .map_err(|_| self.err(format!("unknown instruction `{first}`")))?;
                 let op = self.expect_ident()?;
-                let data = self.parse_value_op(&op)?;
-                let result = self.value_def_slot(&first)?;
+                let data = self.parse_value_op(op)?;
+                let result = self.value_def_slot(first)?;
                 self.func.append_inst_bound(block, data, result);
             }
         }
@@ -754,28 +806,24 @@ impl Parser {
 
     fn parse_value_op(&mut self, op: &str) -> Result<InstData, ParseError> {
         if op == "iconst" {
-            let imm = match self.tok {
-                Tok::Int(i) => i,
-                _ => return Err(self.err(format!("expected integer, found {}", self.tok))),
+            let Tok::Int(imm) = *self.tok() else {
+                return Err(self.err(format!("expected integer, found {}", self.tok())));
             };
-            self.advance()?;
+            self.advance();
             return Ok(InstData::IntConst { imm });
         }
-        if let Some(u) = UnaryOp::ALL.iter().find(|u| u.mnemonic() == op) {
+        if let Some(op) = UnaryOp::from_mnemonic(op) {
             let a = self.expect_ident()?;
-            let arg = self.value_use(&a)?;
-            return Ok(InstData::Unary { op: *u, arg });
+            let arg = self.value_use(a)?;
+            return Ok(InstData::Unary { op, arg });
         }
-        if let Some(b) = BinaryOp::ALL.iter().find(|b| b.mnemonic() == op) {
+        if let Some(op) = BinaryOp::from_mnemonic(op) {
             let a0 = self.expect_ident()?;
-            let x = self.value_use(&a0)?;
+            let x = self.value_use(a0)?;
             self.expect(Tok::Comma)?;
             let a1 = self.expect_ident()?;
-            let y = self.value_use(&a1)?;
-            return Ok(InstData::Binary {
-                op: *b,
-                args: [x, y],
-            });
+            let y = self.value_use(a1)?;
+            return Ok(InstData::Binary { op, args: [x, y] });
         }
         Err(self.err(format!("unknown opcode `{op}`")))
     }
@@ -1056,6 +1104,110 @@ block0(v0):
         )
         .unwrap_err();
         assert!(e.message.contains("trailing input"), "{e}");
+    }
+
+    /// The outcome of parsing `src` as one function: the printed
+    /// function, or the error's line, column and message.
+    fn outcome(src: &str) -> Result<String, (usize, usize, String)> {
+        parse_function(src)
+            .map(|f| f.to_string())
+            .map_err(|e| (e.line, e.col, e.message))
+    }
+
+    fn error(line: usize, col: usize, message: &str) -> Result<String, (usize, usize, String)> {
+        Err((line, col, message.to_string()))
+    }
+
+    #[test]
+    fn integer_literals_cover_exactly_i64() {
+        let f =
+            parse_function("function %f { block0: v0 = iconst -9223372036854775808\n return v0 }")
+                .unwrap();
+        let k = f.block_insts(f.entry_block())[0];
+        assert_eq!(f.inst_data(k), &InstData::IntConst { imm: i64::MIN });
+        assert_eq!(
+            outcome("function %f { block0: v0 = iconst 9223372036854775808\n return v0 }"),
+            error(1, 35, "invalid integer literal `9223372036854775808`")
+        );
+        assert_eq!(
+            outcome("function %f { block0: v0 = iconst - return }"),
+            error(1, 35, "invalid integer literal `-`")
+        );
+    }
+
+    #[test]
+    fn entity_numbers_cover_exactly_u64() {
+        let max = "v18446744073709551615";
+        let f = parse_function(&format!("function %f {{ block0({max}): return {max} }}")).unwrap();
+        assert_eq!(f.params().len(), 1);
+        assert_eq!(
+            outcome("function %f { block0(v18446744073709551616): return }"),
+            error(1, 43, "expected value name, found `v18446744073709551616`")
+        );
+        assert_eq!(
+            outcome("function %f { block0(v184467440737095516150): return }"),
+            error(1, 44, "expected value name, found `v184467440737095516150`")
+        );
+        let f = parse_function(
+            "function %f { block0: jump block18446744073709551615 \
+             block18446744073709551615: return }",
+        )
+        .unwrap();
+        assert_eq!(f.num_blocks(), 2);
+    }
+
+    #[test]
+    fn unicode_whitespace_and_crlf_separate_tokens() {
+        let f = parse_function(
+            "function %f {\u{a0}block0(v0):\u{2003}v1 = iadd v0,\u{a0}v0\r\n  return v1\r\n}",
+        )
+        .unwrap();
+        assert_eq!(f.num_insts(), 2);
+        assert!(parse_function("function %f {\u{a0}block0:\u{2003}return\r\n}").is_ok());
+        // U+001C is not whitespace.
+        assert_eq!(
+            outcome("function %f { block0: v0 = iconst 1\u{1c} return v0 }"),
+            error(1, 36, "unexpected character `\u{1c}`")
+        );
+    }
+
+    #[test]
+    fn columns_count_chars_and_comments_count_lines() {
+        assert_eq!(
+            outcome("function %\"é名\" { block0: return v9 }"),
+            error(1, 36, "use of undefined value `v9`")
+        );
+        assert_eq!(
+            outcome("function %f {\tblock0:\t@ }"),
+            error(1, 23, "unexpected character `@`")
+        );
+        assert_eq!(
+            outcome("function %f { block0: 名 }"),
+            error(1, 23, "unexpected character `名`")
+        );
+        assert_eq!(
+            outcome("; comment é名 ünï\nfunction %f { block0: return v1 }"),
+            error(2, 33, "use of undefined value `v1`")
+        );
+        assert_eq!(
+            outcome("function %f { ; 名名名\n block0: @ }"),
+            error(2, 10, "unexpected character `@`")
+        );
+    }
+
+    #[test]
+    fn duplicate_function_names_report_the_second_unit() {
+        let e = parse_module("function %a { block0: return }\nfunction %a { block0: return }")
+            .unwrap_err();
+        assert_eq!((e.line, e.col), (2, 1));
+        assert_eq!(e.message, "function %a defined twice");
+        // Quoted and bare spellings of one name collide too.
+        let e = parse_module("function %a { block0: return } function %\"a\" { block0: return }")
+            .unwrap_err();
+        assert_eq!(
+            (e.line, e.col, e.message.as_str()),
+            (1, 32, "function %a defined twice")
+        );
     }
 
     #[test]

@@ -61,8 +61,12 @@ pub fn split_critical_edges(func: &mut Function) -> Vec<Block> {
         }
         for ti in 0..n_targets {
             let (dest, args) = {
-                let targets = func.inst_data(term).branch_targets();
-                (targets[ti].block, targets[ti].args.clone())
+                let call = func
+                    .inst_data(term)
+                    .branch_targets()
+                    .nth(ti)
+                    .expect("target index below the count");
+                (call.block, call.args.clone())
             };
             if func.preds(dest.as_u32()).len() < 2 {
                 continue; // not critical

@@ -143,3 +143,53 @@ fn parse_errors_carry_positions() {
         assert!(err.line >= 1 && err.col >= 1);
     }
 }
+
+/// A module shaped like the benchmark's `serve` module — twelve
+/// functions of 64–128 blocks, alternately goto-injected and deep-live
+/// — is a print∘parse fixed point, and every unit numbers its values
+/// afresh: block parameters, then instruction results, in textual
+/// order. (The parser's entity maps reset per unit.)
+#[test]
+fn serve_shaped_module_round_trips_with_per_unit_numbering() {
+    use fastlive::ir::Module;
+    use fastlive::parse_module;
+    use fastlive::workload::{generate_module, ModuleParams};
+
+    let mut module = Module::new();
+    for i in 0..12 {
+        let blocks = 64 + i * 64 / 11;
+        let params = ModuleParams {
+            functions: 1,
+            min_blocks: blocks,
+            max_blocks: blocks,
+            irreducible_per_mille: if i % 2 == 0 { 1000 } else { 0 },
+            deep_live_per_mille: if i % 4 < 2 { 1000 } else { 0 },
+        };
+        let seed = 0x9e37_79b9_7f4a_7c15 ^ i as u64;
+        module.push(generate_module(&format!("f{i}"), params, seed).functions()[0].clone());
+    }
+    let parsed = parse_module(&module.to_string()).expect("generated module parses");
+    let printed = parsed.to_string();
+    let reparsed = parse_module(&printed).expect("printed module reparses");
+    assert_eq!(reparsed.to_string(), printed, "not a fixed point");
+
+    assert_eq!(parsed.len(), 12);
+    for (f, orig) in parsed.functions().iter().zip(module.functions()) {
+        assert_eq!(f.name, orig.name);
+        assert_eq!(f.num_blocks(), orig.num_blocks());
+        let mut next = 0;
+        for b in f.blocks() {
+            let results = f.block_insts(b).iter().filter_map(|&i| f.inst_result(i));
+            for v in f.block_params(b).iter().copied().chain(results) {
+                assert_eq!(v.index(), next, "{}: {v} out of textual order", f.name);
+                next += 1;
+            }
+        }
+        assert_eq!(
+            next,
+            f.num_values(),
+            "{}: a value slot was never bound",
+            f.name
+        );
+    }
+}
