@@ -10,15 +10,18 @@
 //! `DIR/BENCH_<suite>.json` (`DIR` defaults to `.`); a failed check
 //! exits non-zero and writes nothing. Printing suites (`table1 table2
 //! figures memory precompute ablation`) print the paper's tables and
-//! figures and this repository's ablations to stdout. `--quick` shrinks
-//! every suite's workloads and reps for smoke runs; the report keys and
-//! checks stay the same. `FASTLIVE_SCALE` and `FASTLIVE_REPS` size
-//! `table1`/`table2`.
+//! figures and this repository's ablations to stdout. Every timed
+//! number comes from `fastlive_bench::measure`. `--quick` shrinks every
+//! suite's workloads and rounds for smoke runs; the report keys and
+//! checks stay the same, except that only full runs check README's
+//! wins. `FASTLIVE_SCALE` sizes `table1`/`table2` and `FASTLIVE_REPS`
+//! sets `table2`'s rounds.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use fastlive::telemetry::Json;
+use fastlive_bench::{fields, HEADER};
 
 mod suites {
     pub mod ablation;
@@ -69,9 +72,11 @@ const PRINTS: [(&str, Print); 6] = [
     ("ablation", ablation::run),
 ];
 
-/// Writes `report` to `dir/BENCH_<name>.json` if it passes `check`.
+/// Writes `report` to `dir/BENCH_<name>.json` if it carries the
+/// common header and passes `check`.
 fn write_checked(dir: &Path, name: &str, report: &Json, check: Check) -> Result<PathBuf, String> {
-    check(report).map_err(|e| format!("BENCH_{name}.json fails its check: {e}"))?;
+    (fields(report, HEADER).and_then(|()| check(report)))
+        .map_err(|e| format!("BENCH_{name}.json fails its check: {e}"))?;
     let path = dir.join(format!("BENCH_{name}.json"));
     std::fs::write(&path, report.to_document())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;

@@ -13,10 +13,11 @@
 //! * Cooper–Harvey–Kennedy versus Lengauer–Tarjan dominators (a §2
 //!   prerequisite both engines share).
 //!
-//! Each line is the median ns per call over 30 batches of at least a
-//! millisecond (3 with `--quick`).
+//! Each line is the median ns per call and its quartiles over 30
+//! interleaved rounds of batches of at least a millisecond (3 with
+//! `--quick`); all six arms share one `measure`.
 
-use fastlive_bench::{batched_ns, dominance_probes, run_probes_scalar};
+use fastlive_bench::{dominance_probes, measure, run_probes_scalar, Arm};
 use fastlive_cfg::{lengauer_tarjan, DfsTree, DomTree};
 use fastlive_core::baseline::{self, LoopForestChecker, SortedLivenessChecker};
 use fastlive_core::LivenessChecker;
@@ -44,13 +45,9 @@ fn uniform_probes(func: &Function) -> Vec<(u32, u32, u32)> {
         .collect()
 }
 
-fn report(id: &str, ns: f64, note: &str) {
-    println!("ablation/{id:<34} median {ns:>12.1} ns/iter{note}");
-}
-
 /// Runs the suite.
 pub fn run(quick: bool) {
-    let samples = if quick { 3 } else { 30 };
+    let rounds = if quick { 3 } else { 30 };
     let func = test_function();
 
     // Subtree skipping on/off, on the scalar candidate loop.
@@ -68,44 +65,43 @@ pub fn run(quick: bool) {
             .sum()
     };
     let (skip_visits, linear_visits) = (visits(true), visits(false));
-    for (id, skip, n) in [
-        ("queries/subtree_skipping", true, skip_visits),
-        ("queries/no_skipping", false, linear_visits),
-    ] {
-        let ns = batched_ns(samples, || run_probes_scalar(&live, &probes, skip));
-        report(id, ns, &format!("  ({n} candidate visits)"));
-    }
     assert!(
         skip_visits < linear_visits,
         "subtree skipping must visit fewer candidates ({skip_visits} vs {linear_visits})"
     );
-
-    // Bitset vs sorted-array vs loop-forest query engines.
+    // Bitset vs sorted-array vs loop-forest query engines, and CHK vs
+    // LT dominators.
     let uniform = uniform_probes(&func);
     let sorted = SortedLivenessChecker::compute(&func);
-    let ns = batched_ns(samples, || {
-        uniform
-            .iter()
-            .filter(|&&(d, u, q)| sorted.is_live_in(d, &[u], q))
-            .count()
-    });
-    report("queries/sorted_arrays", ns, "");
-    if let Some(forest) = LoopForestChecker::compute(&func) {
-        let ns = batched_ns(samples, || {
-            uniform
-                .iter()
-                .filter(|&&(d, u, q)| forest.is_live_in(d, &[u], q))
-                .count()
-        });
-        report("queries/loop_forest", ns, "");
-    }
-
-    // Dominator construction: CHK vs LT.
+    let forest = LoopForestChecker::compute(&func).expect("the ablation function is reducible");
     let dfs = DfsTree::compute(&func);
-    let chk = batched_ns(samples, || DomTree::compute(&func, &dfs));
-    report("dominators/chk", chk, "");
-    let lt = batched_ns(samples, || {
-        lengauer_tarjan::immediate_dominators(&func, &dfs)
-    });
-    report("dominators/lengauer_tarjan", lt, "");
+    let m = measure(
+        rounds,
+        vec![
+            Arm::new(|| run_probes_scalar(&live, &probes, true)),
+            Arm::new(|| run_probes_scalar(&live, &probes, false)),
+            Arm::new(|| {
+                (uniform.iter())
+                    .filter(|&&(d, u, q)| sorted.is_live_in(d, &[u], q))
+                    .count()
+            }),
+            Arm::new(|| {
+                (uniform.iter())
+                    .filter(|&&(d, u, q)| forest.is_live_in(d, &[u], q))
+                    .count()
+            }),
+            Arm::new(|| DomTree::compute(&func, &dfs)),
+            Arm::new(|| lengauer_tarjan::immediate_dominators(&func, &dfs)),
+        ],
+    );
+    let ids = "queries/subtree_skipping queries/no_skipping queries/sorted_arrays \
+        queries/loop_forest dominators/chk dominators/lengauer_tarjan";
+    for (i, id) in ids.split_whitespace().enumerate() {
+        let note = match i {
+            0 => format!("  ({skip_visits} candidate visits)"),
+            1 => format!("  ({linear_visits} candidate visits)"),
+            _ => String::new(),
+        };
+        println!("ablation/{id:<34} median {:>12.1} ns/iter{note}", m.arm(i));
+    }
 }

@@ -17,13 +17,18 @@
 
 use fastlive::telemetry::Json;
 use fastlive::Fastlive;
-use fastlive_bench::{host_cpus, module_header, row_set, rows, section, time_ns, MODULE_HEADER};
+use fastlive_bench::{
+    fields, host_cpus, ladder_check, ladder_rows, measure, module_header, row_set, rows, section,
+    Arm, SpreadField,
+};
 use fastlive_ir::parse_module;
 use fastlive_workload::{generate_module, ModuleParams};
 
+const THREADS: [usize; 4] = [1, 2, 4, 8];
+
 /// Runs the suite.
 pub fn run(quick: bool) -> Json {
-    let (functions, reps) = if quick { (16, 3) } else { (96, 9) };
+    let (functions, rounds) = if quick { (16, 3) } else { (96, 15) };
     let module = generate_module(
         "engine_bench",
         ModuleParams {
@@ -35,49 +40,36 @@ pub fn run(quick: bool) -> Json {
         },
         0xe61e,
     );
-
-    // ---- Thread scaling: cold precompute throughput, cache disabled.
-    let mut scaling = Vec::new();
-    let mut base_ns = 0.0;
-    for threads in [1usize, 2, 4, 8] {
-        let ns = time_ns(reps, || {
-            Fastlive::builder()
-                .threads(threads)
-                .cache_capacity(0)
-                .build()
-                .expect("valid config")
-                .engine()
-                .analyze(&module)
-                .num_functions()
-        });
-        if threads == 1 {
-            base_ns = ns;
-        }
-        let speedup = base_ns / ns;
-        let throughput = module.len() as f64 / (ns / 1e9);
-        scaling.push(
-            Json::obj()
-                .field("threads", threads)
-                .field("analyze_ns", Json::Num(ns, 0))
-                .field("functions_per_sec", Json::Num(throughput, 0))
-                .field("speedup_vs_1", Json::Num(speedup, 2)),
-        );
-    }
-
-    // ---- Fingerprint cache: cold vs warm vs recompiled-warm.
-    let threads = 4.min(host_cpus());
-    // Cold: a fresh engine per repetition, so every probe misses.
-    let cold_ns = time_ns(reps, || {
+    let cold = |threads: usize, cache_capacity: usize| {
         Fastlive::builder()
             .threads(threads)
-            .cache_capacity(1024)
+            .cache_capacity(cache_capacity)
             .build()
             .expect("valid config")
             .engine()
             .analyze(&module)
             .num_functions()
-    });
-    // Warm: one facade, pre-warmed, re-analyzing the same module.
+    };
+
+    // ---- Thread scaling: cold precompute throughput, cache disabled.
+    let arms = THREADS.iter().map(|&t| Arm::new(move || cold(t, 0)));
+    let m = measure(rounds, arms.collect());
+    let per_sec = |i: usize| m.per_round(|s| module.len() as f64 * 1e9 / s[i]);
+    let scaling: Json = (THREADS.iter().enumerate())
+        .map(|(i, &threads)| {
+            Json::obj()
+                .field("threads", threads)
+                .spread("analyze_ns", m.arm(i), 0)
+                .spread("functions_per_sec", per_sec(i), 0)
+                .spread("speedup_vs_1", m.ratio(0, i), 2)
+        })
+        .collect();
+
+    // ---- Fingerprint cache: cold (a fresh engine per call, so every
+    // probe misses) vs warm (one pre-warmed facade re-analyzing the
+    // same module) vs recompiled-warm (CFG-identical functions from a
+    // fresh parse).
+    let threads = 4.min(host_cpus());
     let fl = Fastlive::builder()
         .threads(threads)
         .cache_capacity(1024)
@@ -85,32 +77,24 @@ pub fn run(quick: bool) -> Json {
         .expect("valid config");
     let engine = fl.engine();
     let _ = engine.analyze(&module);
-    let warm_ns = time_ns(reps, || engine.analyze(&module).num_functions());
-    // Recompiled: CFG-identical functions from a fresh parse.
     let recompiled = parse_module(&module.to_string()).expect("module round-trips");
     let pre_stats = engine.cache_stats();
-    let recompiled_ns = time_ns(reps, || engine.analyze(&recompiled).num_functions());
+    let m = measure(
+        rounds,
+        vec![
+            Arm::new(|| cold(threads, 1024)),
+            Arm::new(|| engine.analyze(&module).num_functions()),
+            Arm::new(|| engine.analyze(&recompiled).num_functions()),
+        ],
+    );
     let post_stats = engine.cache_stats();
     assert_eq!(
         pre_stats.misses, post_stats.misses,
-        "recompiled analysis must be all cache hits"
+        "warm and recompiled analyses must be all cache hits"
     );
-    let cache: Json = [
-        ("cold", cold_ns),
-        ("warm_same_module", warm_ns),
-        ("warm_recompiled", recompiled_ns),
-    ]
-    .into_iter()
-    .map(|(scenario, ns)| {
-        let speedup = cold_ns / ns;
-        Json::obj()
-            .field("scenario", scenario)
-            .field("analyze_ns", Json::Num(ns, 0))
-            .field("speedup_vs_cold", Json::Num(speedup, 1))
-    })
-    .collect();
+    let cache = ladder_rows(&m, &["cold", "warm_same_module", "warm_recompiled"]);
 
-    module_header(&module)
+    module_header(quick, rounds, &module)
         .field("thread_scaling", scaling)
         .field("fingerprint_cache", cache)
         .field(
@@ -123,21 +107,16 @@ pub fn run(quick: bool) -> Json {
 }
 
 /// The former CI schema check: header and section keys, the three
-/// cache scenarios, and the thread-scaling row keys.
+/// cache scenarios, the thread-scaling row keys, and in full runs warm
+/// analyses beating cold.
 pub fn check(d: &Json) -> Result<(), String> {
-    d.require(MODULE_HEADER)?;
-    d.require(&["thread_scaling", "fingerprint_cache", "cache_stats"])?;
-    let cache = rows(
-        d,
-        "fingerprint_cache",
-        &["scenario", "analyze_ns", "speedup_vs_cold"],
-    )?;
+    fields(d, "functions blocks_total thread_scaling cache_stats")?;
     row_set(
-        cache,
+        ladder_check(d, "fingerprint_cache")?,
         &["scenario"],
         &["cold", "warm_same_module", "warm_recompiled"],
     )?;
-    let scaling_keys = ["threads", "analyze_ns", "functions_per_sec", "speedup_vs_1"];
-    rows(d, "thread_scaling", &scaling_keys)?;
-    section(d, "cache_stats", &["hits", "misses", "evictions"]).map(drop)
+    let keys = "threads analyze_ns functions_per_sec speedup_vs_1";
+    rows(d, "thread_scaling", keys)?;
+    section(d, "cache_stats", "hits misses evictions").map(drop)
 }

@@ -11,12 +11,12 @@
 //!
 //! * `block_heavy` — 90% `LiveIn`/`LiveOut` probes plus the
 //!   `Interfere`/`LiveAt` sprinkle every real consumer carries. The
-//!   ≥2× facade win: one resolution (analysis handle, dominator tree,
+//!   facade win: one resolution (analysis handle, dominator tree,
 //!   batch rows) per function instead of per query.
 //! * `block_dense` — `LiveIn` + `LiveOut` for every `(value, block)`
 //!   pair (interference-graph construction). This records the floor:
 //!   warm scalar probes are already cheap through the fused interval
-//!   kernel, so grouped and scalar execution sit at about parity here.
+//!   kernel, so grouping has little to save here.
 //! * `mixed` — 60% block probes with `LiveAt`, `Interfere` and
 //!   `LiveSets`, the everything-at-once shape.
 
@@ -24,12 +24,16 @@ use fastlive::telemetry::Json;
 use fastlive::workload::{generate_module, ModuleParams};
 use fastlive::Fastlive;
 use fastlive_bench::{
-    dense_batch, ensure, mixed_batch, module_header, num, row_set, rows, time_ns, MODULE_HEADER,
+    dense_batch, ensure, fields, measure, mixed_batch, module_header, num, row_set, rows, win, Arm,
+    SpreadField,
 };
+
+const KEYS: &str = "mix backend queries identical scalar_ns grouped_ns \
+    scalar_ns_per_query grouped_ns_per_query speedup";
 
 /// Runs the suite.
 pub fn run(quick: bool) -> Json {
-    let reps = if quick { 3 } else { 7 };
+    let rounds = if quick { 3 } else { 15 };
     // Irreducible + deep-live: long live ranges and wide `T_q` rows,
     // i.e. realistic non-trivial probe costs.
     let module = generate_module(
@@ -68,60 +72,52 @@ pub fn run(quick: bool) -> Json {
         );
 
         // Both arms collect every answer into one vector and drop it
-        // inside the timed region: the row compares equal work.
-        let scalar_ns = time_ns(reps, || {
-            let mut s = fl.session(&module);
-            let answers: Vec<_> = queries.iter().map(|q| s.query(&module, q)).collect();
-            answers.len()
-        });
-        let grouped_ns = time_ns(reps, || {
-            let mut s = fl.session(&module);
-            s.run_queries(&module, queries).len()
-        });
-        let name = session.backend_name();
-        let n = queries.len();
-        let speedup = scalar_ns / grouped_ns;
+        // inside the sample: the row compares equal work.
+        let m = measure(
+            rounds,
+            vec![
+                Arm::new(|| {
+                    let mut s = fl.session(&module);
+                    queries
+                        .iter()
+                        .map(|q| s.query(&module, q))
+                        .collect::<Vec<_>>()
+                }),
+                Arm::new(|| fl.session(&module).run_queries(&module, queries)),
+            ],
+        );
+        let n = queries.len() as f64;
         batches.push(
             Json::obj()
                 .field("mix", *mix)
-                .field("backend", name)
-                .field("queries", n)
-                .field("scalar_ns", Json::Num(scalar_ns, 0))
-                .field("grouped_ns", Json::Num(grouped_ns, 0))
-                .field("scalar_ns_per_query", Json::Num(scalar_ns / n as f64, 1))
-                .field("grouped_ns_per_query", Json::Num(grouped_ns / n as f64, 1))
+                .field("backend", session.backend_name())
+                .field("queries", queries.len())
                 .field("identical", true)
-                .field("speedup", Json::Num(speedup, 2)),
+                .spread("scalar_ns", m.arm(0), 0)
+                .spread("grouped_ns", m.arm(1), 0)
+                .spread("scalar_ns_per_query", m.per_round(|s| s[0] / n), 1)
+                .spread("grouped_ns_per_query", m.per_round(|s| s[1] / n), 1)
+                .spread("speedup", m.ratio(0, 1), 2),
         );
     }
-    module_header(&module).field("batches", batches)
+    module_header(quick, rounds, &module).field("batches", batches)
 }
 
 /// The former CI schema check: keys, the three mixes on the session
-/// backend, identical answers, and batches of at least 64 queries.
+/// backend, identical answers, batches of at least 64 queries, and in
+/// full runs the grouped wins on `block_heavy` and `mixed`.
 pub fn check(d: &Json) -> Result<(), String> {
-    d.require(MODULE_HEADER)?;
-    let batches = rows(
-        d,
-        "batches",
-        &[
-            "mix",
-            "backend",
-            "queries",
-            "scalar_ns",
-            "grouped_ns",
-            "scalar_ns_per_query",
-            "grouped_ns_per_query",
-            "identical",
-            "speedup",
-        ],
-    )?;
+    fields(d, "functions blocks_total")?;
+    let batches = rows(d, "batches", KEYS)?;
     row_set(batches, &["mix"], &["block_heavy", "block_dense", "mixed"])?;
     row_set(batches, &["backend"], &["session"])?;
     for b in batches {
         let identical = b.get("identical") == Some(&Json::Bool(true));
         ensure(identical, format!("planner must not change answers: {b}"))?;
         ensure(num(b, "queries")? >= 64.0, format!("too few queries: {b}"))?;
+        if b.get("mix") != Some(&Json::from("block_dense")) {
+            win(d, b, "speedup")?;
+        }
     }
     Ok(())
 }

@@ -21,13 +21,13 @@ use fastlive::{
     AnalysisEngine, BreakerConfig, BreakerState, EngineConfig, Fault, FaultRule, FaultVfs, OpKind,
 };
 use fastlive_bench::{
-    ensure, host_cpus, median_ns, module_header, num, section, time_ns, MODULE_HEADER,
+    ensure, fields, host_cpus, measure, module_header, num, section, Arm, SpreadField,
 };
 use fastlive_workload::{generate_module, ModuleParams};
 
 /// Runs the suite.
 pub fn run(quick: bool) -> Json {
-    let (functions, reps) = if quick { (12, 3) } else { (64, 9) };
+    let (functions, rounds) = if quick { (12, 3) } else { (64, 15) };
     let threads = 4.min(host_cpus());
     let module = generate_module(
         "faults_bench",
@@ -46,34 +46,25 @@ pub fn run(quick: bool) -> Json {
     };
 
     // ---- vfs_overhead: cold analyze through StdVfs vs healthy
-    // FaultVfs, directory wiped outside the timed region each rep.
+    // FaultVfs, directory wiped outside the sample.
     let cold_config = EngineConfig {
         threads,
         persist_dir: Some(dir.clone()),
         ..EngineConfig::default()
     };
-    let std_ns = median_ns(reps, wipe, |()| {
-        AnalysisEngine::new(cold_config.clone())
-            .analyze(&module)
-            .num_functions()
-    });
-    let fault_ns = median_ns(reps, wipe, |()| {
-        AnalysisEngine::with_vfs(cold_config.clone(), Arc::new(FaultVfs::healthy()))
-            .analyze(&module)
-            .num_functions()
-    });
-    let overhead = fault_ns / std_ns;
-
     // ---- recovery: trip on a fully sick disk (untimed set-up), heal,
     // then time until health() reports Closed again (polling with
     // re-analyzes is what drives the half-open probe).
     let backoff = Duration::from_millis(25);
-    let tripped = || {
-        wipe();
-        let vfs = Arc::new(FaultVfs::new(vec![FaultRule::every(
+    let sick = || {
+        Arc::new(FaultVfs::new(vec![FaultRule::every(
             OpKind::Any,
             Fault::eio(),
-        )]));
+        )]))
+    };
+    let tripped = || {
+        wipe();
+        let vfs = sick();
         let engine = AnalysisEngine::with_vfs(
             EngineConfig {
                 threads,
@@ -98,20 +89,10 @@ pub fn run(quick: bool) -> Json {
         vfs.set_rules(vec![]);
         engine
     };
-    let recovery_ns = median_ns(reps, tripped, |engine| {
-        while engine.health().disk_state != BreakerState::Closed {
-            let _ = engine.analyze(&module);
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    });
 
-    // ---- degraded: analyze with the breaker latched open vs a
-    // disk-less engine. Open-breaker probes must cost ~nothing.
-    wipe();
-    let sick = Arc::new(FaultVfs::new(vec![FaultRule::every(
-        OpKind::Any,
-        Fault::eio(),
-    )]));
+    // ---- degraded: analyze with the breaker latched open (its disk
+    // fails every operation, so it never touches `dir`) vs a disk-less
+    // engine. Open-breaker probes must cost ~nothing.
     let open_engine = AnalysisEngine::with_vfs(
         EngineConfig {
             threads,
@@ -123,41 +104,61 @@ pub fn run(quick: bool) -> Json {
             },
             ..EngineConfig::default()
         },
-        sick,
+        sick(),
     );
     let _ = open_engine.analyze(&module); // trip it
-    let open_ns = time_ns(reps, || open_engine.analyze(&module).num_functions());
     let memory_engine = AnalysisEngine::new(EngineConfig {
         threads,
         ..EngineConfig::default()
     });
     let _ = memory_engine.analyze(&module); // warm, like open_engine
-    let memory_ns = time_ns(reps, || memory_engine.analyze(&module).num_functions());
-    let degraded_ratio = open_ns / memory_ns;
+
+    let m = measure(
+        rounds,
+        vec![
+            Arm::with_setup(wipe, |()| {
+                let engine = AnalysisEngine::new(cold_config.clone());
+                engine.analyze(&module).num_functions()
+            }),
+            Arm::with_setup(wipe, |()| {
+                let vfs = Arc::new(FaultVfs::healthy());
+                let engine = AnalysisEngine::with_vfs(cold_config.clone(), vfs);
+                engine.analyze(&module).num_functions()
+            }),
+            Arm::with_setup(tripped, |engine| {
+                while engine.health().disk_state != BreakerState::Closed {
+                    let _ = engine.analyze(&module);
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            }),
+            Arm::new(|| open_engine.analyze(&module).num_functions()),
+            Arm::new(|| memory_engine.analyze(&module).num_functions()),
+        ],
+    );
     let health = open_engine.health();
     wipe();
 
-    module_header(&module)
+    module_header(quick, rounds, &module)
         .field(
             "vfs_overhead",
             Json::obj()
-                .field("std_cold_ns", Json::Num(std_ns, 0))
-                .field("fault_vfs_cold_ns", Json::Num(fault_ns, 0))
-                .field("ratio", Json::Num(overhead, 3)),
+                .spread("std_cold_ns", m.arm(0), 0)
+                .spread("fault_vfs_cold_ns", m.arm(1), 0)
+                .spread("ratio", m.ratio(1, 0), 3),
         )
         .field(
             "recovery",
             Json::obj()
-                .field("trip_to_restore_ns", Json::Num(recovery_ns, 0))
+                .spread("trip_to_restore_ns", m.arm(2), 0)
                 .field("configured_backoff_ns", backoff.as_nanos() as u64)
                 .field("trip_threshold", 3u32),
         )
         .field(
             "degraded",
             Json::obj()
-                .field("open_breaker_analyze_ns", Json::Num(open_ns, 0))
-                .field("memory_only_analyze_ns", Json::Num(memory_ns, 0))
-                .field("ratio", Json::Num(degraded_ratio, 3)),
+                .spread("open_breaker_analyze_ns", m.arm(3), 0)
+                .spread("memory_only_analyze_ns", m.arm(4), 0)
+                .spread("ratio", m.ratio(3, 4), 3),
         )
         .field(
             "health",
@@ -173,38 +174,18 @@ pub fn run(quick: bool) -> Json {
 /// The former CI schema check: section keys, no restore before the
 /// configured backoff, and a breaker still latched open after tripping.
 pub fn check(d: &Json) -> Result<(), String> {
-    d.require(MODULE_HEADER)?;
-    section(
-        d,
-        "vfs_overhead",
-        &["std_cold_ns", "fault_vfs_cold_ns", "ratio"],
-    )?;
-    let rec = section(
-        d,
-        "recovery",
-        &[
-            "trip_to_restore_ns",
-            "configured_backoff_ns",
-            "trip_threshold",
-        ],
-    )?;
+    fields(d, "functions blocks_total")?;
+    section(d, "vfs_overhead", "std_cold_ns fault_vfs_cold_ns ratio")?;
+    let keys = "trip_to_restore_ns configured_backoff_ns trip_threshold";
+    let rec = section(d, "recovery", keys)?;
     ensure(
         num(rec, "trip_to_restore_ns")? >= num(rec, "configured_backoff_ns")?,
         "cannot restore before the configured backoff elapses",
     )?;
-    let degraded = ["open_breaker_analyze_ns", "memory_only_analyze_ns", "ratio"];
-    section(d, "degraded", &degraded)?;
-    let h = section(
-        d,
-        "health",
-        &[
-            "disk_state",
-            "disk_trips",
-            "disk_restores",
-            "disk_probes_skipped",
-            "disk_errors",
-        ],
-    )?;
+    let keys = "open_breaker_analyze_ns memory_only_analyze_ns ratio";
+    section(d, "degraded", keys)?;
+    let keys = "disk_state disk_trips disk_restores disk_probes_skipped disk_errors";
+    let h = section(d, "health", keys)?;
     let open = h.get("disk_state") == Some(&Json::from("Open"));
     ensure(
         open && num(h, "disk_trips")? >= 1.0,

@@ -16,6 +16,9 @@
 //!   dispatch pays two clock reads per query, so its overhead is
 //!   reported per-query in ns, not hidden in a ratio).
 //!
+//! Each ratio and the per-query difference are taken per round from
+//! paired samples of one `measure`.
+//!
 //! The report also records per-tier latency quantiles from an enabled
 //! three-tier run (compute / disk write-through / warm-memory /
 //! warm-disk) and a cross-thread exactness check: N threads × M
@@ -25,79 +28,18 @@ use std::sync::Arc;
 
 use fastlive::telemetry::Json;
 use fastlive::workload::{generate_module, ModuleParams};
-use fastlive::{Backend, Fastlive, Module, Query, QueryEngine, Recorder, Telemetry};
+use fastlive::{Backend, Fastlive, Query, QueryEngine, Recorder, Telemetry};
 use fastlive_bench::{
-    column, dense_batch, ensure, mixed_batch, module_header, num, row_set, rows, section, time_ns,
-    MODULE_HEADER,
+    column, dense_batch, ensure, fields, measure, mixed_batch, module_header, num, row_set, rows,
+    section, Arm, SpreadField,
 };
 
-struct Arms {
-    raw_ns: f64,
-    noop_ns: f64,
-    telemetry_ns: f64,
-}
-
-/// Times the three arms on one workload. `scalar` picks per-query
-/// dispatch vs the planner. Samples are **interleaved** round-robin
-/// (raw, noop, telemetry, raw, …) so slow host-frequency drift hits
-/// every arm alike, and each arm reports its *minimum* — the
-/// noise-robust statistic for CPU-bound work on a shared host, where
-/// every disturbance only ever adds time.
-fn run_arms(
-    reps: usize,
-    plain: &Fastlive,
-    metered: &Fastlive,
-    module: &Module,
-    queries: &[Query],
-    scalar: bool,
-) -> Arms {
-    let raw_arm = || {
-        time_ns(1, || {
-            let mut backend = Backend::Session(plain.engine().analyze(module));
-            if scalar {
-                queries
-                    .iter()
-                    .map(|q| backend.query(module, q).is_ok() as usize)
-                    .sum::<usize>()
-            } else {
-                backend.run_queries(module, queries).len()
-            }
-        })
-    };
-    let facade_arm = |fl: &Fastlive| {
-        time_ns(1, || {
-            let mut session = fl.session(module);
-            if scalar {
-                queries
-                    .iter()
-                    .map(|q| session.query(module, q).is_ok() as usize)
-                    .sum::<usize>()
-            } else {
-                session.run_queries(module, queries).len()
-            }
-        })
-    };
-    // One untimed warmup per arm, then interleaved samples.
-    raw_arm();
-    facade_arm(plain);
-    facade_arm(metered);
-    let mut samples: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for _ in 0..reps {
-        samples[0].push(raw_arm());
-        samples[1].push(facade_arm(plain));
-        samples[2].push(facade_arm(metered));
-    }
-    let best = |v: &Vec<f64>| v.iter().copied().fold(f64::INFINITY, f64::min);
-    Arms {
-        raw_ns: best(&samples[0]),
-        noop_ns: best(&samples[1]),
-        telemetry_ns: best(&samples[2]),
-    }
-}
+const OVERHEAD_KEYS: &str = "workload queries raw_ns noop_ns telemetry_ns noop_overhead \
+    telemetry_overhead telemetry_ns_per_query";
 
 /// Runs the suite.
 pub fn run(quick: bool) -> Json {
-    let reps = if quick { 3 } else { 25 };
+    let rounds = if quick { 3 } else { 25 };
     let module = generate_module(
         "obs_bench",
         ModuleParams {
@@ -120,7 +62,7 @@ pub fn run(quick: bool) -> Json {
     // Correctness gate before any timing: the metered stack answers
     // byte-identically to the plain one on every workload.
     let n = if quick { 512 } else { 4096 };
-    // Cap the dense sweep so one sample stays a few ms: short reps
+    // Cap the dense sweep so one sample stays a few ms: short samples
     // spread the interleaved rounds across a shared host's throttling
     // windows instead of landing whole arms inside one.
     let dense: Vec<Query> = {
@@ -142,22 +84,46 @@ pub fn run(quick: bool) -> Json {
         ("grouped_mixed", &mixed, false),
         ("scalar_mixed", &mixed, true),
     ] {
-        let arms = run_arms(reps, &plain, &metered, &module, queries, scalar);
-        let noop_overhead = arms.noop_ns / arms.raw_ns;
-        let telemetry_overhead = arms.telemetry_ns / arms.noop_ns;
+        // `scalar` picks per-query dispatch vs the planner.
+        let raw = || {
+            let mut backend = Backend::Session(plain.engine().analyze(&module));
+            if scalar {
+                (queries.iter())
+                    .map(|q| backend.query(&module, q).is_ok() as usize)
+                    .sum::<usize>()
+            } else {
+                backend.run_queries(&module, queries).len()
+            }
+        };
+        let facade = |fl: &Fastlive| {
+            let mut session = fl.session(&module);
+            if scalar {
+                (queries.iter())
+                    .map(|q| session.query(&module, q).is_ok() as usize)
+                    .sum::<usize>()
+            } else {
+                session.run_queries(&module, queries).len()
+            }
+        };
+        let m = measure(
+            rounds,
+            vec![
+                Arm::new(raw),
+                Arm::new(|| facade(&plain)),
+                Arm::new(|| facade(&metered)),
+            ],
+        );
+        let per_query = m.per_round(|s| (s[2] - s[1]) / queries.len() as f64);
         overhead.push(
             Json::obj()
                 .field("workload", workload)
                 .field("queries", queries.len())
-                .field("raw_ns", Json::Num(arms.raw_ns, 0))
-                .field("noop_ns", Json::Num(arms.noop_ns, 0))
-                .field("telemetry_ns", Json::Num(arms.telemetry_ns, 0))
-                .field("noop_overhead", Json::Num(noop_overhead, 3))
-                .field("telemetry_overhead", Json::Num(telemetry_overhead, 3))
-                .field(
-                    "telemetry_ns_per_query",
-                    Json::Num((arms.telemetry_ns - arms.noop_ns) / queries.len() as f64, 1),
-                ),
+                .spread("raw_ns", m.arm(0), 0)
+                .spread("noop_ns", m.arm(1), 0)
+                .spread("telemetry_ns", m.arm(2), 0)
+                .spread("noop_overhead", m.ratio(1, 0), 3)
+                .spread("telemetry_overhead", m.ratio(2, 1), 3)
+                .spread("telemetry_ns_per_query", per_query, 1),
         );
     }
 
@@ -230,8 +196,7 @@ pub fn run(quick: bool) -> Json {
         "histograms must be exact under contention"
     );
 
-    module_header(&module)
-        .field("quick", quick)
+    module_header(quick, rounds, &module)
         .field("overhead", overhead)
         .field("tiers", tiers)
         .field(
@@ -248,29 +213,15 @@ pub fn run(quick: bool) -> Json {
 /// The former CI schema check: keys, the three workloads, the four
 /// lifecycle tiers, and exact cross-thread histogram totals.
 pub fn check(d: &Json) -> Result<(), String> {
-    d.require(MODULE_HEADER)?;
-    d.require(&["quick", "overhead", "tiers", "exactness"])?;
-    let overhead = rows(
-        d,
-        "overhead",
-        &[
-            "workload",
-            "queries",
-            "raw_ns",
-            "noop_ns",
-            "telemetry_ns",
-            "noop_overhead",
-            "telemetry_overhead",
-            "telemetry_ns_per_query",
-        ],
-    )?;
+    fields(d, "functions blocks_total overhead tiers exactness")?;
+    let overhead = rows(d, "overhead", OVERHEAD_KEYS)?;
     row_set(
         overhead,
         &["workload"],
         &["grouped_dense", "grouped_mixed", "scalar_mixed"],
     )?;
     let tiers = column(
-        rows(d, "tiers", &["tier", "count", "p50_ns", "p99_ns", "max_ns"])?,
+        rows(d, "tiers", "tier count p50_ns p99_ns max_ns")?,
         &["tier"],
     );
     for tier in ["compute", "disk_miss", "memory_hit", "disk_hit"] {
@@ -279,17 +230,8 @@ pub fn check(d: &Json) -> Result<(), String> {
             format!("tier `{tier}` missing from {tiers:?}"),
         )?;
     }
-    let ex = section(
-        d,
-        "exactness",
-        &[
-            "threads",
-            "queries_per_thread",
-            "expected",
-            "recorded",
-            "exact",
-        ],
-    )?;
+    let keys = "threads queries_per_thread expected recorded exact";
+    let ex = section(d, "exactness", keys)?;
     let exact = ex.get("exact") == Some(&Json::Bool(true));
     ensure(
         exact && num(ex, "recorded")? == num(ex, "expected")?,

@@ -13,17 +13,15 @@
 //! `format_version` pins the codec the numbers were taken with.
 
 use fastlive::telemetry::Json;
-use fastlive::Fastlive;
 use fastlive_bench::{
-    ensure, host_cpus, median_ns, module_header, num, row_set, rows, section, time_ns,
-    MODULE_HEADER,
+    ensure, fields, host_cpus, ladder, ladder_check, ladder_rows, module_header, num, row_set,
+    section, LADDER,
 };
 use fastlive_workload::{generate_module, ModuleParams};
 
 /// Runs the suite.
 pub fn run(quick: bool) -> Json {
-    let (functions, reps) = if quick { (16, 3) } else { (96, 9) };
-    let threads = 4.min(host_cpus());
+    let (functions, rounds) = if quick { (16, 3) } else { (96, 15) };
     let module = generate_module(
         "persist_bench",
         ModuleParams {
@@ -36,51 +34,9 @@ pub fn run(quick: bool) -> Json {
         0x9e51,
     );
     let dir = std::env::temp_dir().join(format!("fastlive-bench-persist-{}", std::process::id()));
-    let analyze = || {
-        Fastlive::builder()
-            .threads(threads)
-            .persist_dir(dir.clone())
-            .build()
-            .expect("valid config")
-            .engine()
-            .analyze(&module)
-            .num_functions()
-    };
-
-    // ---- cold: fresh engine per rep, directory wiped per rep. The
-    // wipe happens *outside* the timed region — cold measures
-    // precompute + write-through, not the previous rep's teardown.
-    let cold_ns = median_ns(
-        reps,
-        || {
-            let _ = std::fs::remove_dir_all(&dir);
-        },
-        |()| analyze(),
-    );
-
-    // ---- warm_disk: the directory stays (last cold rep populated
-    // it); a fresh engine per rep has cold memory but a warm store.
-    let warm_disk_ns = time_ns(reps, analyze);
-    // Invariant behind the scenario label: zero precomputations.
-    let fl = Fastlive::builder()
-        .threads(threads)
-        .persist_dir(dir.clone())
-        .build()
-        .expect("valid config");
-    let probe = fl.engine();
-    let _ = probe.analyze(&module);
-    let disk_stats = probe.cache_stats();
-    assert_eq!(
-        disk_stats.misses, disk_stats.disk_hits,
-        "warm-disk analysis must not precompute: {disk_stats:?}"
-    );
-    assert_eq!(disk_stats.disk_rejects, 0, "{disk_stats:?}");
-
-    // ---- warm_memory: the probe engine is now fully warm in memory.
-    let warm_mem_ns = time_ns(reps, || probe.analyze(&module).num_functions());
-    let s = probe.cache_stats();
-
-    // ---- store footprint.
+    let (m, s) = ladder(rounds, &dir, 4.min(host_cpus()), |fl| {
+        fl.engine().analyze(&module).num_functions()
+    });
     let (entries, bytes) = std::fs::read_dir(&dir)
         .map(|rd| {
             rd.flatten()
@@ -90,23 +46,9 @@ pub fn run(quick: bool) -> Json {
         .unwrap_or((0, 0));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let ladder: Json = [
-        ("cold", cold_ns),
-        ("warm_disk", warm_disk_ns),
-        ("warm_memory", warm_mem_ns),
-    ]
-    .into_iter()
-    .map(|(scenario, ns)| {
-        let speedup = cold_ns / ns;
-        Json::obj()
-            .field("scenario", scenario)
-            .field("analyze_ns", Json::Num(ns, 0))
-            .field("speedup_vs_cold", Json::Num(speedup, 1))
-    })
-    .collect();
-    module_header(&module)
+    module_header(quick, rounds, &module)
         .field("format_version", fastlive::engine::persist::FORMAT_VERSION)
-        .field("persist", ladder)
+        .field("persist", ladder_rows(&m, &LADDER))
         .field(
             "store",
             Json::obj().field("entries", entries).field("bytes", bytes),
@@ -124,24 +66,13 @@ pub fn run(quick: bool) -> Json {
 }
 
 /// The former CI schema check: keys, the three-rung ladder, the store
-/// footprint, and a warm store that rejected nothing.
+/// footprint, a warm store that rejected nothing, and in full runs
+/// both warm rungs beating cold.
 pub fn check(d: &Json) -> Result<(), String> {
-    d.require(MODULE_HEADER)?;
-    d.require(&["format_version", "persist", "store", "cache_stats"])?;
-    let ladder = rows(d, "persist", &["scenario", "analyze_ns", "speedup_vs_cold"])?;
-    row_set(ladder, &["scenario"], &["cold", "warm_disk", "warm_memory"])?;
-    section(d, "store", &["entries", "bytes"])?;
-    let stats = section(
-        d,
-        "cache_stats",
-        &[
-            "hits",
-            "misses",
-            "dedup_hits",
-            "disk_hits",
-            "disk_misses",
-            "disk_rejects",
-        ],
-    )?;
+    fields(d, "functions blocks_total format_version store cache_stats")?;
+    row_set(ladder_check(d, "persist")?, &["scenario"], &LADDER)?;
+    section(d, "store", "entries bytes")?;
+    let keys = "hits misses dedup_hits disk_hits disk_misses disk_rejects";
+    let stats = section(d, "cache_stats", keys)?;
     ensure(num(stats, "disk_rejects")? == 0.0, "disk_rejects must be 0")
 }

@@ -10,8 +10,8 @@
 //!   (`baseline::is_live_at_chain_walk`, the destruct-private per-use
 //!   `inst_position` walk that used to live in
 //!   `crates/destruct/src/interference.rs`). Answers are asserted
-//!   equal before timing; `speedup` is shim/fast, so ≥ 1.0 means the
-//!   refactor did not regress the query.
+//!   equal before timing; `speedup` is shim/fast, so a spread
+//!   straddling 1.0 means the refactor did not regress the query.
 //! * `destruct_module` — whole-module SSA destruction through
 //!   `AnalysisEngine::destruct_module`: a cold run (every post-split
 //!   shape precomputes) vs a warm rerun on the same engine (every
@@ -20,7 +20,8 @@
 
 use fastlive::telemetry::Json;
 use fastlive_bench::{
-    ensure, host_cpus, median, prepare_suite, rows, section, time_ns, PreparedProc,
+    ensure, header, host_cpus, measure, prepare_suite, rows, section, win, Arm, PreparedProc,
+    SpreadField,
 };
 use fastlive_core::{baseline, FunctionLiveness};
 use fastlive_engine::{AnalysisEngine, EngineConfig};
@@ -68,8 +69,10 @@ fn replay_shim(live: &FunctionLiveness, s: &PointStream) -> usize {
         .sum()
 }
 
+const REPLAY_KEYS: &str = "suite procs point_queries fast_ns_per_query shim_ns_per_query speedup";
+
 /// One suite's fast-vs-shim replay row.
-fn replay_row(reps: usize, scale: u32, pi: usize) -> Json {
+fn replay_row(rounds: usize, scale: u32, pi: usize) -> Json {
     let profile = &fastlive_workload::SPEC2000_INT[pi];
     let suite = generate_suite(profile, scale, 0x9015 + pi as u64);
     let streams = point_streams(prepare_suite(&suite));
@@ -89,47 +92,38 @@ fn replay_row(reps: usize, scale: u32, pi: usize) -> Json {
             s.func.name
         );
     }
-    // Interleaved A/B samples (fast, shim, fast, shim, …) so slow
-    // drift in machine state biases neither side; small streams loop
-    // several replays per sample to rise above timer noise.
-    let iters = (100_000 / total).max(1);
+    let (analyses, streams) = (&analyses, &streams);
     let replay_all = |replay: fn(&FunctionLiveness, &PointStream) -> usize| {
-        time_ns(1, || {
-            (0..iters)
-                .map(|_| {
-                    analyses
-                        .iter()
-                        .zip(&streams)
-                        .map(|(live, s)| replay(live, s))
-                        .sum::<usize>()
-                })
+        move || {
+            (analyses.iter().zip(streams))
+                .map(|(live, s)| replay(live, s))
                 .sum::<usize>()
-        })
+        }
     };
-    let (mut fast, mut shim) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
-    for _ in 0..reps {
-        fast.push(replay_all(replay_fast));
-        shim.push(replay_all(replay_shim));
-    }
-    let fast_ns = median(fast) / iters as f64 / total as f64;
-    let shim_ns = median(shim) / iters as f64 / total as f64;
-    let speedup = shim_ns / fast_ns;
+    let m = measure(
+        rounds,
+        vec![
+            Arm::new(replay_all(replay_fast)),
+            Arm::new(replay_all(replay_shim)),
+        ],
+    );
+    let n = total as f64;
     Json::obj()
         .field("suite", profile.name)
         .field("procs", streams.len())
         .field("point_queries", total)
-        .field("fast_ns_per_query", Json::Num(fast_ns, 1))
-        .field("shim_ns_per_query", Json::Num(shim_ns, 1))
-        .field("speedup", Json::Num(speedup, 2))
+        .spread("fast_ns_per_query", m.per_round(|s| s[0] / n), 1)
+        .spread("shim_ns_per_query", m.per_round(|s| s[1] / n), 1)
+        .spread("speedup", m.ratio(1, 0), 2)
 }
 
 /// Runs the suite.
 pub fn run(quick: bool) -> Json {
-    let (scale, reps, module_functions) = if quick { (10, 3, 12) } else { (60, 9, 64) };
+    let (scale, rounds, module_functions) = if quick { (10, 3, 12) } else { (60, 15, 64) };
     // Small, medium and large Table-1 profiles.
     let replay: Json = [1usize, 4, 8]
         .into_iter()
-        .map(|pi| replay_row(reps, scale, pi))
+        .map(|pi| replay_row(rounds, scale, pi))
         .collect();
 
     // ---- Whole-module destruction: engine-cold vs engine-warm.
@@ -152,74 +146,51 @@ pub fn run(quick: bool) -> Json {
             ..EngineConfig::default()
         })
     };
-    // Cold: a fresh engine per repetition (every shape precomputes).
-    let cold_ns = time_ns(reps, || engine().destruct_module(&module).len());
-    // Warm: one pre-warmed engine, rerunning the whole-module pass.
+    // Cold: a fresh engine per call (every shape precomputes). Warm:
+    // one pre-warmed engine, rerunning the whole-module pass.
     let warm = engine();
     let _ = warm.destruct_module(&module);
     let misses_before = warm.cache_stats().misses;
-    let warm_ns = time_ns(reps, || warm.destruct_module(&module).len());
+    let m = measure(
+        rounds,
+        vec![
+            Arm::new(|| engine().destruct_module(&module).len()),
+            Arm::new(|| warm.destruct_module(&module).len()),
+        ],
+    );
     let stats = warm.cache_stats();
     assert_eq!(
         stats.misses, misses_before,
         "warm module destruction must not precompute"
     );
-    let speedup = cold_ns / warm_ns;
-    Json::obj()
-        .field("host_cpus", host_cpus())
-        .field("point_replay", replay)
-        .field(
-            "destruct_module",
-            Json::obj()
-                .field("functions", module.len())
-                .field("threads", threads)
-                .field("cold_ns", Json::Num(cold_ns, 0))
-                .field("warm_ns", Json::Num(warm_ns, 0))
-                .field("speedup", Json::Num(speedup, 2))
-                .field(
-                    "cache_stats",
-                    Json::obj()
-                        .field("hits", stats.hits)
-                        .field("misses", stats.misses)
-                        .field("evictions", stats.evictions)
-                        .field("dedup_hits", stats.dedup_hits),
-                ),
-        )
+    header(quick, rounds).field("point_replay", replay).field(
+        "destruct_module",
+        Json::obj()
+            .field("functions", module.len())
+            .field("threads", threads)
+            .field(
+                "cache_stats",
+                Json::obj()
+                    .field("hits", stats.hits)
+                    .field("misses", stats.misses)
+                    .field("evictions", stats.evictions)
+                    .field("dedup_hits", stats.dedup_hits),
+            )
+            .spread("cold_ns", m.arm(0), 0)
+            .spread("warm_ns", m.arm(1), 0)
+            .spread("speedup", m.ratio(0, 1), 2),
+    )
 }
 
-/// The former CI schema check: keys, at least three replay rows, and
-/// the destruction section with its cache counters.
+/// The former CI schema check: keys, at least three replay rows, the
+/// destruction section with its cache counters, and in full runs the
+/// warm rerun beating cold.
 pub fn check(d: &Json) -> Result<(), String> {
-    d.require(&["host_cpus", "point_replay", "destruct_module"])?;
-    let replay = rows(
-        d,
-        "point_replay",
-        &[
-            "suite",
-            "procs",
-            "point_queries",
-            "fast_ns_per_query",
-            "shim_ns_per_query",
-            "speedup",
-        ],
-    )?;
+    d.require(&["point_replay", "destruct_module"])?;
+    let replay = rows(d, "point_replay", REPLAY_KEYS)?;
     ensure(replay.len() >= 3, "point_replay needs three suites")?;
-    let dm = section(
-        d,
-        "destruct_module",
-        &[
-            "functions",
-            "threads",
-            "cold_ns",
-            "warm_ns",
-            "speedup",
-            "cache_stats",
-        ],
-    )?;
-    section(
-        dm,
-        "cache_stats",
-        &["hits", "misses", "evictions", "dedup_hits"],
-    )
-    .map(drop)
+    let keys = "functions threads cache_stats cold_ns warm_ns speedup";
+    let dm = section(d, "destruct_module", keys)?;
+    win(d, dm, "speedup")?;
+    section(dm, "cache_stats", "hits misses evictions dedup_hits").map(drop)
 }

@@ -8,19 +8,23 @@
 //!   dominance-biased probe streams over growing CFGs. Wide CFGs have
 //!   multi-word `T_q` rows, which is where the scalar loop pays per
 //!   candidate and the kernel does not.
-//! * `batch_breakeven` — wall time to materialize live-in/live-out
-//!   sets for *all* (value, block) pairs via one `BatchLiveness`
-//!   matrix pass vs. a scalar query per pair vs. the iterative
-//!   data-flow solver, plus the number of scalar queries a batch pass
-//!   costs (the break-even point: ask fewer queries than that and the
-//!   sparse path wins, more and the batch path wins).
+//! * `batch_breakeven` — live-in/live-out for *all* (value, block)
+//!   pairs, compared on equal outputs: bit rows from one
+//!   `BatchLiveness` matrix pass against bit rows from the iterative
+//!   data-flow solve (`batch_vs_iterative`), and value sets from
+//!   `FunctionLiveness::live_sets` (the batch pass plus conversion)
+//!   against value sets from a scalar query per pair
+//!   (`batch_speedup_vs_scalar`); plus the number of scalar queries a
+//!   batch pass costs (the break-even point: ask fewer queries than
+//!   that and the sparse path wins, more and the batch path wins).
 //!
-//! `--quick` keeps the smallest size of each sweep and cuts the reps.
+//! `--quick` keeps the smallest size of each sweep and cuts the
+//! rounds.
 
 use fastlive::telemetry::Json;
 use fastlive_bench::{
-    dominance_probes, ensure, host_cpus, row_set, rows, run_probes, run_probes_scalar,
-    sized_function, time_ns,
+    dominance_probes, ensure, header, measure, num, row_set, rows, run_probes, run_probes_scalar,
+    sized_function, win, Arm, SpreadField,
 };
 use fastlive_core::{baseline, FunctionLiveness, LivenessChecker};
 use fastlive_dataflow::{IterativeLiveness, VarUniverse};
@@ -28,31 +32,20 @@ use fastlive_workload::random_digraph;
 
 const PROBES: usize = 512;
 
-const LOOP_KEYS: &[&str] = &[
-    "shape",
-    "blocks",
-    "probes",
-    "positive",
-    "avg_candidates",
-    "seed_scalar_ns_per_query",
-    "fused_kernel_ns_per_query",
-    "speedup",
-];
+const LOOP_KEYS: &str = "shape blocks probes positive avg_candidates \
+    seed_scalar_ns_per_query fused_kernel_ns_per_query speedup";
 
-const BATCH_KEYS: &[&str] = &[
-    "blocks",
-    "values",
-    "batch_ns",
-    "scalar_all_pairs_ns",
-    "iterative_dataflow_ns",
-    "query_ns",
-    "breakeven_queries",
-    "batch_speedup_vs_scalar",
-];
+const BATCH_KEYS: &str = "blocks values batch_ns iterative_dataflow_ns batch_vs_iterative \
+    live_sets_ns scalar_all_pairs_ns batch_speedup_vs_scalar query_ns breakeven_queries";
 
 /// One before/after row: scalar loop vs. fused kernel ns/query on
 /// `probes`.
-fn loop_row(reps: usize, shape: &str, live: &LivenessChecker, probes: &[(u32, u32, u32)]) -> Json {
+fn loop_row(
+    rounds: usize,
+    shape: &str,
+    live: &LivenessChecker,
+    probes: &[(u32, u32, u32)],
+) -> Json {
     let hits = run_probes(live, probes);
     assert_eq!(
         hits,
@@ -64,55 +57,66 @@ fn loop_row(reps: usize, shape: &str, live: &LivenessChecker, probes: &[(u32, u3
         .map(|&(d, _, q)| baseline::candidates(live, d, q, true).count())
         .sum::<usize>() as f64
         / probes.len() as f64;
-    let scalar = time_ns(reps, || run_probes_scalar(live, probes, true)) / probes.len() as f64;
-    let fused = time_ns(reps, || run_probes(live, probes)) / probes.len() as f64;
-    let blocks = live.dom().num_reachable();
+    let m = measure(
+        rounds,
+        vec![
+            Arm::new(|| run_probes_scalar(live, probes, true)),
+            Arm::new(|| run_probes(live, probes)),
+        ],
+    );
+    let n = probes.len() as f64;
     Json::obj()
         .field("shape", shape)
-        .field("blocks", blocks)
+        .field("blocks", live.dom().num_reachable())
         .field("probes", probes.len())
         .field("positive", hits)
         .field("avg_candidates", Json::Num(avg_cands, 1))
-        .field("seed_scalar_ns_per_query", Json::Num(scalar, 2))
-        .field("fused_kernel_ns_per_query", Json::Num(fused, 2))
-        .field("speedup", Json::Num(scalar / fused, 3))
+        .spread("seed_scalar_ns_per_query", m.per_round(|s| s[0] / n), 2)
+        .spread("fused_kernel_ns_per_query", m.per_round(|s| s[1] / n), 2)
+        .spread("speedup", m.ratio(0, 1), 3)
 }
 
 /// One break-even row on a structured function of ~`target` blocks.
-fn batch_row(reps: usize, target: usize) -> Json {
+fn batch_row(rounds: usize, target: usize) -> Json {
     let func = sized_function(target, 0xba7c + target as u64);
     let live = FunctionLiveness::compute(&func);
     let universe = VarUniverse::all(&func);
-    let blocks = func.num_blocks();
-    let values = func.num_values();
-    let batch_ns = time_ns(reps, || live.batch(&func));
-    // `live_sets` itself is batch-backed now; the scalar row keeps
-    // measuring the per-(value, block) query loop it replaced.
-    let scalar_ns = time_ns(reps.min(5), || baseline::live_sets_scalar(&live, &func));
-    let iterative_ns = time_ns(reps, || IterativeLiveness::compute(&func, &universe));
+    assert_eq!(
+        live.live_sets(&func),
+        baseline::live_sets_scalar(&live, &func),
+        "set builders disagree"
+    );
     // Per-query cost on this function's own shape, for the break-even
     // estimate.
     let checker = live.checker();
     let probes = dominance_probes(checker, PROBES, 0x517e);
-    let per_query = time_ns(reps, || run_probes(checker, &probes)) / PROBES as f64;
-    let breakeven = batch_ns / per_query;
+    let n = PROBES as f64;
+    let m = measure(
+        rounds,
+        vec![
+            Arm::new(|| live.batch(&func)),
+            Arm::new(|| IterativeLiveness::compute(&func, &universe)),
+            Arm::new(|| live.live_sets(&func)),
+            Arm::new(|| baseline::live_sets_scalar(&live, &func)),
+            Arm::new(|| run_probes(checker, &probes)),
+        ],
+    );
     Json::obj()
-        .field("blocks", blocks)
-        .field("values", values)
-        .field("batch_ns", Json::Num(batch_ns, 0))
-        .field("scalar_all_pairs_ns", Json::Num(scalar_ns, 0))
-        .field("iterative_dataflow_ns", Json::Num(iterative_ns, 0))
-        .field("query_ns", Json::Num(per_query, 2))
-        .field("breakeven_queries", Json::Num(breakeven, 0))
-        .field(
-            "batch_speedup_vs_scalar",
-            Json::Num(scalar_ns / batch_ns, 1),
-        )
+        .field("blocks", func.num_blocks())
+        .field("values", func.num_values())
+        .spread("batch_ns", m.arm(0), 0)
+        .spread("iterative_dataflow_ns", m.arm(1), 0)
+        .spread("batch_vs_iterative", m.ratio(0, 1), 2)
+        .spread("live_sets_ns", m.arm(2), 0)
+        .spread("scalar_all_pairs_ns", m.arm(3), 0)
+        .spread("batch_speedup_vs_scalar", m.ratio(3, 2), 1)
+        .spread("query_ns", m.per_round(|s| s[4] / n), 2)
+        .spread("breakeven_queries", m.per_round(|s| s[0] / s[4] * n), 0)
 }
 
 /// Runs the suite.
 pub fn run(quick: bool) -> Json {
-    let reps = if quick { 3 } else { 15 };
+    let rounds = if quick { 3 } else { 15 };
     let (structured, irreducible, batch): (&[usize], &[u32], &[usize]) = if quick {
         (&[64], &[256], &[32])
     } else {
@@ -126,7 +130,7 @@ pub fn run(quick: bool) -> Json {
         let func = sized_function(target, 0xfeed + target as u64);
         let live = LivenessChecker::compute(&func);
         let probes = dominance_probes(&live, PROBES, 0x9e37);
-        loops.push(loop_row(reps, "structured", &live, &probes));
+        loops.push(loop_row(rounds, "structured", &live, &probes));
     }
     // Irreducible CFGs with dense retreating edges: wide T_q rows. The
     // negative probes (use = def, provably unreachable from every
@@ -139,22 +143,31 @@ pub fn run(quick: bool) -> Json {
             .into_iter()
             .map(|(d, _, q)| (d, d, q))
             .collect();
-        loops.push(loop_row(reps, "irreducible_wide_neg", &live, &neg));
+        loops.push(loop_row(rounds, "irreducible_wide_neg", &live, &neg));
     }
-    Json::obj()
-        .field("host_cpus", host_cpus())
+    let batch: Json = batch.iter().map(|&t| batch_row(rounds, t)).collect();
+    (header(quick, rounds))
         .field("query_loop", loops)
-        .field(
-            "batch_breakeven",
-            batch.iter().map(|&t| batch_row(reps, t)).collect::<Json>(),
-        )
+        .field("batch_breakeven", batch)
 }
 
-/// The report's keys, both shapes, and non-empty sweeps.
+/// The report's keys, both shapes, non-empty sweeps, and in full runs
+/// the fused kernel's and the batch's wins.
 pub fn check(d: &Json) -> Result<(), String> {
-    d.require(&["host_cpus", "query_loop", "batch_breakeven"])?;
+    d.require(&["query_loop", "batch_breakeven"])?;
     let loops = rows(d, "query_loop", LOOP_KEYS)?;
     row_set(loops, &["shape"], &["structured", "irreducible_wide_neg"])?;
+    // The kernel wins on wide negative scans and, by a small margin, on
+    // the largest structured CFG.
+    for r in loops {
+        let wide = r.get("shape") == Some(&Json::from("irreducible_wide_neg"));
+        if wide || num(r, "blocks")? >= 1024.0 {
+            win(d, r, "speedup")?;
+        }
+    }
     let batch = rows(d, "batch_breakeven", BATCH_KEYS)?;
+    for r in batch {
+        win(d, r, "batch_speedup_vs_scalar")?;
+    }
     ensure(!batch.is_empty(), "batch_breakeven is empty")
 }

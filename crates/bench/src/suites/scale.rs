@@ -15,15 +15,19 @@
 
 use fastlive::telemetry::Json;
 use fastlive::Fastlive;
-use fastlive_bench::{ensure, module_header, num, row_set, rows, time_ns, MODULE_HEADER};
+use fastlive_bench::{
+    ensure, fields, measure, module_header, num, row_set, rows, Arm, SpreadField,
+};
 use fastlive_workload::{generate_module, ModuleParams};
 
 const STRIPE_SWEEP: [usize; 4] = [1, 2, 4, 8];
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
+const GRID_KEYS: &str = "stripes threads analyze_ns probes_per_sec scaling_vs_1_thread";
+
 /// Runs the suite.
 pub fn run(quick: bool) -> Json {
-    let (functions, reps) = if quick { (12, 3) } else { (64, 9) };
+    let (functions, rounds) = if quick { (12, 3) } else { (64, 15) };
     let module = generate_module(
         "scale_bench",
         ModuleParams {
@@ -38,73 +42,77 @@ pub fn run(quick: bool) -> Json {
 
     let mut grid = Vec::new();
     for stripes in STRIPE_SWEEP {
-        let mut base_ns = 0.0;
-        for threads in THREAD_SWEEP {
-            // Warm analysis goes through the in-memory tier only; the
-            // engine's own worker pool is pinned to 1 so the measured
-            // concurrency is exactly the `threads` client threads.
-            let fl = Fastlive::builder()
-                .threads(1)
-                .cache_capacity(1024)
-                .stripes(stripes)
-                .build()
-                .expect("valid config");
-            let engine = fl.engine();
-            let _ = engine.analyze(&module);
-            let warm = engine.cache_stats();
-            let ns = time_ns(reps, || {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|_| scope.spawn(|| engine.analyze(&module).num_functions()))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("no panics"))
-                        .sum::<usize>()
+        // One pre-warmed facade per thread count. Warm analysis goes
+        // through the in-memory tier only; the engine's own worker
+        // pool is pinned to 1 so the measured concurrency is exactly
+        // the `threads` client threads.
+        let facades: Vec<Fastlive> = THREAD_SWEEP
+            .iter()
+            .map(|_| {
+                let fl = Fastlive::builder()
+                    .threads(1)
+                    .cache_capacity(1024)
+                    .stripes(stripes)
+                    .build()
+                    .expect("valid config");
+                let _ = fl.engine().analyze(&module);
+                fl
+            })
+            .collect();
+        let warm: Vec<u64> = facades
+            .iter()
+            .map(|f| f.engine().cache_stats().misses)
+            .collect();
+        let m = measure(
+            rounds,
+            (THREAD_SWEEP.iter().zip(&facades))
+                .map(|(&threads, fl)| {
+                    let (engine, module) = (fl.engine(), &module);
+                    Arm::new(move || {
+                        std::thread::scope(|scope| {
+                            let handles: Vec<_> = (0..threads)
+                                .map(|_| scope.spawn(|| engine.analyze(module).num_functions()))
+                                .collect();
+                            (handles.into_iter())
+                                .map(|h| h.join().expect("no panics"))
+                                .sum::<usize>()
+                        })
+                    })
                 })
-            });
-            let after = engine.cache_stats();
+                .collect(),
+        );
+        for (i, fl) in facades.iter().enumerate() {
             assert_eq!(
-                warm.misses, after.misses,
+                warm[i],
+                fl.engine().cache_stats().misses,
                 "measured phase must be all cache hits"
             );
-            if threads == 1 {
-                base_ns = ns;
-            }
-            // Total warm probes per second across all client threads.
-            let probes = (threads * module.len()) as f64 / (ns / 1e9);
-            let speedup = base_ns / ns * threads as f64;
+        }
+        for (i, threads) in THREAD_SWEEP.into_iter().enumerate() {
+            // Total warm probes per second across all client threads,
+            // and that throughput over one thread's.
+            let probes = (threads * module.len()) as f64;
+            let scaling = m.per_round(|s| s[0] / s[i] * threads as f64);
             grid.push(
                 Json::obj()
                     .field("stripes", stripes)
                     .field("threads", threads)
-                    .field("analyze_ns", Json::Num(ns, 0))
-                    .field("probes_per_sec", Json::Num(probes, 0))
-                    .field("scaling_vs_1_thread", Json::Num(speedup, 2)),
+                    .spread("analyze_ns", m.arm(i), 0)
+                    .spread("probes_per_sec", m.per_round(|s| probes * 1e9 / s[i]), 0)
+                    .spread("scaling_vs_1_thread", scaling, 2),
             );
         }
     }
-    module_header(&module)
-        .field("reps", reps)
+    module_header(quick, rounds, &module)
+        .field("reps", rounds)
         .field("grid", grid)
 }
 
 /// The former CI schema check: keys and the full stripes × threads
 /// grid with positive timings.
 pub fn check(d: &Json) -> Result<(), String> {
-    d.require(MODULE_HEADER)?;
-    d.require(&["reps", "grid"])?;
-    let grid = rows(
-        d,
-        "grid",
-        &[
-            "stripes",
-            "threads",
-            "analyze_ns",
-            "probes_per_sec",
-            "scaling_vs_1_thread",
-        ],
-    )?;
+    fields(d, "functions blocks_total reps grid")?;
+    let grid = rows(d, "grid", GRID_KEYS)?;
     row_set(grid, &["stripes"], &["1", "2", "4", "8"])?;
     row_set(grid, &["threads"], &["1", "2", "4", "8"])?;
     ensure(grid.len() == 16, "full stripes × threads grid")?;

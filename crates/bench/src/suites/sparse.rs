@@ -18,13 +18,13 @@
 //! `no_regression` is the liveness guard: warm-memory liveness on an
 //! engine whose cache also carries every nullness artifact, versus a
 //! liveness-only engine. Generalizing the cache must not have taxed
-//! the original analysis — the ratio sits at ~1.0.
+//! the original analysis: the ratio's spread should straddle 1.0.
 
 use fastlive::telemetry::Json;
 use fastlive::{AnalysisKind, Fastlive};
 use fastlive_bench::{
-    ensure, host_cpus, median_ns, module_header, num, row_set, rows, section, time_ns,
-    MODULE_HEADER,
+    ensure, fields, host_cpus, ladder, ladder_check, ladder_rows, measure, module_header, num,
+    row_set, section, Arm, SpreadField, LADDER,
 };
 use fastlive_ir::{FuncId, Module};
 use fastlive_workload::{generate_module, ModuleParams};
@@ -33,17 +33,9 @@ fn requests_for(module: &Module, kind: AnalysisKind) -> Vec<(FuncId, AnalysisKin
     (0..module.len()).map(|id| (id, kind)).collect()
 }
 
-fn builder(threads: usize, dir: &std::path::Path) -> Fastlive {
-    Fastlive::builder()
-        .threads(threads)
-        .persist_dir(dir.to_path_buf())
-        .build()
-        .expect("valid config")
-}
-
 /// Runs the suite.
 pub fn run(quick: bool) -> Json {
-    let (functions, reps) = if quick { (16, 3) } else { (96, 9) };
+    let (functions, rounds) = if quick { (16, 3) } else { (96, 15) };
     let threads = 4.min(host_cpus());
     let module = generate_module(
         "sparse_bench",
@@ -58,59 +50,15 @@ pub fn run(quick: bool) -> Json {
     );
     let dir = std::env::temp_dir().join(format!("fastlive-bench-sparse-{}", std::process::id()));
 
-    let mut ladder = Vec::new();
+    let mut rungs = Vec::new();
     for kind in AnalysisKind::ALL {
         let requests = requests_for(&module, kind);
-        let prefetch_fresh = || {
-            builder(threads, &dir).engine().prefetch(&module, &requests);
-            requests.len()
-        };
-
-        // ---- cold: fresh engine per rep, directory wiped per rep
-        // (outside the timed region).
-        let cold_ns = median_ns(
-            reps,
-            || {
-                let _ = std::fs::remove_dir_all(&dir);
-            },
-            |()| prefetch_fresh(),
-        );
-
-        // ---- warm_disk: fresh engine per rep over the populated
-        // store (the last cold rep filled it).
-        let warm_disk_ns = time_ns(reps, prefetch_fresh);
-        // Invariant behind the scenario label: zero precomputations,
-        // zero rejects, for this kind like any other.
-        let fl = builder(threads, &dir);
-        let probe = fl.engine();
-        probe.prefetch(&module, &requests);
-        let stats = probe.cache_stats();
-        assert_eq!(
-            stats.misses, stats.disk_hits,
-            "[{kind}] warm-disk must not precompute: {stats:?}"
-        );
-        assert_eq!(stats.disk_rejects, 0, "[{kind}] {stats:?}");
-
-        // ---- warm_memory: the probe engine is now fully warm.
-        let warm_mem_ns = time_ns(reps, || {
-            probe.prefetch(&module, &requests);
+        let (m, _) = ladder(rounds, &dir, threads, |fl| {
+            fl.engine().prefetch(&module, &requests);
             requests.len()
         });
-
-        for (scenario, ns) in [
-            ("cold", cold_ns),
-            ("warm_disk", warm_disk_ns),
-            ("warm_memory", warm_mem_ns),
-        ] {
-            let speedup = cold_ns / ns;
-            ladder.push(
-                Json::obj()
-                    .field("kind", kind.to_string())
-                    .field("scenario", scenario)
-                    .field("analyze_ns", Json::Num(ns, 0))
-                    .field("speedup_vs_cold", Json::Num(speedup, 1)),
-            );
-        }
+        let rows = ladder_rows(&m, &LADDER).into_iter();
+        rungs.extend(rows.map(|r| r.field("kind", kind.to_string())));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -119,47 +67,40 @@ pub fn run(quick: bool) -> Json {
     // module — the second analysis must not tax the first.
     let live = requests_for(&module, AnalysisKind::Liveness);
     let null = requests_for(&module, AnalysisKind::Nullness);
-    let solo_fl = Fastlive::builder().threads(threads).build().expect("valid");
-    let solo = solo_fl.engine();
-    solo.prefetch(&module, &live);
-    let solo_ns = time_ns(reps, || {
-        solo.prefetch(&module, &live);
+    let facade = || Fastlive::builder().threads(threads).build().expect("valid");
+    let (solo, shared) = (facade(), facade());
+    solo.engine().prefetch(&module, &live);
+    shared.engine().prefetch(&module, &live);
+    shared.engine().prefetch(&module, &null);
+    let warm = |fl: &Fastlive| {
+        fl.engine().prefetch(&module, &live);
         live.len()
-    });
-    let shared_fl = Fastlive::builder().threads(threads).build().expect("valid");
-    let shared = shared_fl.engine();
-    shared.prefetch(&module, &live);
-    shared.prefetch(&module, &null);
-    let shared_ns = time_ns(reps, || {
-        shared.prefetch(&module, &live);
-        live.len()
-    });
-    let ratio = shared_ns / solo_ns;
+    };
+    let m = measure(
+        rounds,
+        vec![Arm::new(|| warm(&solo)), Arm::new(|| warm(&shared))],
+    );
 
-    module_header(&module)
+    module_header(quick, rounds, &module)
         .field("format_version", fastlive::engine::persist::FORMAT_VERSION)
-        .field("sparse", ladder)
+        .field("sparse", rungs)
         .field(
             "no_regression",
             Json::obj()
-                .field("liveness_solo_ns", Json::Num(solo_ns, 0))
-                .field("liveness_shared_cache_ns", Json::Num(shared_ns, 0))
-                .field("ratio", Json::Num(ratio, 2)),
+                .spread("liveness_solo_ns", m.arm(0), 0)
+                .spread("liveness_shared_cache_ns", m.arm(1), 0)
+                .spread("ratio", m.ratio(1, 0), 2),
         )
 }
 
 /// The former CI schema check: keys, the full kind × scenario ladder,
-/// warm memory beating cold per kind, and format version 2.
+/// warm memory beating cold per kind (in full runs, both warm rungs by
+/// their lower quartile), and format version 2.
 pub fn check(d: &Json) -> Result<(), String> {
-    d.require(MODULE_HEADER)?;
-    d.require(&["format_version", "sparse", "no_regression"])?;
-    let ladder = rows(
-        d,
-        "sparse",
-        &["kind", "scenario", "analyze_ns", "speedup_vs_cold"],
-    )?;
+    fields(d, "functions blocks_total format_version no_regression")?;
+    let rungs = ladder_check(d, "sparse")?;
     row_set(
-        ladder,
+        rungs,
         &["kind", "scenario"],
         &[
             "liveness/cold",
@@ -170,7 +111,7 @@ pub fn check(d: &Json) -> Result<(), String> {
             "nullness/warm_memory",
         ],
     )?;
-    for r in ladder {
+    for r in rungs {
         if r.get("scenario") == Some(&Json::from("warm_memory")) {
             ensure(
                 num(r, "speedup_vs_cold")? > 1.0,
@@ -178,7 +119,7 @@ pub fn check(d: &Json) -> Result<(), String> {
             )?;
         }
     }
-    let no_regression = ["liveness_solo_ns", "liveness_shared_cache_ns", "ratio"];
-    section(d, "no_regression", &no_regression)?;
+    let keys = "liveness_solo_ns liveness_shared_cache_ns ratio";
+    section(d, "no_regression", keys)?;
     ensure(num(d, "format_version")? == 2.0, "format_version must be 2")
 }

@@ -4,7 +4,9 @@
 //! ("New"), with the three speedup columns, plus the §6.2 prose claims.
 //!
 //! `FASTLIVE_SCALE` sets the scale (default 10) and `FASTLIVE_REPS`
-//! the median-of-N reps (default 5); `--quick` defaults both to 1.
+//! the interleaved rounds per suite (default 5); `--quick` defaults
+//! both to 1. Times are medians over the rounds; the §6.2 ratios carry
+//! their quartiles, taken per round.
 //!
 //! Times are nanoseconds (the paper reports Pentium-M cycles; all
 //! claims are ratios and unit-free). The query stream is the one the
@@ -18,11 +20,11 @@ use fastlive_bench::{
 /// Runs the suite.
 pub fn run(quick: bool) {
     let scale = scale_from_env(if quick { 1 } else { 10 });
-    let reps: usize = std::env::var("FASTLIVE_REPS")
+    let rounds: usize = std::env::var("FASTLIVE_REPS")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(if quick { 1 } else { 5 });
-    println!("Table 2: runtime experiments (scale = {scale}%, median of {reps} reps)\n");
+    println!("Table 2: runtime experiments (scale = {scale}%, median of {rounds} rounds)\n");
     println!(
         "{:<12} {:>6} | {:>12} {:>12} {:>6} | {:>9} {:>9} {:>9} {:>6} | {:>6}",
         "Benchmark",
@@ -42,7 +44,7 @@ pub fn run(quick: bool) {
     let mut rows = Vec::new();
     for suite in &suites {
         let prepared = prepare_suite(suite);
-        let row = measure_suite(&suite.profile, &prepared, reps);
+        let row = measure_suite(&suite.profile, &prepared, rounds);
         print_row(&row);
         rows.push(row);
     }
@@ -52,20 +54,20 @@ pub fn run(quick: bool) {
 
     println!("\nSection 6.2 prose claims (paper values in brackets):");
     println!(
-        "  precompute speedup (native/new):      {:>6.2}x   [paper: 2.94x]",
+        "  precompute speedup (native/new):      {:.2}x   [paper: 2.94x]",
         total.pre_speedup()
     );
     println!(
-        "  query speedup (native/new):           {:>6.2}x   [paper: 0.36x, i.e. ~2.8x slower]",
+        "  query speedup (native/new):           {:.2}x   [paper: 0.36x, i.e. ~2.8x slower]",
         total.query_speedup()
     );
     println!(
-        "  combined speedup:                     {:>6.2}x   [paper: 1.16x]",
+        "  combined speedup:                     {:.2}x   [paper: 1.16x]",
         total.both_speedup()
     );
     println!(
-        "  full-universe dataflow vs new pre:    {:>6.2}x   [paper: ~4.7x slower than new]",
-        total.full_pre_ns / total.new_pre_ns
+        "  full-universe dataflow vs new pre:    {:.2}x   [paper: ~4.7x slower than new]",
+        total.totals.ratio(2, 1)
     );
     println!(
         "  phi-related live-set fill:            {:>6.2}    [paper: 3.16]",
@@ -82,17 +84,18 @@ pub fn run(quick: bool) {
 }
 
 fn print_row(r: &Table2Row) {
+    let ns = r.unit_ns();
     println!(
         "{:<12} {:>6} | {:>12.0} {:>12.0} {:>6.2} | {:>9} {:>9.1} {:>9.1} {:>6.2} | {:>6.2}",
         r.name,
         r.procs,
-        r.native_pre_ns,
-        r.new_pre_ns,
-        r.pre_speedup(),
+        ns[0],
+        ns[1],
+        r.pre_speedup().median,
         r.queries,
-        r.native_query_ns,
-        r.new_query_ns,
-        r.query_speedup(),
-        r.both_speedup()
+        ns[3],
+        ns[4],
+        r.query_speedup().median,
+        r.both_speedup().median
     );
 }

@@ -77,11 +77,6 @@ impl FunctionLiveness {
         FunctionLiveness { checker }
     }
 
-    /// Unwraps the graph-level checker (e.g. to move it into a cache).
-    pub fn into_checker(self) -> LivenessChecker {
-        self.checker
-    }
-
     /// The underlying graph-level checker.
     pub fn checker(&self) -> &LivenessChecker {
         &self.checker

@@ -60,6 +60,18 @@
 //!   queries that the benchmarks and differential tests compare
 //!   against.
 //!
+//! # Unreachable blocks
+//!
+//! The paper's §2 assumes every block is reachable from the entry. An
+//! edited function need not be, so every engine in the workspace
+//! follows one rule: **unreachable blocks hold no live values and no
+//! definitely-initialized values, and their uses and φ arguments count
+//! nowhere.** The fast path gets this for free (an unreachable block
+//! has no dominance number), the referees `IterativeLiveness` and
+//! `IterativeNullness` in `fastlive-dataflow` relax only reachable
+//! blocks, and the remaining baselines take only inputs whose every
+//! block is reachable.
+//!
 //! # Examples
 //!
 //! ```

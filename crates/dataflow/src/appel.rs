@@ -22,6 +22,11 @@ use crate::universe::VarUniverse;
 /// results; the value of this engine here is as an independently-derived
 /// cross-check and a per-variable cost model.
 ///
+/// The input must have every block reachable from the entry: the walk
+/// marks unreachable predecessors too, so on an orphaned block it would
+/// not follow the workspace's unreachable-code rule (`fastlive_core`'s
+/// crate docs).
+///
 /// # Examples
 ///
 /// ```

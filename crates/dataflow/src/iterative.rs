@@ -19,7 +19,11 @@ use crate::universe::VarUniverse;
 /// follows its definition) and `kill(b)` the definitions. The worklist
 /// is a plain stack seeded so that blocks pop in CFG postorder, which
 /// Cooper, Harvey & Kennedy report as the effective order for liveness;
-/// when a block's `live_in` changes its predecessors are pushed.
+/// when a block's `live_in` changes its reachable predecessors are
+/// pushed. Blocks the entry cannot reach are never relaxed, so they
+/// follow the workspace's unreachable-code rule (see the
+/// `fastlive_core` crate docs): their sets stay empty and their uses
+/// and φ arguments keep nothing live.
 ///
 /// This is the "conventional data-flow approach" of the paper's
 /// abstract: fast sets, but the results die with the first program
@@ -120,7 +124,7 @@ impl IterativeLiveness {
             if scratch != live_in[b as usize] {
                 std::mem::swap(&mut live_in[b as usize], &mut scratch);
                 for &p in func.preds(b) {
-                    if !on_stack[p as usize] {
+                    if dfs.is_reachable(p) && !on_stack[p as usize] {
                         on_stack[p as usize] = true;
                         stack.push(p);
                     }

@@ -26,6 +26,11 @@ use crate::universe::VarUniverse;
 /// 5. for SSA destruction, *"non-φ-related variables [are ignored]
 ///    completely"* — pass [`VarUniverse::phi_related`].
 ///
+/// Like the paper's setting, the input must have every block reachable
+/// from the entry: the solver relaxes unreachable predecessors too, so
+/// on an orphaned block it would not follow the workspace's
+/// unreachable-code rule (`fastlive_core`'s crate docs).
+///
 /// # Examples
 ///
 /// ```

@@ -10,7 +10,9 @@
 //! (respectively greatest) fixpoints of the same monotone equations,
 //! their answers must agree bit-for-bit; the differential suites hold
 //! the facade's session backend, cached and cache-less, to this
-//! referee.
+//! referee. Unreachable blocks follow the workspace's unreachable-code
+//! rule (`fastlive_core`'s crate docs): they are never relaxed, hold no
+//! definitely-initialized value, and φ joins skip their arguments.
 
 use fastlive_bitset::DenseBitSet;
 use fastlive_core::Nullness;

@@ -103,11 +103,6 @@ impl<B: LivenessProvider> PatchedEngine<B> {
         }
     }
 
-    /// Statistics: how many mid-pass values needed patch-up walks.
-    pub fn patched_values(&self) -> usize {
-        self.patched.len()
-    }
-
     fn needs_patch(&self, v: Value) -> bool {
         v.index() >= self.known_values || self.overridden.contains(&v)
     }

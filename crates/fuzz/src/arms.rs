@@ -673,6 +673,32 @@ fn parser_input(rng: &mut SplitMix64, valid: &str) -> String {
     }
 }
 
+/// Valid module text under edits the lexer ignores: some spaces widen
+/// into runs of blanks (space, tab, U+00A0, U+2003), some lines gain a
+/// `;` comment, and some end in CRLF. Every such input parses by
+/// construction, to the same module as `valid`.
+fn benign_input(rng: &mut SplitMix64, valid: &str) -> String {
+    const BLANKS: &[&str] = &[" ", "\t", "\u{a0}", "\u{2003}"];
+    let mut out = String::with_capacity(2 * valid.len());
+    for c in valid.chars() {
+        match c {
+            ' ' if rng.chance(30) => {
+                for _ in 0..=rng.index(3) {
+                    out.push_str(rng.pick::<&str>(BLANKS));
+                }
+            }
+            '\n' => {
+                if rng.chance(20) {
+                    out.push_str(" ; ignored");
+                }
+                out.push_str(if rng.chance(50) { "\r\n" } else { "\n" });
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 fn arm_parser(ctx: &mut Ctx) -> ArmStats {
     let mut stats = new_stats("parser");
     let mut cover = Vec::new();
@@ -687,12 +713,19 @@ fn arm_parser(ctx: &mut Ctx) -> ArmStats {
         },
         ctx.cfg.seed,
     ));
+    // Hostile inputs mostly fail to parse; the benign ones, drawn from
+    // a stream of their own, always parse, so the fixpoint check below
+    // runs in every campaign.
+    let mut texts: Vec<String> = (0..inputs)
+        .map(|_| parser_input(&mut rng, &valid))
+        .collect();
+    let mut benign_rng = SplitMix64::new(ctx.cfg.seed ^ 0xb1a4c);
+    texts.extend((0..inputs / 10).map(|_| benign_input(&mut benign_rng, &valid)));
     // The parser must be total; a panic here is a finding, and the
     // default hook's backtrace spam would bury the report.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    for _ in 0..inputs {
-        let input = parser_input(&mut rng, &valid);
+    for input in texts {
         stats.cases += 1;
         match catch_unwind(AssertUnwindSafe(|| parse_module(&input))) {
             Ok(Ok(module)) => {
@@ -811,5 +844,23 @@ mod tests {
         }
         assert!(report.findings.is_empty());
         assert_eq!(report.coverage.len(), 9);
+        let parser = report.coverage.iter().find(|c| c.name == "parser");
+        assert!(
+            parser.is_some_and(|c| c.procedures > 0),
+            "the parser arm accepted no input"
+        );
+    }
+
+    /// Benign edits never change what the text parses to.
+    #[test]
+    fn benign_parser_inputs_parse_to_the_seed_module() {
+        let valid = module_text(&generate_module("seedtext", ModuleParams::default(), 9));
+        let seed_module = module_text(&parse_module(&valid).expect("printed text parses"));
+        let mut rng = SplitMix64::new(0xb1a4c);
+        for _ in 0..20 {
+            let input = benign_input(&mut rng, &valid);
+            let module = parse_module(&input).expect("benign edits parse");
+            assert_eq!(module_text(&module), seed_module);
+        }
     }
 }

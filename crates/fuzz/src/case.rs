@@ -405,16 +405,6 @@ fn write_fl_name(out: &mut String, name: &str) {
     out.push('"');
 }
 
-/// Mirrors a whole module into case form, one [`CaseFunc`] per
-/// function.
-pub fn cases_of_module(module: &Module) -> Vec<CaseFunc> {
-    module
-        .functions()
-        .iter()
-        .map(CaseFunc::from_function)
-        .collect()
-}
-
 /// Rebuilds a module from case functions, failing on the first case
 /// that no longer parses or verifies.
 pub fn module_of_cases(cases: &[CaseFunc]) -> Result<Module, String> {

@@ -149,7 +149,8 @@ fn report_json(args: &Args, report: &CampaignReport) -> Json {
 }
 
 /// The report's self-check: every arm ran cases with zero divergences,
-/// some irreducible function was covered, and nothing was found.
+/// some irreducible function was covered, the parser arm accepted some
+/// input, and nothing was found.
 fn check_report(args: &Args, d: &Json) -> Result<(), String> {
     let count = |obj: &Json, key: &str| {
         obj.get(key)
@@ -205,6 +206,14 @@ fn check_report(args: &Args, d: &Json) -> Result<(), String> {
         .any(|c| count(c, "irreducible_functions").is_ok_and(|n| n > 0.0))
     {
         return Err("no arm covered an irreducible function".to_string());
+    }
+    // Coverage counts only accepted parser inputs, so a zero here means
+    // the print→parse fixpoint check never ran.
+    let parsed = coverage
+        .iter()
+        .find(|c| c.get("name") == Some(&Json::from("parser")));
+    if !parsed.is_some_and(|c| count(c, "procedures").is_ok_and(|n| n > 0.0)) {
+        return Err("the parser arm accepted no input".to_string());
     }
     if !array("findings")?.is_empty() {
         return Err("the campaign has findings".to_string());

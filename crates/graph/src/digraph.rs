@@ -84,11 +84,6 @@ impl DiGraph {
         self.num_edges += 1;
     }
 
-    /// Returns `true` if at least one edge `u -> v` exists.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.succs[u as usize].contains(&v)
-    }
-
     /// Appends a fresh node with no edges and returns its id.
     pub fn add_node(&mut self) -> NodeId {
         self.succs.push(Vec::new());

@@ -574,25 +574,15 @@ impl Function {
 
     // -------------------------------------------------------- mutation
 
-    /// Replaces every use of `old` with `new`, updating def-use chains.
-    pub fn replace_all_uses(&mut self, old: Value, new: Value) {
-        self.replace_uses_where(old, new, |_| true);
-    }
-
     /// Replaces every use of `old` with `new` except those inside
-    /// `except` (used when inserting `new = copy old`).
+    /// `except` (used when inserting `new = copy old`), updating def-use
+    /// chains.
     pub fn replace_uses_except(&mut self, old: Value, new: Value, except: Inst) {
-        self.replace_uses_where(old, new, |i| i != except);
-    }
-
-    /// Replaces uses of `old` with `new` in instructions satisfying
-    /// `keep`.
-    pub fn replace_uses_where(&mut self, old: Value, new: Value, keep: impl Fn(Inst) -> bool) {
         assert_ne!(old, new, "cannot replace a value with itself");
         let sites = std::mem::take(&mut self.uses[old.index()]);
         let mut kept = Vec::new();
         for inst in sites {
-            if keep(inst) {
+            if inst != except {
                 self.insts[inst].map_operands(|v| if v == old { new } else { v });
                 self.uses[new.index()].push(inst);
             } else {
@@ -971,13 +961,15 @@ mod tests {
     }
 
     #[test]
-    fn replace_all_uses_moves_chains() {
+    fn replace_uses_except_an_unrelated_site_moves_every_chain() {
         let (mut f, _, b1, _) = sample();
         let x = f.params()[0];
         let add = f.block_insts(b1)[0];
+        let jump = f.block_insts(b1)[1];
         let r = f.inst_result(add).unwrap();
         let n_x = f.uses(x).len();
-        f.replace_all_uses(x, r);
+        // The jump does not use `x`, so every use site moves.
+        f.replace_uses_except(x, r, jump);
         assert!(f.uses(x).is_empty());
         assert_eq!(f.uses(r).len(), n_x);
         f.check_use_chains().expect("chains consistent");
@@ -1084,7 +1076,7 @@ mod tests {
         assert!(v4 > v3);
 
         // Use-level edits never bump...
-        f.replace_all_uses(x, y);
+        f.replace_uses_except(x, y, j);
         let dead = f.insert_inst(
             b1,
             0,

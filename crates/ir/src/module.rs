@@ -72,11 +72,6 @@ impl Module {
         &self.functions
     }
 
-    /// Mutable access to all functions (for transformation passes).
-    pub fn functions_mut(&mut self) -> &mut [Function] {
-        &mut self.functions
-    }
-
     /// The function with id `id`.
     ///
     /// # Panics

@@ -200,14 +200,6 @@ impl Telemetry {
         Self::default()
     }
 
-    /// A fresh hub retaining at most `events` ring-log entries.
-    pub fn with_event_capacity(events: usize) -> Self {
-        Telemetry {
-            events: EventLog::with_capacity(events),
-            ..Self::default()
-        }
-    }
-
     /// Builds the comparable snapshot (also reachable through
     /// [`Recorder::snapshot`], which wraps it in `Some`).
     pub fn snapshot_now(&self) -> TelemetrySnapshot {

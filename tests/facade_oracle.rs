@@ -192,6 +192,33 @@ fn exhaustive_queries(module: &Module) -> Vec<Query> {
     queries
 }
 
+/// Every arm — cached and cache-less sessions and the oracle, each
+/// scalar and planned — answers the exhaustive batch like the oracle.
+fn every_arm_answers_like_the_oracle(module: &Module) {
+    let fl = Fastlive::builder().threads(1).build().expect("valid");
+    let cacheless = Fastlive::builder()
+        .threads(1)
+        .cache_capacity(0)
+        .build()
+        .expect("valid");
+    let queries = exhaustive_queries(module);
+    let oracle = run_all(&fl, module, BackendKind::Oracle, &queries);
+    for (f, kind) in [
+        (&fl, BackendKind::Session),
+        (&cacheless, BackendKind::Session),
+        (&fl, BackendKind::Oracle),
+    ] {
+        let planned = run_all(f, module, kind, &queries);
+        let mut session = f.session_with(module, kind);
+        let scalar: Vec<_> = queries.iter().map(|q| session.query(module, q)).collect();
+        for (i, q) in queries.iter().enumerate() {
+            let arm = format!("{kind:?} (cache capacity {})", f.config().cache_capacity);
+            assert_eq!(planned[i], oracle[i], "{arm} planned vs oracle on {q:?}");
+            assert_eq!(scalar[i], oracle[i], "{arm} scalar vs oracle on {q:?}");
+        }
+    }
+}
+
 /// A strict-SSA module whose edit orphans a block: `block1` is left
 /// unreachable, holding the only use of `v1` and the definition of
 /// `v2`. The corpus cannot carry this case (`verify_strict_ssa` rejects
@@ -221,29 +248,9 @@ fn orphaned_blocks_answer_identically_on_every_arm() {
     let b2 = func.block("block2").expect("exists");
     func.redirect_branch_target(term, 0, b2, Vec::new());
 
-    let fl = Fastlive::builder().threads(1).build().expect("valid");
-    let cacheless = Fastlive::builder()
-        .threads(1)
-        .cache_capacity(0)
-        .build()
-        .expect("valid");
-    let queries = exhaustive_queries(&module);
-    let oracle = run_all(&fl, &module, BackendKind::Oracle, &queries);
-    for (f, kind) in [
-        (&fl, BackendKind::Session),
-        (&cacheless, BackendKind::Session),
-        (&fl, BackendKind::Oracle),
-    ] {
-        let planned = run_all(f, &module, kind, &queries);
-        let mut session = f.session_with(&module, kind);
-        let scalar: Vec<_> = queries.iter().map(|q| session.query(&module, q)).collect();
-        for (i, q) in queries.iter().enumerate() {
-            let arm = format!("{kind:?} (cache capacity {})", f.config().cache_capacity);
-            assert_eq!(planned[i], oracle[i], "{arm} planned vs oracle on {q:?}");
-            assert_eq!(scalar[i], oracle[i], "{arm} scalar vs oracle on {q:?}");
-        }
-    }
+    every_arm_answers_like_the_oracle(&module);
 
+    let fl = Fastlive::builder().threads(1).build().expect("valid");
     let mut session = fl.session(&module);
     let live_out = Query::live_out("orphan", "v1", "block0");
     assert_eq!(session.query(&module, &live_out), Ok(Response::Live(false)));
@@ -252,4 +259,41 @@ fn orphaned_blocks_answer_identically_on_every_arm() {
         session.query(&module, &interfere),
         Ok(Response::Interference(false))
     );
+}
+
+/// An orphan that still branches into reachable code: `block2` is
+/// unreachable but jumps to `block1`, passing `v1` as a φ argument and
+/// keeping `v0` in use along the way. Under the unreachable-code rule
+/// (`fastlive_core`'s crate docs) the orphan holds no live value and
+/// its φ argument counts nowhere, so the oracle must not relax it on
+/// the way back from `block1`.
+#[test]
+fn orphan_branching_into_reachable_code_answers_identically_on_every_arm() {
+    let module = fastlive::parse_module(
+        "function %f {
+         block0(v0):
+             v1 = iconst 0
+             jump block1(v0)
+         block1(v2):
+             v3 = iadd v2, v0
+             return v3
+         block2:
+             jump block1(v1)
+         }",
+    )
+    .expect("parses");
+    every_arm_answers_like_the_oracle(&module);
+    let fl = Fastlive::builder().threads(1).build().expect("valid");
+    for q in [
+        Query::live_in("f", "v0", "block2"),
+        Query::live_out("f", "v0", "block2"),
+        Query::live_in("f", "v1", "block2"),
+    ] {
+        assert_eq!(
+            fl.session_with(&module, BackendKind::Oracle)
+                .query(&module, &q),
+            Ok(Response::Live(false)),
+            "{q:?}"
+        );
+    }
 }
