@@ -67,12 +67,18 @@ pub struct DfsTree {
     parent: Vec<NodeId>,
     /// Back edges `(source, target)` in source-major order, i.e. `E↑`.
     back_edges: Vec<(NodeId, NodeId)>,
-    /// Per-source `(target, class)` pairs, aligned with `Cfg::succs`.
-    classified: Vec<Vec<(NodeId, EdgeClass)>>,
+    /// Every edge's `(target, class)`, source-major and aligned with
+    /// `Cfg::succs`: node `u`'s edges are
+    /// `classified[class_start[u]..class_start[u + 1]]`.
+    classified: Vec<(NodeId, EdgeClass)>,
+    class_start: Vec<u32>,
 }
 
 impl DfsTree {
     /// Runs a depth-first search over `g` from its entry node.
+    ///
+    /// Every buffer is sized before it is filled, so a call allocates
+    /// a fixed number of times whatever the size of `g`.
     pub fn compute<G: Cfg>(g: &G) -> Self {
         let n = g.num_nodes();
         let mut pre_num = vec![NO_NODE; n];
@@ -81,15 +87,17 @@ impl DfsTree {
         let mut preorder = Vec::with_capacity(n);
         let mut postorder = Vec::with_capacity(n);
 
-        // Iterative DFS: the stack holds (node, index of next successor).
+        // Iterative DFS: the stack holds (node, index of next successor)
+        // and is never deeper than the node count.
         let root = g.entry();
         pre_num[root as usize] = 0;
         preorder.push(root);
-        let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
+        let mut stack: Vec<(NodeId, u32)> = Vec::with_capacity(n);
+        stack.push((root, 0));
         while let Some(&mut (u, ref mut next)) = stack.last_mut() {
             let succs = g.succs(u);
-            if *next < succs.len() {
-                let v = succs[*next];
+            if (*next as usize) < succs.len() {
+                let v = succs[*next as usize];
                 *next += 1;
                 if pre_num[v as usize] == NO_NODE {
                     pre_num[v as usize] = preorder.len() as u32;
@@ -107,20 +115,21 @@ impl DfsTree {
         // Classify all edges now that both numberings exist. Only back/non-
         // back matters for liveness, but figures and diagnostics want the
         // full four-way split.
-        let mut back_edges = Vec::new();
-        let mut classified = Vec::with_capacity(n);
+        let mut classified = Vec::with_capacity(g.num_edges());
+        let mut class_start = Vec::with_capacity(n + 1);
         let mut tree_edge_taken = vec![false; n];
+        let mut num_back = 0;
         for u in 0..n as NodeId {
+            class_start.push(classified.len() as u32);
             let succs = g.succs(u);
-            let mut row = Vec::with_capacity(succs.len());
             if pre_num[u as usize] == NO_NODE {
-                row.extend(succs.iter().map(|&v| (v, EdgeClass::Unreachable)));
-                classified.push(row);
+                classified.extend(succs.iter().map(|&v| (v, EdgeClass::Unreachable)));
                 continue;
             }
             for &v in succs {
                 let class = if ancestor(&pre_num, &post_num, v, u) {
                     // v ancestor of u (v == u means a self-loop): back edge.
+                    num_back += 1;
                     EdgeClass::Back
                 } else if ancestor(&pre_num, &post_num, u, v) {
                     // u proper ancestor of v: the one instance that is the
@@ -135,12 +144,19 @@ impl DfsTree {
                 } else {
                     EdgeClass::Cross
                 };
-                if class == EdgeClass::Back {
-                    back_edges.push((u, v));
-                }
-                row.push((v, class));
+                classified.push((v, class));
             }
-            classified.push(row);
+        }
+        class_start.push(classified.len() as u32);
+
+        let mut back_edges = Vec::with_capacity(num_back);
+        for (u, span) in class_start.windows(2).enumerate() {
+            let row = &classified[span[0] as usize..span[1] as usize];
+            back_edges.extend(
+                row.iter()
+                    .filter(|&&(_, c)| c == EdgeClass::Back)
+                    .map(|&(v, _)| (u as NodeId, v)),
+            );
         }
 
         DfsTree {
@@ -151,7 +167,14 @@ impl DfsTree {
             parent,
             back_edges,
             classified,
+            class_start,
         }
+    }
+
+    /// The `(target, class)` pairs of `u`'s outgoing edges.
+    fn row(&self, u: NodeId) -> &[(NodeId, EdgeClass)] {
+        let u = u as usize;
+        &self.classified[self.class_start[u] as usize..self.class_start[u + 1] as usize]
     }
 
     /// Preorder (discovery) number of `v`.
@@ -249,7 +272,7 @@ impl DfsTree {
     ///
     /// Panics if `u` has fewer than `i + 1` successors.
     pub fn edge_class_at(&self, u: NodeId, i: usize) -> EdgeClass {
-        self.classified[u as usize][i].1
+        self.row(u)[i].1
     }
 
     /// Class of edge `(u, v)`. With parallel edges, returns the class of
@@ -259,7 +282,7 @@ impl DfsTree {
     ///
     /// Panics if no edge `(u, v)` exists.
     pub fn edge_class(&self, u: NodeId, v: NodeId) -> EdgeClass {
-        self.classified[u as usize]
+        self.row(u)
             .iter()
             .find(|&&(t, _)| t == v)
             .map(|&(_, c)| c)
@@ -268,10 +291,8 @@ impl DfsTree {
 
     /// Iterates all classified edges `(u, v, class)` in source-major order.
     pub fn classified_edges(&self) -> impl Iterator<Item = (NodeId, NodeId, EdgeClass)> + '_ {
-        self.classified
-            .iter()
-            .enumerate()
-            .flat_map(|(u, row)| row.iter().map(move |&(v, c)| (u as NodeId, v, c)))
+        (0..self.num_nodes() as NodeId)
+            .flat_map(move |u| self.row(u).iter().map(move |&(v, c)| (u, v, c)))
     }
 }
 

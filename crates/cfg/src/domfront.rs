@@ -1,5 +1,6 @@
-use fastlive_graph::{Cfg, NodeId};
+use fastlive_graph::{Cfg, NodeId, NO_NODE};
 
+use crate::csr::group_by_owner;
 use crate::DomTree;
 
 /// Dominance frontiers of every node, computed with the algorithm of
@@ -30,71 +31,31 @@ use crate::DomTree;
 /// ```
 #[derive(Clone, Debug)]
 pub struct DominanceFrontiers {
-    /// `df[v]` sorted ascending, deduplicated.
-    df: Vec<Vec<NodeId>>,
+    /// `DF(v)` is `members[start[v]..start[v + 1]]`, sorted ascending,
+    /// deduplicated.
+    members: Vec<NodeId>,
+    start: Vec<u32>,
 }
 
 impl DominanceFrontiers {
     /// Computes all dominance frontiers. Unreachable nodes get empty
     /// frontiers and are skipped as predecessors.
+    ///
+    /// The walks run twice, once to count each frontier and once to
+    /// fill it, so a call allocates a fixed number of times whatever
+    /// the size of `g`.
     pub fn compute<G: Cfg>(g: &G, dom: &DomTree) -> Self {
-        let n = g.num_nodes();
-        let mut df: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for b in 0..n as NodeId {
-            if !dom.is_reachable(b) || g.preds(b).is_empty() {
-                continue;
-            }
-            match dom.idom(b) {
-                // The entry node with predecessors (back edges into the
-                // entry): nothing strictly dominates the entry, so *every*
-                // dominator of a predecessor has the entry in its
-                // frontier; the walk runs through the root inclusive.
-                None => {
-                    for &p in g.preds(b) {
-                        if !dom.is_reachable(p) {
-                            continue;
-                        }
-                        let mut runner = p;
-                        loop {
-                            push_unique(&mut df[runner as usize], b);
-                            match dom.idom(runner) {
-                                Some(next) => runner = next,
-                                None => break,
-                            }
-                        }
-                    }
-                }
-                Some(idom_b) => {
-                    // With a single predecessor the walk is empty (the
-                    // pred *is* the idom); the ≥2-predecessor check of
-                    // the textbook version is just this short-circuit.
-                    if g.preds(b).len() < 2 {
-                        continue;
-                    }
-                    for &p in g.preds(b) {
-                        if !dom.is_reachable(p) {
-                            continue;
-                        }
-                        let mut runner = p;
-                        while runner != idom_b {
-                            push_unique(&mut df[runner as usize], b);
-                            runner = dom.idom(runner).expect(
-                                "walk from a predecessor must reach idom(b) before the root",
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        for row in &mut df {
-            row.sort_unstable();
-        }
-        DominanceFrontiers { df }
+        // Joins are visited in ascending order, so each frontier comes
+        // out sorted.
+        let (members, start) =
+            group_by_owner(g.num_nodes(), |emit| for_each_frontier_edge(g, dom, emit));
+        DominanceFrontiers { members, start }
     }
 
     /// The dominance frontier of `v`, sorted ascending.
     pub fn of(&self, v: NodeId) -> &[NodeId] {
-        &self.df[v as usize]
+        let v = v as usize;
+        &self.members[self.start[v] as usize..self.start[v + 1] as usize]
     }
 
     /// The iterated dominance frontier `DF⁺(defs)`: the least set `S` with
@@ -115,10 +76,11 @@ impl DominanceFrontiers {
     /// assert_eq!(df.iterated(&[1, 2]), vec![3]);
     /// ```
     pub fn iterated(&self, defs: &[NodeId]) -> Vec<NodeId> {
-        let mut in_set = vec![false; self.df.len()];
+        let n = self.start.len() - 1;
+        let mut in_set = vec![false; n];
         let mut out = Vec::new();
         let mut work: Vec<NodeId> = defs.to_vec();
-        let mut queued = vec![false; self.df.len()];
+        let mut queued = vec![false; n];
         for &d in defs {
             queued[d as usize] = true;
         }
@@ -139,9 +101,54 @@ impl DominanceFrontiers {
     }
 }
 
-fn push_unique(v: &mut Vec<NodeId>, x: NodeId) {
-    if !v.contains(&x) {
-        v.push(x);
+/// Calls `add(x, b)` once for every `b ∈ DF(x)`, joins `b` in
+/// ascending order: for each join `b`, each predecessor's dominator
+/// chain is walked up to (but excluding) `idom(b)`.
+fn for_each_frontier_edge<G: Cfg>(g: &G, dom: &DomTree, mut add: impl FnMut(NodeId, NodeId)) {
+    // `last[x] == b` once `b` is in `DF(x)`: a join reached along
+    // several predecessor walks joins each frontier once.
+    let mut last = vec![NO_NODE; g.num_nodes()];
+    let mut add_once = |x: NodeId, b: NodeId| {
+        if last[x as usize] != b {
+            last[x as usize] = b;
+            add(x, b);
+        }
+    };
+    for b in 0..g.num_nodes() as NodeId {
+        if !dom.is_reachable(b) || g.preds(b).is_empty() {
+            continue;
+        }
+        match dom.idom(b) {
+            // The entry node with predecessors (back edges into the
+            // entry): nothing strictly dominates the entry, so *every*
+            // dominator of a predecessor has the entry in its frontier;
+            // the walk runs through the root inclusive.
+            None => {
+                for &p in g.preds(b) {
+                    if dom.is_reachable(p) {
+                        dom.dominators(p).for_each(|x| add_once(x, b));
+                    }
+                }
+            }
+            // With a single predecessor the walk is empty (the pred *is*
+            // the idom); the ≥2-predecessor check of the textbook version
+            // is just this short-circuit.
+            Some(_) if g.preds(b).len() < 2 => {}
+            Some(idom_b) => {
+                for &p in g.preds(b) {
+                    if !dom.is_reachable(p) {
+                        continue;
+                    }
+                    let mut runner = p;
+                    while runner != idom_b {
+                        add_once(runner, b);
+                        runner = dom
+                            .idom(runner)
+                            .expect("walk from a predecessor must reach idom(b) before the root");
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 use fastlive_graph::{Cfg, NodeId, NO_NODE};
 
+use crate::csr::group_by_owner;
 use crate::DfsTree;
 
 /// The dominator tree of a CFG, with the dominance-tree preorder
@@ -39,8 +40,10 @@ pub struct DomTree {
     /// Immediate dominator; the entry maps to itself, unreachable nodes to
     /// `NO_NODE`.
     idom: Vec<NodeId>,
-    /// Children in the dominance tree, ordered by DFS preorder.
-    children: Vec<Vec<NodeId>>,
+    /// Children in the dominance tree, ordered by DFS preorder: node
+    /// `v`'s children are `children[child_start[v]..child_start[v + 1]]`.
+    children: Vec<NodeId>,
+    child_start: Vec<u32>,
     /// `num[v]`: dominance-tree preorder number (the paper's `num(v)`).
     num: Vec<u32>,
     /// `maxnum[v]`: largest preorder number in `v`'s dominance subtree.
@@ -99,12 +102,13 @@ impl DomTree {
 
         // Children lists ordered by DFS preorder => deterministic preorder
         // numbering that follows discovery order (like the paper's Fig. 3).
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for &v in dfs.preorder() {
-            if v != root {
-                children[idom[v as usize] as usize].push(v);
+        let (children, child_start) = group_by_owner(n, |emit| {
+            for &v in dfs.preorder() {
+                if v != root {
+                    emit(idom[v as usize], v);
+                }
             }
-        }
+        });
 
         // Dominance-tree preorder numbering with subtree max (num/maxnum).
         let mut num = vec![NO_NODE; n];
@@ -112,21 +116,21 @@ impl DomTree {
         let mut by_num = vec![NO_NODE; dfs.num_reached()];
         let mut depth = vec![0u32; n];
         let mut counter = 0u32;
-        // Iterative preorder walk; entries are (node, child index).
-        let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
+        // Iterative preorder walk; entries are (node, next child index).
+        let mut stack: Vec<(NodeId, u32)> = Vec::with_capacity(dfs.num_reached());
+        stack.push((root, child_start[root as usize]));
         num[root as usize] = 0;
         by_num[0] = root;
         counter += 1;
         while let Some(&mut (v, ref mut ci)) = stack.last_mut() {
-            let kids = &children[v as usize];
-            if *ci < kids.len() {
-                let c = kids[*ci];
+            if *ci < child_start[v as usize + 1] {
+                let c = children[*ci as usize];
                 *ci += 1;
                 num[c as usize] = counter;
                 by_num[counter as usize] = c;
                 depth[c as usize] = depth[v as usize] + 1;
                 counter += 1;
-                stack.push((c, 0));
+                stack.push((c, child_start[c as usize]));
             } else {
                 maxnum[v as usize] = counter - 1;
                 stack.pop();
@@ -137,6 +141,7 @@ impl DomTree {
         DomTree {
             idom,
             children,
+            child_start,
             num,
             maxnum,
             by_num,
@@ -226,7 +231,8 @@ impl DomTree {
 
     /// Children of `v` in the dominance tree, ordered by DFS preorder.
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[v as usize]
+        let v = v as usize;
+        &self.children[self.child_start[v] as usize..self.child_start[v + 1] as usize]
     }
 
     /// Depth of `v` in the dominance tree; the entry has depth 0.

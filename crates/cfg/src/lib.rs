@@ -39,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod csr;
 mod dfs;
 mod domfront;
 mod domtree;

@@ -127,22 +127,17 @@ impl Precomputation {
         }
 
         // ---- Phases 2+3: seed back-edge sources, propagate in postorder.
+        // A back edge `(v, w)` seeds `T_v` with the phase-1 row of `w`
+        // (phase 2); every other edge propagates `T_w` (phase 3).
         let mut t = BitMatrix::new(n, n);
-        // Per-node seed: union of phase-1 rows of its own back-edge
-        // targets (phase 2). Collected per source first.
-        let mut seeds: Vec<Vec<u32>> = vec![Vec::new(); g.num_nodes()];
-        for &(s, tgt) in dfs.back_edges() {
-            seeds[s as usize].push(header_row[tgt as usize]);
-        }
         for &v in dfs.postorder() {
             let vn = num(v);
             for (i, &w) in g.succs(v).iter().enumerate() {
-                if dfs.edge_class_at(v, i) != EdgeClass::Back {
+                if dfs.edge_class_at(v, i) == EdgeClass::Back {
+                    t.union_row_from(vn, &theaders, header_row[w as usize]);
+                } else {
                     t.union_rows(vn, num(w));
                 }
-            }
-            for &row in &seeds[v as usize] {
-                t.union_row_from(vn, &theaders, row);
             }
         }
 

@@ -48,7 +48,7 @@ impl CfgShape {
     /// Fingerprints `g`'s structure.
     pub fn of<G: Cfg>(g: &G) -> Self {
         let n = g.num_nodes();
-        let mut encoding = Vec::with_capacity(2 * n + 2);
+        let mut encoding = Vec::with_capacity(2 + n + g.num_edges());
         encoding.push(n as u32);
         encoding.push(g.entry());
         for v in 0..n as u32 {
@@ -100,19 +100,14 @@ impl CfgShape {
     /// shape-identical function loaded by another. Liveness answers are
     /// unaffected: they depend on the edge relation only.
     pub fn to_graph(&self) -> DiGraph {
-        let n = self.encoding[0] as usize;
-        let entry = self.encoding[1];
-        let mut g = DiGraph::new(n, entry);
-        let mut i = 2;
-        for v in 0..n as u32 {
-            let len = self.encoding[i] as usize;
-            i += 1;
-            for &w in &self.encoding[i..i + len] {
-                g.add_edge(v, w);
-            }
-            i += len;
-        }
-        g
+        let mut rest = &self.encoding[2..];
+        let lists = std::iter::from_fn(move || {
+            let (&len, tail) = rest.split_first()?;
+            let (list, tail) = tail.split_at(len as usize);
+            rest = tail;
+            Some(list)
+        });
+        DiGraph::from_succ_lists(self.encoding[1], lists)
     }
 }
 

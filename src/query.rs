@@ -32,7 +32,7 @@ pub enum FuncRef {
     /// A [`FuncId`] minted by the module.
     Id(FuncId),
     /// The function's name, without the `%` sigil (`"count"`).
-    Name(String),
+    Name(Box<str>),
 }
 
 /// A value addressed by entity or by printed name (`"v4"`).
@@ -41,7 +41,7 @@ pub enum ValueRef {
     /// The [`Value`] entity.
     Id(Value),
     /// The printed `vN` name.
-    Name(String),
+    Name(Box<str>),
 }
 
 /// A block addressed by entity or by printed name (`"block2"`).
@@ -50,7 +50,7 @@ pub enum BlockRef {
     /// The [`Block`] entity.
     Id(Block),
     /// The printed `blockN` name.
-    Name(String),
+    Name(Box<str>),
 }
 
 /// A program point addressed structurally: a block plus a position in
@@ -107,12 +107,12 @@ macro_rules! ref_from_impls {
         }
         impl From<&str> for $ref_ty {
             fn from(name: &str) -> Self {
-                $ref_ty::Name(name.to_string())
+                $ref_ty::Name(name.into())
             }
         }
         impl From<String> for $ref_ty {
             fn from(name: String) -> Self {
-                $ref_ty::Name(name)
+                $ref_ty::Name(name.into_boxed_str())
             }
         }
         impl fmt::Display for $ref_ty {
@@ -513,4 +513,17 @@ pub(crate) fn resolve_point(func: &Function, r: &PointRef) -> Result<ProgramPoin
         inst,
         num_insts: insts.len(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Batch callers hold queries by the ten thousand, so their size is
+    /// resident memory; a `String` name made a `Query` 88 bytes.
+    #[test]
+    fn query_fits_in_64_bytes() {
+        let size = std::mem::size_of::<Query>();
+        assert!(size <= 64, "Query is {size} bytes");
+    }
 }
