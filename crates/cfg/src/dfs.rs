@@ -233,6 +233,12 @@ impl DfsTree {
         &self.preorder
     }
 
+    /// Postorder number of every node, `NO_NODE` for unreachable ones —
+    /// the non-panicking table the dominator fixpoint walks.
+    pub(crate) fn post_nums(&self) -> &[u32] {
+        &self.post_num
+    }
+
     /// Nodes in postorder. Restricted to non-back edges this is a reverse
     /// topological order of the *reduced graph* — the order §5.2 uses to
     /// propagate the `R_v` sets.

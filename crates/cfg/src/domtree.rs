@@ -63,41 +63,47 @@ impl DomTree {
     pub fn compute<G: Cfg>(g: &G, dfs: &DfsTree) -> Self {
         let n = g.num_nodes();
         let root = g.entry();
-        let mut idom = vec![NO_NODE; n];
-        idom[root as usize] = root;
 
-        // post[v] for the intersect walk; unreachable nodes keep NO_NODE
-        // and are skipped as predecessors.
-        let post = |v: NodeId| dfs.post(v);
-
+        // The fixpoint runs in postorder-number space, where the
+        // intersect walk compares numbers directly: `doms[i]` is the
+        // postorder number of the immediate dominator of the node
+        // numbered `i`. Unreachable predecessors are skipped.
+        let post = dfs.post_nums();
+        let by_post = dfs.postorder();
+        let root_post = post[root as usize];
+        let mut doms = vec![NO_NODE; by_post.len()];
+        doms[root_post as usize] = root_post;
         let mut changed = true;
         while changed {
             changed = false;
-            for b in dfs.reverse_postorder() {
-                if b == root {
-                    continue;
-                }
+            // Reverse postorder: the root comes first and is skipped.
+            for (b_post, &b) in by_post.iter().enumerate().rev().skip(1) {
                 // First processed predecessor seeds the intersection.
                 let mut new_idom = NO_NODE;
                 for &p in g.preds(b) {
-                    if !dfs.is_reachable(p) || idom[p as usize] == NO_NODE {
+                    let p_post = post[p as usize];
+                    if p_post == NO_NODE || doms[p_post as usize] == NO_NODE {
                         continue;
                     }
                     new_idom = if new_idom == NO_NODE {
-                        p
+                        p_post
                     } else {
-                        intersect(&idom, &post, p, new_idom)
+                        intersect(&doms, p_post, new_idom)
                     };
                 }
                 debug_assert_ne!(
                     new_idom, NO_NODE,
                     "reachable node {b} has no processed pred"
                 );
-                if idom[b as usize] != new_idom {
-                    idom[b as usize] = new_idom;
+                if doms[b_post] != new_idom {
+                    doms[b_post] = new_idom;
                     changed = true;
                 }
             }
+        }
+        let mut idom = vec![NO_NODE; n];
+        for (&v, &d) in by_post.iter().zip(&doms) {
+            idom[v as usize] = by_post[d as usize];
         }
 
         // Children lists ordered by DFS preorder => deterministic preorder
@@ -280,18 +286,13 @@ impl Iterator for Dominators<'_> {
 
 /// The two-finger intersection walk of Cooper–Harvey–Kennedy, climbing by
 /// postorder number.
-fn intersect(
-    idom: &[NodeId],
-    post: &impl Fn(NodeId) -> u32,
-    mut a: NodeId,
-    mut b: NodeId,
-) -> NodeId {
+fn intersect(doms: &[u32], mut a: u32, mut b: u32) -> u32 {
     while a != b {
-        while post(a) < post(b) {
-            a = idom[a as usize];
+        while a < b {
+            a = doms[a as usize];
         }
-        while post(b) < post(a) {
-            b = idom[b as usize];
+        while b < a {
+            b = doms[b as usize];
         }
     }
     a

@@ -342,10 +342,11 @@ pub(crate) fn decode_matrix(r: &mut Reader<'_>, max_dim: usize) -> Option<BitMat
     }
     let words_per_row = cols.div_ceil(64);
     let total = rows.checked_mul(words_per_row)?;
-    let mut words = Vec::with_capacity(total);
-    for _ in 0..total {
-        words.push(r.u64()?);
-    }
+    let bytes = r.take(total.checked_mul(8)?)?;
+    let words = bytes
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
+        .collect();
     BitMatrix::from_words(rows, cols, words)
 }
 
