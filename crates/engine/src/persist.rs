@@ -838,8 +838,8 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    /// The byte-at-a-time CRC the slice-by-8 loop replaced, one bit per
-    /// step: the reference it must match.
+    /// CRC-32 one byte at a time, bit by bit and without tables: the
+    /// reference the slice-by-8 loop must match.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let mut c = !0u32;
         for &b in bytes {
