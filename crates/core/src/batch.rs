@@ -53,6 +53,14 @@
 //! queries, each with its own candidate walk. The break-even between
 //! the two is measured by the `fastlive-bench` runner's `query` suite
 //! (`BENCH_query.json`).
+//!
+//! # Set views
+//!
+//! Columns are grouped by definition block, not ordered by variable, so
+//! every set view ([`BatchLiveness::sets`], `live_in_vars`,
+//! `live_out_vars`) scatters a row through the column-to-variable map
+//! into a scratch row indexed by variable, then reads it back in
+//! ascending order into one exactly-sized `Vec`: no sort, no regrowth.
 
 use std::fmt;
 
@@ -360,50 +368,66 @@ impl BatchLiveness {
         self.cell(&self.live_out, var, q)
     }
 
-    fn row_vars(&self, matrix: &BitMatrix, q: NodeId) -> Vec<u32> {
-        let Some(&qn) = self.num_by_node.get(q as usize) else {
-            return Vec::new();
-        };
-        if qn == u32::MAX {
-            return Vec::new();
-        }
-        let mut vars: Vec<u32> = matrix
-            .row_iter(qn)
-            .map(|c| self.var_of_col[c as usize])
-            .collect();
-        vars.sort_unstable();
-        vars
-    }
-
-    /// The live-in set of `q` as sorted variable indices.
+    /// The live-in set of `q` as ascending variable indices.
     pub fn live_in_vars(&self, q: NodeId) -> Vec<u32> {
-        self.row_vars(&self.live_in, q)
+        self.extract(&self.live_in, q, &mut self.scratch(), &|var| var)
     }
 
-    /// The live-out set of `q` as sorted variable indices.
+    /// The live-out set of `q` as ascending variable indices.
     pub fn live_out_vars(&self, q: NodeId) -> Vec<u32> {
-        self.row_vars(&self.live_out, q)
+        self.extract(&self.live_out, q, &mut self.scratch(), &|var| var)
     }
 
-    /// Number of live-in variables at `q` (0 for unreachable blocks).
-    pub fn live_in_len(&self, q: NodeId) -> usize {
-        match self.num_by_node.get(q as usize) {
-            Some(&qn) if qn != u32::MAX => self.live_in.row_len(qn),
-            _ => 0,
+    /// Every block's live-in and live-out set, indexed by node id: `f`
+    /// of each variable, ascending, in a `Vec` of exactly the set's
+    /// size (empty for unreachable blocks).
+    pub fn sets<T>(&self, f: impl Fn(u32) -> T) -> (Vec<Vec<T>>, Vec<Vec<T>>) {
+        let mut scratch = self.scratch();
+        let mut rows = |matrix: &BitMatrix| -> Vec<Vec<T>> {
+            (0..self.num_by_node.len() as NodeId)
+                .map(|q| self.extract(matrix, q, &mut scratch, &f))
+                .collect()
+        };
+        (rows(&self.live_in), rows(&self.live_out))
+    }
+
+    /// A clear scratch row, one bit per variable.
+    fn scratch(&self) -> Vec<u64> {
+        vec![0; self.col_of.len().div_ceil(64)]
+    }
+
+    /// The one set extraction (module docs, *Set views*): scatter row
+    /// `q` into `scratch`, then drain the words it touched (`lo..=hi`,
+    /// none for an empty row) into a `Vec` of the scattered count.
+    fn extract<T>(
+        &self,
+        matrix: &BitMatrix,
+        q: NodeId,
+        scratch: &mut [u64],
+        f: &impl Fn(u32) -> T,
+    ) -> Vec<T> {
+        let qn = match self.num_by_node.get(q as usize) {
+            Some(&qn) if qn != u32::MAX => qn,
+            _ => return Vec::new(),
+        };
+        let (mut len, mut lo, mut hi) = (0, usize::MAX, 0);
+        for (wi, mut bits) in matrix.row_words(qn).iter().copied().enumerate() {
+            while bits != 0 {
+                let var = self.var_of_col[wi * 64 + bits.trailing_zeros() as usize] as usize;
+                scratch[var / 64] |= 1 << (var % 64);
+                (len, lo, hi) = (len + 1, lo.min(var / 64), hi.max(var / 64));
+                bits &= bits - 1;
+            }
         }
-    }
-
-    /// Number of live-out variables at `q`.
-    pub fn live_out_len(&self, q: NodeId) -> usize {
-        match self.num_by_node.get(q as usize) {
-            Some(&qn) if qn != u32::MAX => self.live_out.row_len(qn),
-            _ => 0,
+        let mut out = Vec::with_capacity(len);
+        for (wi, word) in scratch.iter_mut().enumerate().take(hi + 1).skip(lo) {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push(f((wi * 64) as u32 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
         }
-    }
-
-    /// Heap bytes held by the two result matrices.
-    pub fn heap_bytes(&self) -> usize {
-        self.live_in.heap_bytes() + self.live_out.heap_bytes()
+        out
     }
 }
 
@@ -524,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn live_sets_and_counts_round_trip() {
+    fn set_views_agree_with_point_reads() {
         let g = figure3();
         let checker = LivenessChecker::compute(&g);
         let defs = [1u32, 2, 2];
@@ -532,17 +556,104 @@ mod tests {
         let batch = BatchLiveness::compute(&g, &checker, &defs, &uses).expect("valid input");
         for q in 0..11 {
             let ins = batch.live_in_vars(q);
-            assert_eq!(ins.len(), batch.live_in_len(q));
             for a in 0..3u32 {
                 assert_eq!(ins.contains(&a), batch.is_live_in(a, q));
             }
             let outs = batch.live_out_vars(q);
-            assert_eq!(outs.len(), batch.live_out_len(q));
             for a in 0..3u32 {
                 assert_eq!(outs.contains(&a), batch.is_live_out(a, q));
             }
         }
-        assert!(batch.heap_bytes() > 0);
+    }
+
+    /// The extraction the word-level one replaced: the row's columns
+    /// mapped through `var_of_col`, collected, then sorted.
+    fn collect_map_sort(batch: &BatchLiveness, matrix: &BitMatrix, q: NodeId) -> Vec<u32> {
+        match batch.num_by_node[q as usize] {
+            u32::MAX => Vec::new(),
+            qn => {
+                let mut vars: Vec<u32> = matrix
+                    .row_iter(qn)
+                    .map(|c| batch.var_of_col[c as usize])
+                    .collect();
+                vars.sort_unstable();
+                vars
+            }
+        }
+    }
+
+    /// A generated function of one regime (0 reducible, 1 goto-injected
+    /// irreducible, 2 deep-live), optionally edited to carry an
+    /// unreachable block that defines a value and uses a parameter, and
+    /// a detached value (its defining instruction removed).
+    fn generated(regime: u8, blocks: usize, seed: u64, edited: bool) -> fastlive_ir::Function {
+        use fastlive_ir::{InstData, UnaryOp};
+        use fastlive_workload::{generate_module, ModuleParams};
+        let params = ModuleParams {
+            functions: 1,
+            min_blocks: blocks,
+            max_blocks: blocks,
+            irreducible_per_mille: if regime == 1 { 1000 } else { 0 },
+            deep_live_per_mille: if regime == 2 { 1000 } else { 0 },
+        };
+        let mut func = generate_module("extract", params, seed).func(0).clone();
+        if edited {
+            let param = func.params()[0];
+            let orphan = func.add_block();
+            let neg = func.append_inst(
+                orphan,
+                InstData::Unary {
+                    op: UnaryOp::Ineg,
+                    arg: param,
+                },
+            );
+            let result = func.inst_result(neg).expect("a unary has a result");
+            func.append_inst(orphan, InstData::Return { args: vec![result] });
+            let entry = func.entry_block();
+            let detached = func.insert_inst(entry, 0, InstData::IntConst { imm: 3 });
+            func.remove_inst(detached);
+        }
+        func
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Every set the word-level extraction produces equals the old
+        /// collect-map-sort extraction of the same row, is ascending and
+        /// exactly sized, and `live_in_vars` / `live_out_vars` and
+        /// `FunctionLiveness::live_sets` read the same sets.
+        #[test]
+        fn word_level_extraction_matches_collect_map_sort(
+            regime in 0u8..3,
+            blocks in 4usize..48,
+            seed in proptest::prelude::any::<u64>(),
+            edited in 0u8..2,
+        ) {
+            let func = generated(regime, blocks, seed, edited == 1);
+            let live = crate::FunctionLiveness::compute(&func);
+            let batch = live.batch(&func);
+            let (ins, outs) = batch.sets(|var| var);
+            let (value_ins, value_outs) = live.live_sets(&func);
+            proptest::prop_assert_eq!(ins.len(), func.num_blocks());
+            proptest::prop_assert_eq!(outs.len(), func.num_blocks());
+            for q in 0..func.num_blocks() as NodeId {
+                let views = [
+                    (&ins, &value_ins, &batch.live_in, batch.live_in_vars(q)),
+                    (&outs, &value_outs, &batch.live_out, batch.live_out_vars(q)),
+                ];
+                for (sets, values, matrix, single) in views {
+                    let set = &sets[q as usize];
+                    proptest::prop_assert_eq!(set, &collect_map_sort(&batch, matrix, q));
+                    proptest::prop_assert!(set.windows(2).all(|w| w[0] < w[1]));
+                    proptest::prop_assert_eq!(set.capacity(), set.len());
+                    proptest::prop_assert_eq!(&single, set);
+                    let as_vars: Vec<u32> =
+                        values[q as usize].iter().map(|v| v.index() as u32).collect();
+                    proptest::prop_assert_eq!(&as_vars, set);
+                }
+            }
+        }
     }
 
     #[test]
@@ -551,7 +662,7 @@ mod tests {
         let checker = LivenessChecker::compute(&g);
         let batch = BatchLiveness::compute(&g, &checker, &[], &[]).expect("valid input");
         assert_eq!(batch.live_in_vars(5), Vec::<u32>::new());
-        assert_eq!(batch.live_out_len(5), 0);
+        assert_eq!(batch.live_out_vars(5), Vec::<u32>::new());
     }
 
     #[test]

@@ -141,38 +141,24 @@ impl FunctionLiveness {
     /// consumers that want data-flow-shaped results with checker-backed
     /// freshness.
     ///
-    /// Routed through one [`batch`](Self::batch) matrix pass rather
-    /// than `O(values × blocks)` scalar queries (the 20–60× measured in
-    /// `BENCH_query.json`);
+    /// One [`batch`](Self::batch) matrix pass, then
+    /// [`BatchLiveness::sets`](crate::BatchLiveness::sets)' word-level
+    /// extraction;
     /// [`baseline::live_sets_scalar`](crate::baseline::live_sets_scalar)
-    /// keeps the query-loop materialization as the reference both paths
-    /// are tested against.
+    /// keeps the `O(values × blocks)` query loop as the reference.
     ///
     /// Returns `(live_in, live_out)`, indexed by block, each a sorted
     /// list of values.
     pub fn live_sets(&self, func: &Function) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
-        let batch = self.batch(func);
-        let to_values = |vars: Vec<u32>| -> Vec<Value> {
-            vars.iter()
-                .map(|&v| Value::from_index(v as usize))
-                .collect()
-        };
-        let mut live_in = Vec::with_capacity(func.num_blocks());
-        let mut live_out = Vec::with_capacity(func.num_blocks());
-        for b in func.blocks() {
-            live_in.push(to_values(batch.live_in_vars(b.as_u32())));
-            live_out.push(to_values(batch.live_out_vars(b.as_u32())));
-        }
-        (live_in, live_out)
+        self.batch(func).sets(|var| Value::from_index(var as usize))
     }
 
     /// Materializes live-in/live-out sets for **all** blocks and values
     /// in one batched matrix pass over the precomputation — the dense
     /// counterpart of the scalar queries, with variable `a` of the
     /// result being the value of index `a`
-    /// ([`Value::index`](fastlive_ir::Value)). Unlike
-    /// [`live_sets`](Self::live_sets) this never loops scalar queries:
-    /// cost is `O((E + Σ|T_q|) · V/64)` word operations total.
+    /// ([`Value::index`](fastlive_ir::Value)), in
+    /// `O((E + Σ|T_q|) · V/64)` word operations total.
     ///
     /// The snapshot reads the *current* def-use chains, so unlike the
     /// checker itself it goes stale when instructions change.

@@ -61,7 +61,7 @@ fn assert_batch_matches_oracle(func: &Function, label: &str) {
             "{label}: live-in set at {b}"
         );
         assert_eq!(
-            batch.live_out_len(q),
+            batch.live_out_vars(q).len(),
             oracle.live_out_set(b).len(),
             "{label}: at {b}"
         );
