@@ -2,6 +2,7 @@
 //! the two-tier (striped in-memory + optional on-disk) fingerprint
 //! cache in front of it.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -440,13 +441,27 @@ impl AnalysisEngine {
     /// the persist tier, when configured) — the point is that later
     /// per-function queries become memory hits. Out-of-range ids and
     /// per-function failures are skipped: prefetching is advisory, the
-    /// query path reports its own errors.
+    /// query path reports its own errors. Each request fingerprints
+    /// its function; a session that already holds the fingerprints
+    /// uses [`EngineSession::prefetch`] instead.
     pub fn prefetch(&self, module: &Module, requests: &[(FuncId, AnalysisKind)]) {
-        let n = requests.len();
-        fan_out(self.worker_count(n), n, |i| {
+        self.prefetch_with(requests.len(), |i| {
             let (id, kind) = requests[i];
-            if id < module.len() {
-                let _ = self.resolve_kind(&CfgShape::of(module.func(id)), kind);
+            (id < module.len()).then(|| (Cow::Owned(CfgShape::of(module.func(id))), kind))
+        });
+    }
+
+    /// The pool path behind both prefetches: request `i` of `n` is the
+    /// shape to warm — borrowed from a session entry, or fingerprinted
+    /// by the worker — and its kind, or `None` to skip it.
+    pub(crate) fn prefetch_with<'s>(
+        &self,
+        n: usize,
+        request: impl Fn(usize) -> Option<(Cow<'s, CfgShape>, AnalysisKind)> + Sync,
+    ) {
+        fan_out(self.worker_count(n), n, |i| {
+            if let Some((shape, kind)) = request(i) {
+                let _ = self.resolve_kind(&shape, kind);
             }
         });
     }

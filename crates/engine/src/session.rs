@@ -1,10 +1,11 @@
 //! [`EngineSession`]: the epoch-based query surface over an analyzed
 //! [`Module`].
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use fastlive_core::{AnalysisError, BatchLiveness, FunctionLiveness, NullnessArtifact};
-use fastlive_ir::{Block, FuncId, Module, ProgramPoint, Value};
+use fastlive_ir::{Block, FuncId, Function, Module, ProgramPoint, Value};
 
 use crate::artifact::{AnalysisArtifact, AnalysisKind, ArtifactHandle};
 use crate::engine::AnalysisEngine;
@@ -71,6 +72,17 @@ struct SessionEntry {
 pub struct EngineSession<'e> {
     engine: &'e AnalysisEngine,
     entries: Vec<SessionEntry>,
+}
+
+impl SessionEntry {
+    /// Were the entry's slots resolved for `func`'s current CFG? The
+    /// O(1) per-access staleness test. Block count is a backstop for
+    /// wholesale replacement, where the new object's own version
+    /// counter may coincide with the recorded one (see
+    /// [`EngineSession::revalidate`] for the exact check).
+    fn is_current_for(&self, func: &Function) -> bool {
+        self.cfg_version == func.cfg_version() && self.shape.num_blocks() == func.num_blocks()
+    }
 }
 
 impl<'e> EngineSession<'e> {
@@ -144,12 +156,7 @@ impl<'e> EngineSession<'e> {
     ) -> Result<Arc<A>, AnalysisError> {
         let current = module.func(func);
         let entry = &self.entries[func];
-        // Block count is a backstop for wholesale replacement, where
-        // the new object's own version counter may coincide with the
-        // recorded one (see `revalidate` for the exact check).
-        if entry.cfg_version != current.cfg_version()
-            || entry.shape.num_blocks() != current.num_blocks()
-        {
+        if !entry.is_current_for(current) {
             self.reresolve(module, func, CfgShape::of(current));
         } else if matches!(entry.slots[A::KIND as usize], Some(Err(_))) {
             self.reresolve(module, func, entry.shape.clone());
@@ -160,6 +167,36 @@ impl<'e> EngineSession<'e> {
         slot.as_ref()
             .map(|handle| Arc::clone(A::from_handle(handle).expect("a slot holds its own kind")))
             .map_err(Clone::clone)
+    }
+
+    /// Warms the engine's cache, through its worker pool, for the
+    /// `(function, analysis)` pairs this session lacks — the batch
+    /// planner's prefetch. A kind whose slot holds an artifact current
+    /// for the function's CFG (the staleness test of
+    /// [`artifact`](Self::artifact)) is skipped; every other request is
+    /// warmed under the entry's stored [`CfgShape`], or under a fresh
+    /// fingerprint when the CFG changed since. The session's slots do
+    /// not move: the next access adopts the warmed artifact as a memory
+    /// hit. Advisory like [`AnalysisEngine::prefetch`]: out-of-range
+    /// ids and failures are skipped.
+    pub fn prefetch(&self, module: &Module, requests: &[(FuncId, AnalysisKind)]) {
+        let lacking: Vec<(Cow<'_, CfgShape>, AnalysisKind)> = requests
+            .iter()
+            .filter_map(|&(id, kind)| {
+                let (entry, current) = (self.entries.get(id)?, module.functions().get(id)?);
+                if !entry.is_current_for(current) {
+                    Some((Cow::Owned(CfgShape::of(current)), kind))
+                } else if matches!(entry.slots[kind as usize], Some(Ok(_))) {
+                    None
+                } else {
+                    Some((Cow::Borrowed(&entry.shape), kind))
+                }
+            })
+            .collect();
+        self.engine.prefetch_with(lacking.len(), |i| {
+            let (shape, kind) = &lacking[i];
+            Some((Cow::Borrowed(shape.as_ref()), *kind))
+        });
     }
 
     /// The (revalidated) liveness handle for `func` — for callers that
@@ -641,6 +678,61 @@ mod tests {
     /// A fresh nullness analysis of the function's current state.
     fn fresh_facts(func: &fastlive_ir::Function) -> fastlive_core::NullnessFacts {
         NullnessArtifact::compute(func).solve(func)
+    }
+
+    /// Engine probes so far: `(hits + misses + dedup hits, misses)`.
+    fn probes(engine: &AnalysisEngine) -> (u64, u64) {
+        let s = engine.cache_stats();
+        (s.hits + s.misses + s.dedup_hits, s.misses)
+    }
+
+    /// The planner's prefetch asks the engine only for what the session
+    /// lacks: on a fresh session liveness is resident everywhere, so a
+    /// nullness batch over two functions probes for nullness alone. A
+    /// function whose CFG was edited is still warmed for liveness, under
+    /// its new shape, which its next access then finds in memory.
+    #[test]
+    fn prefetch_warms_only_what_the_session_lacks() {
+        let mut module = parse_module(
+            "function %a { block0(v0): brif v0, block1, block2
+             block1: jump block2
+             block2: return v0 }
+             function %b { block0(v0): return v0 }",
+        )
+        .expect("parses");
+        let engine = cached_engine();
+        let mut session = engine.analyze(&module);
+        let both = [
+            (0, AnalysisKind::Liveness),
+            (0, AnalysisKind::Nullness),
+            (1, AnalysisKind::Liveness),
+            (1, AnalysisKind::Nullness),
+        ];
+        let before = probes(&engine);
+        session.prefetch(&module, &both);
+        let after = probes(&engine);
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (2, 2),
+            "two nullness computes, no liveness probe"
+        );
+
+        fastlive_ir::split_critical_edges(module.func_mut(0));
+        let liveness = [(0, AnalysisKind::Liveness), (1, AnalysisKind::Liveness)];
+        let before = probes(&engine);
+        session.prefetch(&module, &liveness);
+        let after = probes(&engine);
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (1, 1),
+            "the edited function's new shape, and nothing else"
+        );
+        session.analysis(&module, 0).expect("answers");
+        assert_eq!(probes(&engine), (after.0 + 1, after.1), "a memory hit");
+        assert_eq!(session.epoch(0), 1);
+        // Out-of-range requests are skipped, like the engine's own.
+        session.prefetch(&module, &[(7, AnalysisKind::Liveness)]);
+        assert_eq!(probes(&engine), (after.0 + 1, after.1));
     }
 
     #[test]
