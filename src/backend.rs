@@ -18,11 +18,11 @@
 //!
 //! One resolver serves both executors: the scalar path and the planner
 //! turn a function into one per-function state with a session arm and
-//! an oracle arm, resolving nullness only for queries (or groups) that
-//! ask for it. Both backends answer byte-identical [`Response`]s for
-//! any [`Query`] (`tests/facade_oracle.rs` enforces it over reducible,
-//! irreducible and deep-live workloads, cached and cache-less); they
-//! differ only in cost model.
+//! an oracle arm, resolving nullness only for queries (or a batch's
+//! functions) that ask for it. Both backends answer byte-identical
+//! [`Response`]s for any [`Query`] (`tests/facade_oracle.rs` enforces
+//! it over reducible, irreducible and deep-live workloads, cached and
+//! cache-less); they differ only in cost model.
 
 use std::sync::Arc;
 
@@ -50,11 +50,11 @@ pub trait QueryEngine {
     /// Answers one query against the module's current state.
     fn query(&mut self, module: &Module, query: &Query) -> Result<Response, QueryError>;
 
-    /// Answers a batch of queries, in input order. The default is a
-    /// scalar loop; [`Backend`] overrides it with a plan-and-run
-    /// execution that groups queries per function, resolves each
-    /// function's uses once, and serves grouped `LiveIn`/`LiveOut`
-    /// probes from [`BatchLiveness`] rows.
+    /// Answers a batch of queries: one result per query, in input
+    /// order. The default is a scalar loop; [`Backend`] overrides it
+    /// with the planner, which resolves each function once and serves
+    /// its block probes and `LiveSets` from one [`BatchLiveness`] row
+    /// pass when they pay for it.
     fn run_queries(
         &mut self,
         module: &Module,
@@ -91,12 +91,12 @@ pub enum Backend<'e> {
     Oracle,
 }
 
-/// One resolved function's state for the duration of a query (or of a
-/// whole per-function query group, under the planner): the backend's
-/// liveness, its nullness when the query or group asks for it, and a
-/// lazily built dominator tree for interference tests. Both arms answer
-/// identically — `tests/facade_oracle.rs` and the fuzz campaign enforce
-/// it.
+/// One resolved function's state for the duration of a query (or,
+/// under the planner, from the function's first query in a batch to its
+/// last): the backend's liveness, its nullness when the query or the
+/// function's queries ask for it, and a lazily built dominator tree for
+/// interference tests. Both arms answer identically —
+/// `tests/facade_oracle.rs` and the fuzz campaign enforce it.
 pub(crate) enum FuncState {
     /// The session's cache-shared artifacts. Nullness carries the
     /// sparse solve over the function's current body, or the error its
@@ -154,9 +154,9 @@ impl FuncState {
         }
     }
 
-    /// The dense row snapshot the planner serves grouped `LiveIn` /
-    /// `LiveOut` probes from. `None` for the oracle — its block
-    /// queries are already O(1) probes into the solved sets.
+    /// The dense row snapshot the planner serves a function's `LiveIn`
+    /// / `LiveOut` probes and `LiveSets` from. `None` for the oracle —
+    /// its block queries are already O(1) probes into the solved sets.
     pub(crate) fn batch(&self, func: &Function) -> Option<BatchLiveness> {
         match self {
             FuncState::Session { live, .. } => Some(live.batch(func)),
@@ -226,8 +226,8 @@ fn resolved<'a, T>(
 /// The hooks the scalar executor and the planner share.
 impl Backend<'_> {
     /// The state for one resolved function, with nullness only when
-    /// `with_nullness` — so liveness-only queries and groups never pay
-    /// for the second analysis. Fallible because the session's liveness
+    /// `with_nullness` — so liveness-only queries and functions never
+    /// pay for the second analysis. Fallible because the session's liveness
     /// may itself have failed (a panicked precomputation under fault
     /// injection) — that failure becomes a per-query
     /// [`QueryError::AnalysisFailed`], never a crash.
@@ -256,12 +256,12 @@ impl Backend<'_> {
     }
 
     /// Advisory cache warm-up for a cross-function batch: the session
-    /// threads the `(function, analysis)` pairs through the engine's
-    /// worker pool before the planner's sequential group loop; the
-    /// oracle computes per group anyway.
+    /// threads the `(function, analysis)` pairs it lacks through the
+    /// engine's worker pool before the planner's sequential answer
+    /// loop; the oracle computes per function anyway.
     pub(crate) fn prefetch(&mut self, module: &Module, requests: &[(FuncId, AnalysisKind)]) {
         if let Backend::Session(session) = self {
-            session.engine().prefetch(module, requests);
+            session.prefetch(module, requests);
         }
     }
 }

@@ -420,15 +420,14 @@ impl<'fl> FastliveSession<'fl> {
         result
     }
 
-    /// Plan-and-run batch execution: groups `queries` per function,
-    /// resolves each function once, and serves grouped
-    /// `LiveIn`/`LiveOut` probes from one
-    /// [`BatchLiveness`](fastlive_core::BatchLiveness) row snapshot per
-    /// function. Answers are identical to one-at-a-time
-    /// [`query`](Self::query) calls, in input order — only faster (see
-    /// `BENCH_facade.json`). With telemetry enabled, the planner
-    /// records the batch size, the grouped-vs-scalar group split and
-    /// the whole-batch latency.
+    /// Plan-and-run batch execution in input order: each function's
+    /// state is resolved at its first query (with one
+    /// [`BatchLiveness`](fastlive_core::BatchLiveness) row snapshot when
+    /// its block probes pay for it) and dropped after its last. One
+    /// result per query, identical to one-at-a-time
+    /// [`query`](Self::query) calls — only faster (`BENCH_facade.json`).
+    /// With telemetry enabled, the planner records the batch size, the
+    /// batch-row vs scalar split of its functions and the latency.
     pub fn run_queries(
         &mut self,
         module: &Module,

@@ -42,7 +42,7 @@
 //! assert!(session.is_live_at(&module, "count", "v4", PointRef::after("block1", 1))?);
 //! assert!(session.values_interfere(&module, "count", "v0", "v2")?);
 //!
-//! // ... or planned batches: grouped per function, block probes
+//! // ... or planned batches: each function resolved once, block probes
 //! // answered from one batch-row pass instead of N candidate scans.
 //! let answers = session.run_queries(
 //!     &module,

@@ -2,52 +2,50 @@
 //! [`QueryEngine::query`](crate::QueryEngine::query) and
 //! [`QueryEngine::run_queries`](crate::QueryEngine::run_queries).
 //!
-//! The scalar path resolves one query's references and answers it from
-//! a freshly obtained per-function analysis. The planner instead
-//! groups a batch by resolved function, obtains each function's
-//! analysis **once**, and — when a group carries enough `LiveIn` /
-//! `LiveOut` probes — materializes one [`BatchLiveness`] row snapshot
-//! (resolving the function's def-use chains once) and answers those
-//! probes as O(1) bit reads instead of per-query candidate scans.
-//! That is what makes the facade *faster* than a loop over naive call
-//! sites, not just prettier (`BENCH_facade.json` records the ratio).
+//! The scalar path answers one query from a freshly obtained
+//! per-function analysis. The planner answers a batch in input order,
+//! obtaining each touched function's analysis **once**: a counting pass
+//! records what each function needs (block probes, `LiveSets` queries,
+//! nullness), the session prefetches what it lacks, then each query is
+//! answered from its function's state — resolved at the function's
+//! first query, dropped after its last. A batch sorted by function holds
+//! one state at a time; an interleaved batch, one per function with
+//! queries still pending. A function with enough block probes also gets
+//! one [`BatchLiveness`] row snapshot, so they become O(1) bit reads
+//! instead of candidate scans (`BENCH_facade.json` records the ratio).
 //!
 //! Planning never changes answers: the module is immutable for the
-//! duration of the call, and the batch snapshot is bit-for-bit
-//! equivalent to the scalar queries (a workspace-level invariant the
-//! core crate's `batch_oracle` suite and `tests/facade_queries.rs`
-//! both pin).
+//! call, and the row snapshot is bit-for-bit equivalent to the scalar
+//! queries (`batch_oracle` and `tests/facade_oracle.rs` pin both).
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::iter;
 
 use fastlive_core::BatchLiveness;
 use fastlive_engine::AnalysisKind;
-use fastlive_ir::{FuncId, Function, Module};
+use fastlive_ir::{FuncId, Function, Module, Value};
 use fastlive_telemetry::{QueryClass, Recorder};
 
 use crate::backend::{Backend, FuncState};
 use crate::query::{
-    resolve_block, resolve_func, resolve_point, resolve_value, Query, QueryError, Response,
+    resolve_block, resolve_func, resolve_point, resolve_value, FuncRef, LiveSets, Query,
+    QueryError, Response,
 };
 
-/// Minimum number of `LiveIn`/`LiveOut` probes in one function group
-/// before the planner pays for a batch row snapshot. Below this, the
-/// scalar candidate scan is always cheaper than a whole matrix pass.
-const BATCH_THRESHOLD: usize = 2;
-
-/// Should a group with `block_probes` `LiveIn`/`LiveOut` queries over
-/// `func` materialize batch rows? The matrix pass costs
-/// `O((E + Σ|T_q|) · V/64)` — roughly proportional to the block count
-/// times the value-word count — while one scalar probe costs a
-/// candidate scan plus a def-use walk. Requiring about half a block's
-/// worth of probes per block keeps tiny batches on the scalar path
-/// (where the pass could never amortize) without giving up the
-/// asymptotic win; the exact break-even per shape is measured in
-/// `BENCH_query.json`.
+/// Should a function with `block_probes` `LiveIn`/`LiveOut` queries in
+/// the batch materialize batch rows? The matrix pass costs
+/// `O((E + Σ|T_q|) · V/64)`, one scalar probe a candidate scan plus a
+/// def-use walk: about half a probe per block, and at least two, keeps
+/// tiny batches on the scalar path without giving up the asymptotic
+/// win (the break-even per shape is measured in `BENCH_query.json`).
 fn batch_pays_off(func: &Function, block_probes: usize) -> bool {
-    block_probes >= BATCH_THRESHOLD.max(func.num_blocks() / 2)
+    block_probes >= 2.max(func.num_blocks() / 2)
 }
 
 /// Resolve-and-answer for one query, given the function's state and
-/// (optionally) a pre-materialized batch snapshot for block probes.
+/// (optionally) a pre-materialized batch snapshot for block probes and
+/// `LiveSets`.
 fn answer(
     state: &mut FuncState,
     batch: Option<&BatchLiveness>,
@@ -55,20 +53,14 @@ fn answer(
     query: &Query,
 ) -> Result<Response, QueryError> {
     match query {
-        Query::LiveIn { value, block, .. } => {
-            let v = resolve_value(func, value)?;
-            let b = resolve_block(func, block)?;
+        Query::LiveIn { value, block, .. } | Query::LiveOut { value, block, .. } => {
+            let (v, b) = (resolve_value(func, value)?, resolve_block(func, block)?);
+            let out = matches!(query, Query::LiveOut { .. });
             Ok(Response::Live(match batch {
+                Some(rows) if out => rows.is_live_out(v.index() as u32, b.as_u32()),
                 Some(rows) => rows.is_live_in(v.index() as u32, b.as_u32()),
+                None if out => state.live_out(func, v, b),
                 None => state.live_in(func, v, b),
-            }))
-        }
-        Query::LiveOut { value, block, .. } => {
-            let v = resolve_value(func, value)?;
-            let b = resolve_block(func, block)?;
-            Ok(Response::Live(match batch {
-                Some(rows) => rows.is_live_out(v.index() as u32, b.as_u32()),
-                None => state.live_out(func, v, b),
             }))
         }
         Query::LiveAt { value, point, .. } => {
@@ -77,10 +69,13 @@ fn answer(
             Ok(Response::Live(state.live_at(func, v, p)?))
         }
         Query::LiveSets { .. } => Ok(Response::Sets(match batch {
-            // The group's snapshot already holds every row — derive the
-            // sets from it instead of paying another matrix pass (the
-            // mapping below is exactly `FunctionLiveness::live_sets`).
-            Some(rows) => sets_from_rows(rows, func),
+            // The snapshot already holds every row: extract the sets
+            // from it instead of paying another matrix pass (the same
+            // extraction as `FunctionLiveness::live_sets`).
+            Some(rows) => {
+                let (live_in, live_out) = rows.sets(|var| Value::from_index(var as usize));
+                LiveSets { live_in, live_out }
+            }
             None => state.live_sets(func),
         })),
         Query::Interfere { a, b, .. } => {
@@ -97,33 +92,6 @@ fn answer(
             let b = resolve_block(func, block)?;
             Ok(Response::Init(state.definitely_init(func, v, b)?))
         }
-    }
-}
-
-/// Does the query need the function's nullness?
-fn needs_nullness(query: &Query) -> bool {
-    matches!(query, Query::Nullness { .. } | Query::DefiniteInit { .. })
-}
-
-/// Whole-function sets out of an existing row snapshot — the same
-/// var-index → [`Value`](fastlive_ir::Value) mapping (ascending per
-/// block) as `FunctionLiveness::live_sets`, which `tests/facade_*.rs`
-/// pin against the oracle.
-fn sets_from_rows(rows: &BatchLiveness, func: &Function) -> crate::LiveSets {
-    let to_values = |vars: Vec<u32>| -> Vec<fastlive_ir::Value> {
-        vars.into_iter()
-            .map(|v| fastlive_ir::Value::from_index(v as usize))
-            .collect()
-    };
-    crate::LiveSets {
-        live_in: func
-            .blocks()
-            .map(|b| to_values(rows.live_in_vars(b.as_u32())))
-            .collect(),
-        live_out: func
-            .blocks()
-            .map(|b| to_values(rows.live_out_vars(b.as_u32())))
-            .collect(),
     }
 }
 
@@ -149,19 +117,85 @@ pub(crate) fn scalar_query(
     query: &Query,
 ) -> Result<Response, QueryError> {
     let id = resolve_func(module, query.func())?;
-    let mut state = backend.resolve(module, id, needs_nullness(query))?;
+    let nullness = matches!(query, Query::Nullness { .. } | Query::DefiniteInit { .. });
+    let mut state = backend.resolve(module, id, nullness)?;
     answer(&mut state, None, module.func(id), query)
 }
 
-/// The planned batch executor: group by function, analyze once per
-/// function, serve grouped block probes from batch rows. Results come
-/// back in input order; per-query failures are per-slot `Err`s, never
-/// a failure of the whole batch.
+/// One function the batch touches: what its queries need, counted up
+/// front, and its state from its first query to its last.
+#[derive(Default)]
+struct Touched {
+    id: FuncId,
+    /// Queries of this function not yet answered; the state is dropped
+    /// when this reaches zero.
+    pending: usize,
+    block_probes: usize,
+    sets_queries: usize,
+    nullness: bool,
+    /// The analyses and optional row snapshot, or the error that fails
+    /// every query.
+    state: Option<Result<(FuncState, Option<BatchLiveness>), QueryError>>,
+}
+
+/// A multiplicative hasher for the touched-function index (keys: ids
+/// already checked against the module), consulted once per run of
+/// same-function queries in each pass, where SipHash would cost more
+/// than a block probe from rows. `finish` rotates the well-mixed high
+/// bits down, so ids a power of two apart do not share a bucket.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_usize(b.into()));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0 ^ n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// The batch's touched functions in first-appearance order, compactly
+/// indexed: a map from function id to slot, consulted once per run of
+/// consecutive queries on one function.
+#[derive(Default)]
+struct TouchedSet {
+    slots: Vec<Touched>,
+    index: HashMap<FuncId, usize, BuildHasherDefault<IdHasher>>,
+}
+
+impl TouchedSet {
+    /// The slot of the function `r` names, registered on first sight;
+    /// an unresolvable reference is the query's own error.
+    fn slot_of(&mut self, module: &Module, r: &FuncRef) -> Result<usize, QueryError> {
+        let id = resolve_func(module, r)?;
+        let slots = &mut self.slots;
+        Ok(*self.index.entry(id).or_insert_with(|| {
+            slots.push(Touched {
+                id,
+                ..Touched::default()
+            });
+            slots.len() - 1
+        }))
+    }
+}
+
+/// The planned batch executor. Results come back in input order, each
+/// answered from its function's state — resolved at the function's
+/// first query, with row snapshots for functions whose block probes
+/// pay for them, and dropped after its last; per-query failures are
+/// per-slot `Err`s, never a failure of the whole batch.
 ///
 /// `recorder` observes what the plan *did* — batch size, how many
-/// groups took the grouped (batch-row) vs the scalar path, and the
-/// whole-batch latency. With a disabled recorder (the trait-path
-/// default) not even a clock is read; answers never depend on it.
+/// touched functions took the grouped (batch-row) vs the scalar path,
+/// and the whole-batch latency. With a disabled recorder (the
+/// trait-path default) not even a clock is read; answers never depend
+/// on it.
 pub(crate) fn run_planned(
     backend: &mut Backend<'_>,
     module: &Module,
@@ -169,168 +203,131 @@ pub(crate) fn run_planned(
     recorder: &dyn Recorder,
 ) -> Vec<Result<Response, QueryError>> {
     let t0 = recorder.enabled().then(std::time::Instant::now);
-    let mut grouped_groups = 0u64;
-    let mut scalar_groups = 0u64;
-    // Resolve every query's function up front; unresolvable ones fail
-    // in place without costing any analysis. Groups are found through
-    // a per-function index (O(1) per query — a linear group scan would
-    // make planning O(queries × functions) on big modules) but kept in
-    // first-appearance order so execution stays deterministic.
-    let mut results: Vec<Option<Result<Response, QueryError>>> = vec![None; queries.len()];
-    let mut groups: Vec<(FuncId, Vec<usize>)> = Vec::new();
-    let mut group_of: Vec<Option<usize>> = vec![None; module.len()];
-    for (i, query) in queries.iter().enumerate() {
-        match resolve_func(module, query.func()) {
-            Ok(id) => match group_of[id] {
-                Some(g) => groups[g].1.push(i),
-                None => {
-                    group_of[id] = Some(groups.len());
-                    groups.push((id, vec![i]));
-                }
-            },
-            Err(e) => results[i] = Some(Err(e)),
+    // Counting pass: what each touched function needs, one run of
+    // consecutive same-function queries at a time. Unresolvable
+    // functions are skipped here and fail in place below, without
+    // costing any analysis.
+    let runs = || queries.chunk_by(|a, b| a.func() == b.func());
+    let mut touched = TouchedSet::default();
+    for run in runs() {
+        let Ok(k) = touched.slot_of(module, run[0].func()) else {
+            continue;
+        };
+        let t = &mut touched.slots[k];
+        t.pending += run.len();
+        for query in run {
+            match query {
+                Query::LiveIn { .. } | Query::LiveOut { .. } => t.block_probes += 1,
+                Query::LiveSets { .. } => t.sets_queries += 1,
+                Query::Nullness { .. } | Query::DefiniteInit { .. } => t.nullness = true,
+                Query::LiveAt { .. } | Query::Interfere { .. } => {}
+            }
         }
     }
 
     // Cross-function batches warm the cache through the backend's
-    // worker pool before the sequential group loop: one `(function,
-    // analysis)` request per distinct need, so the per-group `resolve`
-    // below hits memory. A single-group batch gains nothing — the group
-    // loop would do the same work with no parallelism to exploit.
-    if groups.len() >= 2 {
-        let mut requests = Vec::with_capacity(groups.len());
-        for (id, idxs) in &groups {
-            requests.push((*id, AnalysisKind::Liveness));
-            if idxs.iter().any(|&i| needs_nullness(&queries[i])) {
-                requests.push((*id, AnalysisKind::Nullness));
+    // worker pool before the sequential answer loop, for the analyses
+    // the session lacks, so each function's first query hits memory. A
+    // single-function batch gains nothing — its first query would do
+    // the same work with no parallelism to exploit.
+    if touched.slots.len() >= 2 {
+        let mut requests = Vec::with_capacity(touched.slots.len());
+        for t in &touched.slots {
+            requests.push((t.id, AnalysisKind::Liveness));
+            if t.nullness {
+                requests.push((t.id, AnalysisKind::Nullness));
             }
         }
         backend.prefetch(module, &requests);
     }
 
-    for (id, idxs) in groups {
-        let func = module.func(id);
-        // A failed liveness fails every query of its group — the other
-        // groups (other functions) still answer. Nullness is resolved
-        // only for groups that ask for it; its failure poisons just the
-        // group's nullness-family queries.
-        let with_nullness = idxs.iter().any(|&i| needs_nullness(&queries[i]));
-        let mut state = match backend.resolve(module, id, with_nullness) {
-            Ok(state) => state,
+    let (mut grouped, mut scalar) = (0u64, 0u64);
+    let mut results = Vec::with_capacity(queries.len());
+    for run in runs() {
+        let k = match touched.slot_of(module, run[0].func()) {
+            Ok(k) => k,
             Err(e) => {
-                for i in idxs {
-                    results[i] = Some(Err(e.clone()));
-                }
+                results.extend(iter::repeat_n(Err(e), run.len()));
                 continue;
             }
         };
-        let block_probes = idxs
-            .iter()
-            .filter(|&&i| matches!(queries[i], Query::LiveIn { .. } | Query::LiveOut { .. }))
-            .count();
-        let sets_queries = idxs
-            .iter()
-            .filter(|&&i| matches!(queries[i], Query::LiveSets { .. }))
-            .count();
-        // One row materialization amortized over the group's block
-        // probes — or over repeated whole-function set requests, each
-        // of which would otherwise pay its own pass (session only; the
-        // oracle's probes are already O(1) set reads and its `batch()`
-        // is `None`).
-        let batch = if batch_pays_off(func, block_probes) || sets_queries >= 2 {
-            state.batch(func)
-        } else {
-            None
-        };
-        // The grouped/scalar split is per *group*: a group whose
-        // snapshot materialized took the batch-row path (the oracle's
-        // `batch()` is `None`, so its groups always count as scalar).
-        if batch.is_some() {
-            grouped_groups += 1;
-        } else {
-            scalar_groups += 1;
+        let t = &mut touched.slots[k];
+        let func = module.func(t.id);
+        // One row pass amortized over the function's block probes, or
+        // over repeated `LiveSets` (session only: the oracle's `batch()`
+        // is `None`, so it counts as scalar). A failed liveness fails
+        // every query of the function; a failed nullness, just its
+        // nullness-family queries.
+        let wants_rows = batch_pays_off(func, t.block_probes) || t.sets_queries >= 2;
+        let (id, nullness) = (t.id, t.nullness);
+        let resolved = t.state.get_or_insert_with(|| {
+            let state = backend.resolve(module, id, nullness)?;
+            let rows = if wants_rows { state.batch(func) } else { None };
+            if rows.is_some() {
+                grouped += 1;
+            } else {
+                scalar += 1;
+            }
+            Ok((state, rows))
+        });
+        match resolved {
+            Ok((state, rows)) => {
+                results.extend(run.iter().map(|q| answer(state, rows.as_ref(), func, q)))
+            }
+            Err(e) => results.extend(iter::repeat_n(Err(e.clone()), run.len())),
         }
-        for i in idxs {
-            // Batch-served block probes are the hot loop of dense
-            // streams: answer them right here as O(1) bit reads, so
-            // the per-query cost stays at the dispatch floor and only
-            // the complex kinds pay the full `answer` call.
-            let result = match (&batch, &queries[i]) {
-                (Some(rows), Query::LiveIn { value, block, .. }) => resolve_value(func, value)
-                    .and_then(|v| {
-                        resolve_block(func, block)
-                            .map(|b| Response::Live(rows.is_live_in(v.index() as u32, b.as_u32())))
-                    }),
-                (Some(rows), Query::LiveOut { value, block, .. }) => resolve_value(func, value)
-                    .and_then(|v| {
-                        resolve_block(func, block)
-                            .map(|b| Response::Live(rows.is_live_out(v.index() as u32, b.as_u32())))
-                    }),
-                _ => answer(&mut state, batch.as_ref(), func, &queries[i]),
-            };
-            results[i] = Some(result);
+        t.pending -= run.len();
+        if t.pending == 0 {
+            t.state = None;
         }
     }
 
     if let Some(t0) = t0 {
         recorder.plan(
             queries.len() as u64,
-            grouped_groups,
-            scalar_groups,
+            grouped,
+            scalar,
             t0.elapsed().as_nanos() as u64,
         );
     }
-
-    finalize(results)
-}
-
-/// Collapses the planner's slot table into per-query results. Every
-/// slot is filled by construction — grouped and answered, or failed at
-/// resolution — but a planner bookkeeping slip must stay a per-slot
-/// [`QueryError::Internal`], never a process abort for the whole batch
-/// (this replaced an `expect`).
-fn finalize(
-    results: Vec<Option<Result<Response, QueryError>>>,
-) -> Vec<Result<Response, QueryError>> {
     results
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.unwrap_or_else(|| {
-                Err(QueryError::Internal {
-                    detail: format!("query {i} was neither grouped nor failed at resolution"),
-                })
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastlive_engine::AnalysisEngine;
 
-    /// The converted `plan.rs:250` panic path: an unfilled slot is a
-    /// typed per-query error; the filled slots still answer.
+    /// The one `Internal` path the planner keeps: a nullness-family
+    /// query that reaches `answer` with a state resolved without
+    /// nullness is a typed per-query error, not a panic. The counting
+    /// pass makes it unreachable from `run_planned`; `answer` still
+    /// refuses it on both arms.
     #[test]
-    fn unfilled_slot_is_a_typed_error_not_a_panic() {
-        let filled = Some(Ok(Response::Live(true)));
-        let out = finalize(vec![filled, None]);
-        assert_eq!(out[0], Ok(Response::Live(true)));
-        match &out[1] {
-            Err(QueryError::Internal { detail }) => {
-                assert!(detail.contains("query 1"), "{detail}")
+    fn nullness_query_on_a_liveness_only_state_is_an_internal_error() {
+        let module = fastlive_ir::parse_module(
+            "function %f { block0(v0):
+                 v1 = iconst 0
+                 return v1 }",
+        )
+        .expect("parses");
+        let func = module.func(0);
+        let engine = AnalysisEngine::with_defaults();
+        for mut backend in [Backend::Session(engine.analyze(&module)), Backend::Oracle] {
+            let mut state = backend.resolve(&module, 0, false).expect("resolves");
+            for query in [
+                Query::nullness(0, "v1"),
+                Query::definitely_init(0, "v1", "block0"),
+            ] {
+                match answer(&mut state, None, func, &query) {
+                    Err(QueryError::Internal { detail }) => {
+                        assert!(detail.contains("without a nullness state"), "{detail}")
+                    }
+                    other => panic!("expected an Internal error, got {other:?}"),
+                }
             }
-            other => panic!("expected Internal error, got {other:?}"),
+            let live = answer(&mut state, None, func, &Query::live_out(0, "v0", "block0"));
+            assert_eq!(live, Ok(Response::Live(false)), "liveness still answers");
         }
-    }
-
-    #[test]
-    fn filled_slots_pass_through_in_order() {
-        let e = QueryError::UnknownFunction(crate::FuncRef::Name("nope".into()));
-        let out = finalize(vec![
-            Some(Err(e.clone())),
-            Some(Ok(Response::Interference(false))),
-        ]);
-        assert_eq!(out, vec![Err(e), Ok(Response::Interference(false))]);
     }
 }

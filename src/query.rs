@@ -448,6 +448,7 @@ impl From<fastlive_core::AnalysisError> for QueryError {
 }
 
 /// Resolves a function reference against the module.
+#[inline]
 pub(crate) fn resolve_func(module: &Module, r: &FuncRef) -> Result<FuncId, QueryError> {
     match r {
         FuncRef::Id(id) if *id < module.len() => Ok(*id),
@@ -459,6 +460,7 @@ pub(crate) fn resolve_func(module: &Module, r: &FuncRef) -> Result<FuncId, Query
 }
 
 /// Resolves a value reference against the (already resolved) function.
+#[inline]
 pub(crate) fn resolve_value(func: &Function, r: &ValueRef) -> Result<Value, QueryError> {
     let unknown = || QueryError::UnknownValue {
         func: func.name.clone(),
@@ -472,6 +474,7 @@ pub(crate) fn resolve_value(func: &Function, r: &ValueRef) -> Result<Value, Quer
 }
 
 /// Resolves a block reference against the (already resolved) function.
+#[inline]
 pub(crate) fn resolve_block(func: &Function, r: &BlockRef) -> Result<Block, QueryError> {
     let unknown = || QueryError::UnknownBlock {
         func: func.name.clone(),

@@ -166,6 +166,154 @@ fn planned_execution_matches_scalar_execution() {
     }
 }
 
+/// One function's queries of all seven kinds, id-addressed: block
+/// probes, a point, interference, nullness, definite initialization and
+/// one `LiveSets`, over a rotating sample of values and blocks.
+fn per_function_queries(id: usize, func: &fastlive::Function) -> Vec<Query> {
+    let values: Vec<_> = func.values().collect();
+    let blocks: Vec<_> = func.blocks().collect();
+    let mut queries = Vec::new();
+    for (i, &v) in values.iter().enumerate() {
+        let b = blocks[i % blocks.len()];
+        queries.push(Query::live_in(id, v, b));
+        queries.push(Query::live_out(id, v, b));
+        queries.push(Query::live_at(id, v, PointRef::entry(b)));
+        queries.push(Query::interfere(id, v, values[(i + 1) % values.len()]));
+        queries.push(Query::nullness(id, v));
+        queries.push(Query::definitely_init(id, v, b));
+    }
+    queries.push(Query::live_sets(id));
+    queries
+}
+
+/// A batch that interleaves four functions query by query, so the
+/// planner holds several function states at once. Besides all seven
+/// kinds on every function, it carries an unknown function, an
+/// out-of-range value and a second `LiveSets` on function 1.
+fn interleaved_queries(module: &Module) -> Vec<Query> {
+    let per_function: Vec<Vec<Query>> = module
+        .iter()
+        .map(|(id, func)| per_function_queries(id, func))
+        .collect();
+    let longest = per_function.iter().map(Vec::len).max().unwrap_or(0);
+    let mut queries = Vec::new();
+    for i in 0..longest {
+        for list in &per_function {
+            if let Some(q) = list.get(i) {
+                queries.push(q.clone());
+            }
+        }
+        if i == 3 {
+            queries.push(Query::live_sets(1usize));
+            queries.push(Query::live_in("no_such_function", "v0", "block0"));
+            let past_end = fastlive::Value::from_index(module.func(2).num_values() + 5);
+            queries.push(Query::nullness(2usize, past_end));
+        }
+    }
+    queries
+}
+
+/// Planned `run_queries` answers an interleaved batch exactly as scalar
+/// `query` does, element for element, in input order, on every arm —
+/// with one function's analyses failing through the compute-fault hook
+/// on both session arms.
+#[test]
+fn interleaved_batch_answers_like_scalar_queries_on_every_arm() {
+    let module = generate_module(
+        "interleaved",
+        ModuleParams {
+            functions: 4,
+            min_blocks: 6,
+            max_blocks: 20,
+            irreducible_per_mille: 500,
+            deep_live_per_mille: 500,
+        },
+        0x1e4f,
+    );
+    let queries = interleaved_queries(&module);
+    let faulty = fastlive::CfgShape::of(module.func(3));
+    let arm = |capacity: usize| {
+        let fl = Fastlive::builder()
+            .threads(1)
+            .cache_capacity(capacity)
+            .build()
+            .expect("valid");
+        let target = faulty.clone();
+        fl.engine().set_compute_fault(Some(Box::new(move |shape| {
+            if *shape == target {
+                panic!("interleaved-batch fault");
+            }
+        })));
+        fl
+    };
+    let (cached, cacheless) = (arm(64), arm(0));
+    let oracle_fl = Fastlive::builder().threads(1).build().expect("valid");
+    let arms = [
+        (&cached, BackendKind::Session),
+        (&cacheless, BackendKind::Session),
+        (&oracle_fl, BackendKind::Oracle),
+    ];
+    let oracle = run_all(&oracle_fl, &module, BackendKind::Oracle, &queries);
+    let failing: Vec<bool> = module
+        .functions()
+        .iter()
+        .map(|f| fastlive::CfgShape::of(f) == faulty)
+        .collect();
+    for (fl, kind) in arms {
+        let name = format!("{kind:?} (cache capacity {})", fl.config().cache_capacity);
+        let planned = run_all(fl, &module, kind, &queries);
+        let mut session = fl.session_with(&module, kind);
+        let scalar: Vec<_> = queries.iter().map(|q| session.query(&module, q)).collect();
+        assert_eq!(planned.len(), queries.len(), "{name}");
+        for (i, q) in queries.iter().enumerate() {
+            assert_eq!(planned[i], scalar[i], "{name}: query {i}, {q:?}");
+            let fails = kind == BackendKind::Session
+                && matches!(q.func(), fastlive::FuncRef::Id(id) if failing[*id]);
+            if fails {
+                assert!(
+                    matches!(&planned[i], Err(QueryError::AnalysisFailed(_))),
+                    "{name}: {q:?} on the faulty function gave {:?}",
+                    planned[i]
+                );
+            } else {
+                assert_eq!(planned[i], oracle[i], "{name} vs oracle: {q:?}");
+            }
+        }
+    }
+    let kinds: std::collections::HashSet<_> = queries.iter().map(std::mem::discriminant).collect();
+    assert_eq!(kinds.len(), 7, "all seven kinds");
+    assert!(oracle
+        .iter()
+        .any(|r| matches!(r, Err(QueryError::UnknownFunction(_)))));
+    assert!(oracle
+        .iter()
+        .any(|r| matches!(r, Err(QueryError::UnknownValue { .. }))));
+}
+
+/// `run_queries` returns exactly one result per query, whatever the
+/// batch holds: nothing, only unresolvable functions, one function, or
+/// an interleaved mix.
+#[test]
+fn run_queries_returns_one_result_per_query() {
+    let module = test_module(0x5107, 250, 500);
+    let fl = Fastlive::builder().threads(1).build().expect("valid");
+    let unknown = vec![Query::live_sets("nope"), Query::live_sets(99usize)];
+    let single = per_function_queries(0, module.func(0));
+    let batches = [
+        Vec::new(),
+        unknown,
+        single,
+        interleaved_queries(&module),
+        mixed_queries(&module),
+    ];
+    for kind in [BackendKind::Session, BackendKind::Oracle] {
+        for queries in &batches {
+            let results = run_all(&fl, &module, kind, queries);
+            assert_eq!(results.len(), queries.len(), "{kind:?}");
+        }
+    }
+}
+
 /// Every query of every kind over every value, block and point of the
 /// module — the exhaustive batch for hand-built edge cases.
 fn exhaustive_queries(module: &Module) -> Vec<Query> {

@@ -377,6 +377,27 @@ fn nullness_queries_answer_and_fail_like_liveness_ones() {
     assert!(init.as_nullness().is_none());
 }
 
+/// A planned nullness batch over two functions of a fresh session
+/// probes the engine for nullness only: liveness is resident from
+/// `analyze`, so the prefetch warms the two nullness artifacts (two
+/// misses) and each function's first query adopts one (two hits).
+#[test]
+fn planned_nullness_batch_probes_the_engine_for_nullness_only() {
+    let module = parse_module(SRC).unwrap();
+    let f = fl();
+    let mut s = f.session(&module);
+    let probes = || {
+        let stats = f.engine().cache_stats();
+        (stats.hits + stats.misses + stats.dedup_hits, stats.misses)
+    };
+    let before = probes();
+    let batch = [Query::nullness("count", "v1"), Query::nullness("id", "v0")];
+    let answers = s.run_queries(&module, &batch);
+    assert!(answers.iter().all(Result::is_ok), "{answers:?}");
+    let after = probes();
+    assert_eq!((after.0 - before.0, after.1 - before.1), (4, 2));
+}
+
 #[test]
 fn name_and_id_addressing_are_interchangeable() {
     let module = parse_module(SRC).unwrap();
