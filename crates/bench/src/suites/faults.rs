@@ -69,7 +69,6 @@ pub fn run(quick: bool) -> Json {
             EngineConfig {
                 threads,
                 cache_capacity: 0, // every probe consults the disk tier
-                stripes: 0,
                 persist_dir: Some(dir.clone()),
                 disk_breaker: BreakerConfig {
                     trip_threshold: 3,

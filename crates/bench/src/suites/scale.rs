@@ -1,17 +1,14 @@
-//! `BENCH_scale.json`: the striped-cache contention grid — warm
-//! `analyze` throughput swept over lock-stripe counts × concurrent
-//! client threads.
+//! `BENCH_scale.json`: cache contention — warm `analyze` throughput
+//! swept over concurrent client threads.
 //!
-//! Every cell pre-warms one facade (so the measured phase is pure cache
+//! Every row pre-warms one facade (so the measured phase is pure cache
 //! probing, zero precomputations — asserted via the engine's
 //! `CacheStats`) and then times `threads` OS threads each re-analyzing
-//! the same module through the shared engine. With one stripe every
-//! probe serializes on a single mutex; with more stripes probes of
-//! different fingerprints proceed in parallel. `host_cpus` records the
-//! machine's available parallelism honestly: on a 1-core box every
-//! thread count collapses to ≈1× and the grid mostly measures lock
-//! overhead, while a real multi-core host shows the stripe sweep
-//! separating.
+//! the same module through the shared engine, whose probes all take
+//! the cache's one lock. `host_cpus` records the machine's available
+//! parallelism: on a host with fewer cores than client threads the
+//! extra threads time-slice, so throughput stays flat rather than
+//! scaling.
 
 use fastlive::telemetry::Json;
 use fastlive::Fastlive;
@@ -20,10 +17,9 @@ use fastlive_bench::{
 };
 use fastlive_workload::{generate_module, ModuleParams};
 
-const STRIPE_SWEEP: [usize; 4] = [1, 2, 4, 8];
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-const GRID_KEYS: &str = "stripes threads analyze_ns probes_per_sec scaling_vs_1_thread";
+const GRID_KEYS: &str = "threads analyze_ns probes_per_sec scaling_vs_1_thread";
 
 /// Runs the suite.
 pub fn run(quick: bool) -> Json {
@@ -40,82 +36,75 @@ pub fn run(quick: bool) -> Json {
         0x5ca1e,
     );
 
-    let mut grid = Vec::new();
-    for stripes in STRIPE_SWEEP {
-        // One pre-warmed facade per thread count. Warm analysis goes
-        // through the in-memory tier only; the engine's own worker
-        // pool is pinned to 1 so the measured concurrency is exactly
-        // the `threads` client threads.
-        let facades: Vec<Fastlive> = THREAD_SWEEP
-            .iter()
-            .map(|_| {
-                let fl = Fastlive::builder()
-                    .threads(1)
-                    .cache_capacity(1024)
-                    .stripes(stripes)
-                    .build()
-                    .expect("valid config");
-                let _ = fl.engine().analyze(&module);
-                fl
-            })
-            .collect();
-        let warm: Vec<u64> = facades
-            .iter()
-            .map(|f| f.engine().cache_stats().misses)
-            .collect();
-        let m = measure(
-            rounds,
-            (THREAD_SWEEP.iter().zip(&facades))
-                .map(|(&threads, fl)| {
-                    let (engine, module) = (fl.engine(), &module);
-                    Arm::new(move || {
-                        std::thread::scope(|scope| {
-                            let handles: Vec<_> = (0..threads)
-                                .map(|_| scope.spawn(|| engine.analyze(module).num_functions()))
-                                .collect();
-                            (handles.into_iter())
-                                .map(|h| h.join().expect("no panics"))
-                                .sum::<usize>()
-                        })
+    // One pre-warmed facade per thread count. Warm analysis goes
+    // through the in-memory tier only; the engine's own worker pool is
+    // pinned to 1 so the measured concurrency is exactly the `threads`
+    // client threads.
+    let facades: Vec<Fastlive> = THREAD_SWEEP
+        .iter()
+        .map(|_| {
+            let fl = Fastlive::builder()
+                .threads(1)
+                .cache_capacity(1024)
+                .build()
+                .expect("valid config");
+            let _ = fl.engine().analyze(&module);
+            fl
+        })
+        .collect();
+    let warm: Vec<u64> = facades
+        .iter()
+        .map(|f| f.engine().cache_stats().misses)
+        .collect();
+    let m = measure(
+        rounds,
+        (THREAD_SWEEP.iter().zip(&facades))
+            .map(|(&threads, fl)| {
+                let (engine, module) = (fl.engine(), &module);
+                Arm::new(move || {
+                    std::thread::scope(|scope| {
+                        let handles: Vec<_> = (0..threads)
+                            .map(|_| scope.spawn(|| engine.analyze(module).num_functions()))
+                            .collect();
+                        (handles.into_iter())
+                            .map(|h| h.join().expect("no panics"))
+                            .sum::<usize>()
                     })
                 })
-                .collect(),
+            })
+            .collect(),
+    );
+    for (i, fl) in facades.iter().enumerate() {
+        assert_eq!(
+            warm[i],
+            fl.engine().cache_stats().misses,
+            "measured phase must be all cache hits"
         );
-        for (i, fl) in facades.iter().enumerate() {
-            assert_eq!(
-                warm[i],
-                fl.engine().cache_stats().misses,
-                "measured phase must be all cache hits"
-            );
-        }
-        for (i, threads) in THREAD_SWEEP.into_iter().enumerate() {
+    }
+    let grid: Vec<Json> = (THREAD_SWEEP.into_iter().enumerate())
+        .map(|(i, threads)| {
             // Total warm probes per second across all client threads,
             // and that throughput over one thread's.
             let probes = (threads * module.len()) as f64;
             let scaling = m.per_round(|s| s[0] / s[i] * threads as f64);
-            grid.push(
-                Json::obj()
-                    .field("stripes", stripes)
-                    .field("threads", threads)
-                    .spread("analyze_ns", m.arm(i), 0)
-                    .spread("probes_per_sec", m.per_round(|s| probes * 1e9 / s[i]), 0)
-                    .spread("scaling_vs_1_thread", scaling, 2),
-            );
-        }
-    }
+            Json::obj()
+                .field("threads", threads)
+                .spread("analyze_ns", m.arm(i), 0)
+                .spread("probes_per_sec", m.per_round(|s| probes * 1e9 / s[i]), 0)
+                .spread("scaling_vs_1_thread", scaling, 2)
+        })
+        .collect();
     module_header(quick, rounds, &module)
         .field("reps", rounds)
         .field("grid", grid)
 }
 
-/// The former CI schema check: keys and the full stripes × threads
-/// grid with positive timings.
+/// The former CI schema check: keys, one row per thread count, and
+/// positive timings.
 pub fn check(d: &Json) -> Result<(), String> {
     fields(d, "functions blocks_total reps grid")?;
     let grid = rows(d, "grid", GRID_KEYS)?;
-    row_set(grid, &["stripes"], &["1", "2", "4", "8"])?;
     row_set(grid, &["threads"], &["1", "2", "4", "8"])?;
-    ensure(grid.len() == 16, "full stripes × threads grid")?;
     ensure(num(d, "host_cpus")? >= 1.0, "host_cpus must be >= 1")?;
     for cell in grid {
         ensure(

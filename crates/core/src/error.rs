@@ -7,8 +7,7 @@
 //! precomputation that panics on a pathological input, a detached
 //! definition at a point query. Engines catch those and return this
 //! error per function, so one bad function degrades to one failed
-//! result while every other function (and every other cache stripe)
-//! keeps answering.
+//! result while every other function keeps answering.
 
 use crate::provider::PointError;
 

@@ -18,8 +18,8 @@
 //!   expensive body, decode + revive (rebuild derived structures,
 //!   validate against the graph — `None` degrades to a `disk_rejects`
 //!   recomputation).
-//! * [`ArtifactHandle`] — the dynamically-typed `Arc` the striped
-//!   cache and in-flight slots store.
+//! * [`ArtifactHandle`] — the dynamically-typed `Arc` the cache and
+//!   in-flight slots store.
 //!
 //! Adding an analysis means: implement the trait, add a variant +
 //! tag/salt here, and expose queries through the facade. The cache,
@@ -131,8 +131,8 @@ pub trait AnalysisArtifact: Send + Sync + Sized + 'static {
     fn from_handle(handle: &ArtifactHandle) -> Option<&Arc<Self>>;
 }
 
-/// The dynamically-typed artifact the striped cache, in-flight slots
-/// and session entries store.
+/// The dynamically-typed artifact the cache, in-flight slots and
+/// session entries store.
 #[derive(Clone)]
 pub enum ArtifactHandle {
     /// A revived or computed liveness checker.

@@ -126,12 +126,8 @@ pub struct HealthReport {
     pub consecutive_disk_failures: u32,
     /// Shapes currently quarantined for repeated rejects.
     pub quarantined_shapes: usize,
-    /// Cumulative cache counters, including `disk_errors`, summed over
-    /// all stripes.
+    /// Cumulative cache counters, including `disk_errors`.
     pub cache: CacheStats,
-    /// Per-stripe cache counters, in stripe order; always sums
-    /// field-wise to [`cache`](Self::cache).
-    pub stripes: Vec<CacheStats>,
     /// Outcome of the most recent persistence-tier GC sweep run by
     /// this engine, if any.
     pub last_gc: Option<GcStats>,
@@ -162,13 +158,6 @@ impl HealthReport {
             .field("consecutive_disk_failures", self.consecutive_disk_failures)
             .field("quarantined_shapes", self.quarantined_shapes)
             .field("cache", self.cache.to_json())
-            .field(
-                "stripes",
-                self.stripes
-                    .iter()
-                    .map(CacheStats::to_json)
-                    .collect::<Json>(),
-            )
             .field("last_gc", last_gc)
             .field(
                 "recent_events",
@@ -180,8 +169,8 @@ impl HealthReport {
     }
 }
 
-/// Compact operator summary: one header line, one line per stripe with
-/// activity, recent events last.
+/// Compact operator summary: one header line, the cache line, recent
+/// events last.
 impl std::fmt::Display for HealthReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -196,11 +185,6 @@ impl std::fmt::Display for HealthReport {
             self.persist_configured
         )?;
         write!(f, "\n  cache: {}", self.cache)?;
-        for (i, s) in self.stripes.iter().enumerate() {
-            if *s != CacheStats::default() {
-                write!(f, "\n  stripe[{i}]: {s}")?;
-            }
-        }
         if let Some(gc) = &self.last_gc {
             write!(f, "\n  gc: retained={} removed={}", gc.retained, gc.removed)?;
         }
@@ -579,14 +563,6 @@ mod tests {
                 misses: 2,
                 ..CacheStats::default()
             },
-            stripes: vec![
-                CacheStats {
-                    hits: 5,
-                    misses: 2,
-                    ..CacheStats::default()
-                },
-                CacheStats::default(),
-            ],
             last_gc: Some(GcStats {
                 retained: 4,
                 removed: 1,
@@ -601,7 +577,6 @@ mod tests {
         for key in [
             "\"disk_state\": \"half_open\"",
             "\"cache\": {\"hits\": 5",
-            "\"stripes\": [{",
             "\"last_gc\": {\"retained\": 4, \"removed\": 1}",
             "\"kind\": \"breaker_tripped\"",
         ] {
@@ -609,8 +584,7 @@ mod tests {
         }
         let text = report.to_string();
         assert!(text.contains("disk=half_open"));
-        assert!(text.contains("stripe[0]"));
-        assert!(!text.contains("stripe[1]"), "idle stripes are elided");
+        assert!(text.contains("cache: hits=5 misses=2"));
         assert!(text.contains("breaker_tripped: streak=3"));
 
         let none = HealthReport {

@@ -16,18 +16,12 @@ use fastlive_telemetry::Json;
 use crate::artifact::{AnalysisKind, ArtifactHandle};
 use crate::fingerprint::CfgShape;
 
-/// The striped cache's key: one CFG fingerprint, one analysis.
+/// The cache's key: one CFG fingerprint, one analysis.
 pub(crate) type ArtifactKey = (CfgShape, AnalysisKind);
 
 /// Hit/miss/eviction/dedup and disk-tier counters of the engine's
 /// fingerprint cache — the observability surface the engine exposes
-/// ([`AnalysisEngine::cache_stats`](crate::AnalysisEngine::cache_stats),
-/// [`AnalysisEngine::stripe_stats`](crate::AnalysisEngine::stripe_stats)).
-///
-/// With the cache striped, each stripe keeps its own `CacheStats`;
-/// totals are recovered by [addition](Self::add) and per-stripe values
-/// always sum exactly to the engine-wide numbers (the striping never
-/// loses a probe).
+/// ([`AnalysisEngine::cache_stats`](crate::AnalysisEngine::cache_stats)).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Probes that found a CFG-identical precomputation in memory.
@@ -93,7 +87,8 @@ impl CacheStats {
             .field("disk_errors", self.disk_errors)
     }
 
-    /// Field-wise sum — folds per-stripe stats back into engine totals.
+    /// Field-wise sum — folds the stats of several engines or runs
+    /// into one total.
     pub fn add(&self, other: &CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits + other.hits,

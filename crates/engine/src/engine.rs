@@ -1,6 +1,6 @@
 //! [`AnalysisEngine`]: parallel precomputation over a [`Module`] with
-//! the two-tier (striped in-memory + optional on-disk) fingerprint
-//! cache in front of it.
+//! the two-tier (in-memory + optional on-disk) fingerprint cache in
+//! front of it.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -24,38 +24,22 @@ use crate::vfs::{lock_recover, MeteredVfs, StdVfs, Vfs};
 
 /// Tuning knobs of an [`AnalysisEngine`].
 ///
-/// `EngineConfig` is `Clone` + `Default` but — deliberately — not
-/// `Copy`: `persist_dir` owns a [`PathBuf`], so the `Copy` the
-/// pre-persistence config accidentally had is gone for good. Struct
-/// literals with `..EngineConfig::default()` keep working; code that
-/// relied on implicit copies should clone, or better, stop building
-/// configs by hand: the [`fastlive` facade](https://docs.rs/fastlive)
-/// builder (`Fastlive::builder()`) is the preferred front door — it
-/// subsumes every field here and validates the combination at
-/// `build()` time.
+/// `EngineConfig` is `Clone` + `Default`, not `Copy` (`persist_dir`
+/// owns a [`PathBuf`]); struct literals end in
+/// `..EngineConfig::default()`. The [`fastlive`
+/// facade](https://docs.rs/fastlive)'s `Fastlive::builder()` is the
+/// preferred front door: it sets every field here and validates the
+/// combination at `build()` time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Worker threads for [`AnalysisEngine::analyze`]. `0` means "one
     /// per available CPU"; `1` runs inline on the calling thread.
     pub threads: usize,
-    /// Bound on precomputations retained by the CFG-fingerprint cache.
-    /// `0` disables in-memory caching (every analysis probes the disk
-    /// tier, if configured, or recomputes). The bound is distributed
-    /// over the stripes — each holds up to `⌈capacity / stripes⌉`
-    /// entries (at least 1) — so the effective engine-wide bound is
-    /// `stripes × ⌈capacity / stripes⌉`: rounded **up** to keep every
-    /// stripe functional, never below the configured value, and at
-    /// most `stripes - 1` above it. Size memory-critical deployments
-    /// by the effective bound (or set `stripes: 1` for an exact one).
+    /// Exact, engine-wide bound on the artifacts the in-memory LRU
+    /// retains (one per `(shape, analysis)`). `0` disables in-memory
+    /// caching: every analysis probes the disk tier, if configured, or
+    /// recomputes.
     pub cache_capacity: usize,
-    /// Lock stripes of the in-memory cache. Fingerprints are spread
-    /// over `stripes` independently locked segments by hash, so
-    /// concurrent workers probing *different* shapes no longer
-    /// serialize on one mutex (probing the *same* shape still
-    /// deduplicates to one precomputation — the in-flight table is
-    /// per-stripe, and a shape maps to exactly one stripe). `0` picks
-    /// the default (8).
-    pub stripes: usize,
     /// Directory of the cross-process persistence tier
     /// ([`PersistStore`]); `None` (the default) disables it. When set,
     /// every in-memory miss probes the directory for a serialized
@@ -76,26 +60,18 @@ pub struct EngineConfig {
 }
 
 /// The default is a non-zero configuration (auto threads, a 256-entry
-/// cache over 8 stripes, no persistence), so `Default` stays a manual
-/// impl rather than a derive — `#[derive(Default)]` would silently
-/// disable caching.
+/// cache, no persistence), so `Default` stays a manual impl rather
+/// than a derive — `#[derive(Default)]` would silently disable
+/// caching.
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: 0,
             cache_capacity: 256,
-            stripes: 0,
             persist_dir: None,
             disk_breaker: BreakerConfig::default(),
         }
     }
-}
-
-impl EngineConfig {
-    /// Stripe count used when [`stripes`](Self::stripes) is 0 — public
-    /// so front ends (the facade builder) can resolve the auto value
-    /// the same way the engine will.
-    pub const DEFAULT_STRIPES: usize = 8;
 }
 
 /// A module-level liveness analysis engine.
@@ -111,18 +87,17 @@ impl EngineConfig {
 /// Precomputations are cached and shared by CFG shape: analyzing two
 /// functions with identical CFGs, or re-analyzing a recompiled function
 /// whose CFG survived (the paper's §1 JIT scenario), costs one cache
-/// probe instead of a §5.2 precomputation. The in-memory tier is
-/// **lock-striped** ([`EngineConfig::stripes`]): different shapes may
-/// probe concurrently, while two workers that miss on the *same* shape
-/// are deduplicated — the first resolves, the rest block on the
-/// in-flight slot and adopt its result — so `misses` counts exactly
-/// one resolution per distinct shape under any interleaving. With
+/// probe instead of a §5.2 precomputation. The in-memory tier is one
+/// LRU under one lock, held only to probe, register and publish:
+/// workers that miss on the *same* shape are deduplicated — the first
+/// resolves outside the lock, the rest block on its in-flight slot and
+/// adopt the result — so `misses` counts exactly one resolution per
+/// distinct shape under any interleaving. With
 /// [`EngineConfig::persist_dir`] set, misses consult a cross-process
 /// on-disk tier before computing and write through after
 /// ([`persist`](crate::persist)). Hits, misses, evictions, dedup hits
 /// and disk-tier outcomes are observable through
-/// [`cache_stats`](Self::cache_stats) and, per stripe,
-/// [`stripe_stats`](Self::stripe_stats).
+/// [`cache_stats`](Self::cache_stats).
 ///
 /// # Examples
 ///
@@ -151,10 +126,8 @@ impl EngineConfig {
 /// ```
 pub struct AnalysisEngine {
     config: EngineConfig,
-    /// Lock-striped cache segments: a fingerprint hashes to exactly one
-    /// stripe, so same-shape probes still meet (and deduplicate) while
-    /// different-shape probes proceed in parallel.
-    stripes: Vec<Mutex<StripeState>>,
+    /// The in-memory tier: the LRU and the in-flight table.
+    memory: Mutex<MemoryTier>,
     /// The optional cross-process disk tier.
     store: Option<PersistStore>,
     /// Circuit breaker over the disk tier: consecutive I/O errors trip
@@ -184,11 +157,11 @@ pub struct AnalysisEngine {
 /// [`AnalysisEngine::set_compute_fault`]).
 pub type ComputeFaultHook = Box<dyn Fn(&CfgShape) + Send + Sync>;
 
-/// One stripe: cache segment plus the in-flight table, guarded by one
-/// mutex so a probe and its in-flight registration are atomic. Both
-/// maps are keyed per `(fingerprint, analysis)`: the same shape being
-/// resolved for two analyses is two independent in-flight slots.
-struct StripeState {
+/// The LRU plus the in-flight table, guarded by one mutex so a probe
+/// and its in-flight registration are atomic. Both maps are keyed per
+/// `(fingerprint, analysis)`: the same shape being resolved for two
+/// analyses is two independent in-flight slots.
+struct MemoryTier {
     cache: FingerprintCache,
     in_flight: HashMap<ArtifactKey, Arc<InFlightSlot>>,
 }
@@ -216,7 +189,6 @@ enum SlotState {
 /// slot is abandoned and waiters are released instead of deadlocking.
 struct ComputeGuard<'a> {
     engine: &'a AnalysisEngine,
-    stripe: usize,
     key: ArtifactKey,
     slot: Arc<InFlightSlot>,
     completed: bool,
@@ -227,16 +199,16 @@ impl Drop for ComputeGuard<'_> {
         if self.completed {
             return;
         }
-        let mut st = lock_recover(&self.engine.stripes[self.stripe]);
-        st.in_flight.remove(&self.key);
-        drop(st);
+        lock_recover(&self.engine.memory)
+            .in_flight
+            .remove(&self.key);
         *lock_recover(&self.slot.state) = SlotState::Abandoned;
         self.slot.cond.notify_all();
     }
 }
 
 /// What the disk tier contributed to one in-memory miss (recorded into
-/// the owning stripe's stats after the result is ready).
+/// the cache stats after the result is ready).
 enum DiskOutcome {
     /// Persistence disabled: no counter moves.
     Disabled,
@@ -282,26 +254,10 @@ impl AnalysisEngine {
     }
 
     fn build(config: EngineConfig, vfs: Option<Arc<dyn Vfs>>, recorder: Arc<dyn Recorder>) -> Self {
-        let nstripes = if config.stripes == 0 {
-            EngineConfig::DEFAULT_STRIPES
-        } else {
-            config.stripes
-        };
-        // Distribute the capacity bound: ⌈capacity / stripes⌉ per
-        // stripe (0 stays 0 — caching disabled everywhere).
-        let per_stripe = if config.cache_capacity == 0 {
-            0
-        } else {
-            config.cache_capacity.div_ceil(nstripes).max(1)
-        };
-        let stripes = (0..nstripes)
-            .map(|_| {
-                Mutex::new(StripeState {
-                    cache: FingerprintCache::new(per_stripe),
-                    in_flight: HashMap::new(),
-                })
-            })
-            .collect();
+        let memory = Mutex::new(MemoryTier {
+            cache: FingerprintCache::new(config.cache_capacity),
+            in_flight: HashMap::new(),
+        });
         let store = config.persist_dir.as_ref().map(|dir| {
             if recorder.enabled() {
                 // Metering wraps whatever VFS the disk tier would have
@@ -321,7 +277,7 @@ impl AnalysisEngine {
         let breaker = DiskBreaker::new(config.disk_breaker.clone());
         let quarantine = Quarantine::new(config.disk_breaker.quarantine_threshold);
         AnalysisEngine {
-            stripes,
+            memory,
             store,
             breaker,
             quarantine,
@@ -333,18 +289,9 @@ impl AnalysisEngine {
     }
 
     /// An engine with [`EngineConfig::default`] (auto thread count,
-    /// 256-entry cache over 8 stripes, no persistence).
+    /// 256-entry cache, no persistence).
     pub fn with_defaults() -> Self {
         Self::new(EngineConfig::default())
-    }
-
-    /// The stripe owning `(shape, kind)` — pure hash dispatch over the
-    /// kind-salted shape hash, stable for the life of the engine. The
-    /// salt spreads a shape's analyses over (usually) different
-    /// stripes, so resolving liveness and nullness for one hot shape
-    /// does not serialize on one mutex.
-    fn stripe_of(&self, shape: &CfgShape, kind: AnalysisKind) -> usize {
-        ((shape.hash64() ^ kind.salt()) % self.stripes.len() as u64) as usize
     }
 
     /// The engine's configuration.
@@ -437,7 +384,7 @@ impl AnalysisEngine {
     /// using the same self-scheduling worker pool as
     /// [`analyze`](Self::analyze): workers claim requests off a shared
     /// atomic cursor, so a batch that mixes analyses and function
-    /// sizes still balances. Results land in the striped cache (and
+    /// sizes still balances. Results land in the in-memory cache (and
     /// the persist tier, when configured) — the point is that later
     /// per-function queries become memory hits. Out-of-range ids and
     /// per-function failures are skipped: prefetching is advisory, the
@@ -472,8 +419,8 @@ impl AnalysisEngine {
     /// keeps one (a session entry) never re-fingerprints the CFG.
     ///
     /// Cache misses are deduplicated per key: the first prober
-    /// registers an in-flight slot in the key's stripe and resolves
-    /// the miss **outside the stripe lock** — first against the disk
+    /// registers an in-flight slot and resolves the miss **outside
+    /// the cache lock** — first against the disk
     /// tier (if configured), then by computing over the shape's
     /// canonical graph; concurrent probers of the same key block on
     /// the slot and adopt the result, counted as `dedup_hits`.
@@ -485,7 +432,7 @@ impl AnalysisEngine {
     /// get their own error, or succeed if the panic was transient) and
     /// surfaces as [`AnalysisError::ComputePanicked`] — it never
     /// crosses the engine boundary as an unwind, and with every lock
-    /// acquisition poison-recovering, it never wedges other stripes.
+    /// acquisition poison-recovering, it never wedges the cache.
     pub(crate) fn resolve<A: AnalysisArtifact>(
         &self,
         shape: &CfgShape,
@@ -501,14 +448,13 @@ impl AnalysisEngine {
             Arc::clone(A::from_handle(handle).expect("cache entry kind matches its key"))
         };
         let key = (shape.clone(), A::KIND);
-        let si = self.stripe_of(shape, A::KIND);
         let metered = self.recorder.enabled();
         loop {
             // One span per loop iteration: a retry after an abandoned
             // slot records its own (accurate) wait or hit.
             let t0 = metered.then(Instant::now);
             let role = {
-                let mut st = lock_recover(&self.stripes[si]);
+                let mut st = lock_recover(&self.memory);
                 if let Some(handle) = st.cache.probe(&key) {
                     if let Some(t0) = t0 {
                         self.recorder
@@ -549,7 +495,7 @@ impl AnalysisEngine {
                         }
                     };
                     if let Some(handle) = adopted {
-                        lock_recover(&self.stripes[si]).cache.note_dedup_hit();
+                        lock_recover(&self.memory).cache.note_dedup_hit();
                         if let Some(t0) = t0 {
                             self.recorder
                                 .tier(Tier::DedupWait, t0.elapsed().as_nanos() as u64);
@@ -562,7 +508,6 @@ impl AnalysisEngine {
                 Role::Compute(slot) => {
                     let guard = ComputeGuard {
                         engine: self,
-                        stripe: si,
                         key: key.clone(),
                         slot: Arc::clone(&slot),
                         completed: false,
@@ -590,7 +535,7 @@ impl AnalysisEngine {
                     let handle = A::into_handle(Arc::clone(&art));
                     let mut guard = guard;
                     {
-                        let mut st = lock_recover(&self.stripes[si]);
+                        let mut st = lock_recover(&self.memory);
                         match disk {
                             DiskOutcome::Disabled | DiskOutcome::Skipped => {}
                             DiskOutcome::Hit => st.cache.note_disk_hit(),
@@ -623,7 +568,7 @@ impl AnalysisEngine {
                             }
                             Err(_) => {
                                 self.disk_failure();
-                                lock_recover(&self.stripes[si]).cache.note_disk_error();
+                                lock_recover(&self.memory).cache.note_disk_error();
                             }
                         }
                     }
@@ -764,10 +709,6 @@ impl AnalysisEngine {
     /// tier tripping open and restoring.
     pub fn health(&self) -> HealthReport {
         let (state, trips, restores, skipped, streak) = self.breaker.snapshot();
-        let stripes = self.stripe_stats();
-        let cache = stripes
-            .iter()
-            .fold(CacheStats::default(), |acc, s| acc.add(s));
         HealthReport {
             persist_configured: self.store.is_some(),
             disk_state: state,
@@ -776,8 +717,7 @@ impl AnalysisEngine {
             disk_probes_skipped: skipped,
             consecutive_disk_failures: streak,
             quarantined_shapes: self.quarantine.len(),
-            cache,
-            stripes,
+            cache: self.cache_stats(),
             last_gc: *lock_recover(&self.last_gc),
             recent_events: self.recorder.recent_events(),
         }
@@ -797,21 +737,9 @@ impl AnalysisEngine {
     }
 
     /// Cumulative cache statistics (hits / misses / evictions / dedup
-    /// hits / disk tier), summed over all stripes.
+    /// hits / disk tier).
     pub fn cache_stats(&self) -> CacheStats {
-        self.stripe_stats()
-            .iter()
-            .fold(CacheStats::default(), |acc, s| acc.add(s))
-    }
-
-    /// Per-stripe cache statistics, in stripe order. Always sums
-    /// (field-wise) to [`cache_stats`](Self::cache_stats) — a probe is
-    /// accounted in exactly one stripe.
-    pub fn stripe_stats(&self) -> Vec<CacheStats> {
-        self.stripes
-            .iter()
-            .map(|s| lock_recover(s).cache.stats())
-            .collect()
+        lock_recover(&self.memory).cache.stats()
     }
 
     /// Runs a GC sweep over the persistence tier
@@ -839,12 +767,9 @@ impl AnalysisEngine {
         stats
     }
 
-    /// Number of precomputations currently cached, over all stripes.
+    /// Number of artifacts currently cached in memory.
     pub fn cache_len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| lock_recover(s).cache.len())
-            .sum()
+        lock_recover(&self.memory).cache.len()
     }
 
     /// Resolved worker count for a module of `n` functions (shared
@@ -954,6 +879,46 @@ mod tests {
         let v0 = module.func(c).params()[0];
         let b1 = module.func(c).block_by_index(1);
         assert!(session.is_live_in(&module, c, v0, b1).unwrap());
+    }
+
+    /// `cache_capacity` bounds the whole engine exactly: N + 1 distinct
+    /// shapes probed in order evict one entry, the least recently used.
+    #[test]
+    fn capacity_is_an_exact_engine_wide_lru_bound() {
+        const N: usize = 6;
+        // Straight-line chains of 1..=N + 1 blocks: N + 1 distinct shapes.
+        let chains: Vec<Function> = (1..=N + 1)
+            .map(|len| {
+                let mut src = String::from("function %chain { block0(v0): ");
+                for b in 1..len {
+                    src.push_str(&format!("jump block{b} block{b}: "));
+                }
+                src.push_str("return v0 }");
+                fastlive_ir::parse_function(&src).expect("parses")
+            })
+            .collect();
+        let engine = AnalysisEngine::new(EngineConfig {
+            threads: 1,
+            cache_capacity: N,
+            ..EngineConfig::default()
+        });
+        for func in &chains {
+            engine.analysis_for(func).expect("no injected faults");
+        }
+        let stats = engine.cache_stats();
+        assert_eq!(
+            (stats.misses, stats.evictions),
+            (N as u64 + 1, 1),
+            "{stats:?}"
+        );
+        assert_eq!(engine.cache_len(), N);
+        // The N most recent shapes survived; the first one did not.
+        for func in &chains[1..] {
+            engine.analysis_for(func).expect("no injected faults");
+        }
+        assert_eq!(engine.cache_stats().hits, N as u64);
+        engine.analysis_for(&chains[0]).expect("no injected faults");
+        assert_eq!(engine.cache_stats().misses, N as u64 + 2);
     }
 
     #[test]

@@ -22,11 +22,11 @@
 //!   AnalysisEngine::analyze       scoped worker pool, self-scheduling
 //!           │                     shared queue (EngineConfig::threads)
 //!           ▼
-//!   CfgShape fingerprint cache    lock-striped bounded LRU keyed by
-//!           │                     CFG structure: CFG-identical
-//!           │                     functions — including recompiled
-//!           │                     ones — share one precomputation
-//!           │                     (per-stripe CacheStats observable)
+//!   CfgShape fingerprint cache    one bounded LRU under one lock,
+//!           │                     keyed by CFG structure:
+//!           │                     CFG-identical functions — including
+//!           │                     recompiled ones — share one
+//!           │                     precomputation (CacheStats)
 //!           ▼
 //!   persist::PersistStore         optional cross-process tier
 //!           │                     (EngineConfig::persist_dir): misses

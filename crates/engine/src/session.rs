@@ -663,14 +663,13 @@ mod tests {
         assert_eq!(facts.of(v1), fastlive_core::Nullness::Null, "iconst 0");
     }
 
-    /// An engine whose cache outlives the tests' edits (one stripe, no
+    /// An engine whose cache outlives the tests' edits (no
     /// evictions), so a re-resolution of a known shape is a counted
     /// memory hit.
     fn cached_engine() -> AnalysisEngine {
         AnalysisEngine::new(EngineConfig {
             threads: 1,
             cache_capacity: 8,
-            stripes: 1,
             ..EngineConfig::default()
         })
     }

@@ -1,15 +1,14 @@
-//! Concurrency properties of the lock-striped cache (ISSUE 4): N
-//! threads released by a barrier onto overlapping fingerprints — cold,
-//! warm-memory and warm-disk — must still compute (or disk-load) each
-//! distinct shape exactly once (`dedup_hits` invariant survives
-//! striping), per-stripe stats must sum to the engine totals, and
-//! answers must be independent of the stripe count.
+//! Concurrency properties of the engine's cache: N threads released by
+//! a barrier onto overlapping fingerprints — cold, warm-memory and
+//! warm-disk — must compute (or disk-load) each distinct shape exactly
+//! once, every probe must land in exactly one of `hits`, `misses` and
+//! `dedup_hits`, and answers must be independent of the thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 use fastlive_core::FunctionLiveness;
-use fastlive_engine::{AnalysisEngine, CacheStats, EngineConfig};
+use fastlive_engine::{AnalysisEngine, EngineConfig};
 use fastlive_ir::Module;
 use fastlive_workload::{generate_module, ModuleParams};
 
@@ -18,7 +17,7 @@ use common::{distinct_shapes, temp_dir};
 
 fn test_module(seed: u64, functions: usize) -> Module {
     generate_module(
-        "stripe",
+        "concurrency",
         ModuleParams {
             functions,
             min_blocks: 4,
@@ -30,58 +29,47 @@ fn test_module(seed: u64, functions: usize) -> Module {
     )
 }
 
-fn assert_stripes_sum_to_totals(engine: &AnalysisEngine) -> CacheStats {
-    let total = engine.cache_stats();
-    let summed = engine
-        .stripe_stats()
-        .iter()
-        .fold(CacheStats::default(), |acc, s| acc.add(s));
-    assert_eq!(summed, total, "per-stripe stats must sum to the totals");
-    total
+/// N threads released by one barrier onto the functions of `module`,
+/// each starting at a different offset so shape probes interleave.
+fn barrier_storm(engine: &AnalysisEngine, module: &Module, threads: usize) {
+    let barrier = Barrier::new(threads);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let barrier = &barrier;
+            scope.spawn(move || {
+                barrier.wait();
+                for i in 0..module.len() {
+                    let _ = engine.analysis_for(&module.functions()[(i + t) % module.len()]);
+                }
+            });
+        }
+    });
 }
 
-/// The PR-3 dedup property, now under striping: N threads × one
-/// barrier × overlapping shapes — exactly one computation per distinct
-/// shape, across several stripe counts (including 1, the degenerate
-/// single-mutex layout, and 3, which does not divide the shape count).
+/// The dedup property: N threads × one barrier × overlapping shapes —
+/// exactly one computation per distinct shape, and every probe
+/// accounted for, over modules whose shape counts differ.
 #[test]
-fn barrier_storm_computes_each_shape_once_per_stripe_count() {
+fn barrier_storm_computes_each_shape_once() {
     const THREADS: usize = 8;
-    let module = test_module(11, 6);
-    let distinct = distinct_shapes(&module);
-    for stripes in [1usize, 3, 8] {
+    for (seed, functions) in [(11, 6), (13, 9), (17, 12)] {
+        let module = test_module(seed, functions);
+        let distinct = distinct_shapes(&module);
         let engine = AnalysisEngine::new(EngineConfig {
             threads: 1,
             cache_capacity: 64,
-            stripes,
             ..EngineConfig::default()
         });
-        let barrier = Barrier::new(THREADS);
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let engine = &engine;
-                let module = &module;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    barrier.wait();
-                    // Each thread walks the functions at a different
-                    // starting offset so shape probes interleave.
-                    for i in 0..module.len() {
-                        let func = &module.functions()[(i + t) % module.len()];
-                        let _ = engine.analysis_for(func);
-                    }
-                });
-            }
-        });
-        let stats = assert_stripes_sum_to_totals(&engine);
+        barrier_storm(&engine, &module, THREADS);
+        let stats = engine.cache_stats();
         assert_eq!(
             stats.misses, distinct,
-            "stripes={stripes}: one computation per distinct shape: {stats:?}"
+            "seed={seed}: one computation per distinct shape: {stats:?}"
         );
         assert_eq!(
             stats.hits + stats.dedup_hits + stats.misses,
             (THREADS * module.len()) as u64,
-            "stripes={stripes}: every probe accounted for: {stats:?}"
+            "seed={seed}: every probe accounted for: {stats:?}"
         );
         assert_eq!(engine.cache_len() as u64, distinct);
     }
@@ -95,7 +83,7 @@ fn barrier_storm_on_warm_disk_loads_each_shape_once() {
     const THREADS: usize = 8;
     let module = test_module(29, 6);
     let distinct = distinct_shapes(&module);
-    let dir = temp_dir("stripe-warmdisk");
+    let dir = temp_dir("concurrency-warmdisk");
 
     // Seed the store.
     let seeder = AnalysisEngine::new(EngineConfig {
@@ -106,58 +94,44 @@ fn barrier_storm_on_warm_disk_loads_each_shape_once() {
     let _ = seeder.analyze(&module);
     assert_eq!(seeder.cache_stats().disk_misses, distinct);
 
-    for stripes in [2usize, 8] {
+    // Two fresh engines on the same warm store: each loads every
+    // shape once.
+    for round in 0..2 {
         let engine = AnalysisEngine::new(EngineConfig {
             threads: 1,
             cache_capacity: 64,
-            stripes,
             persist_dir: Some(dir.clone()),
             ..EngineConfig::default()
         });
-        let barrier = Barrier::new(THREADS);
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let engine = &engine;
-                let module = &module;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    barrier.wait();
-                    for i in 0..module.len() {
-                        let func = &module.functions()[(i + t) % module.len()];
-                        let _ = engine.analysis_for(func);
-                    }
-                });
-            }
-        });
-        let stats = assert_stripes_sum_to_totals(&engine);
+        barrier_storm(&engine, &module, THREADS);
+        let stats = engine.cache_stats();
         assert_eq!(
             stats.misses, distinct,
-            "stripes={stripes}: one resolution per distinct shape: {stats:?}"
+            "round {round}: one resolution per distinct shape: {stats:?}"
         );
         assert_eq!(
             stats.disk_hits, distinct,
-            "stripes={stripes}: all of them from disk: {stats:?}"
+            "round {round}: all of them from disk: {stats:?}"
         );
         assert_eq!(
-            stats.misses - stats.disk_hits,
-            0,
-            "stripes={stripes}: zero precomputations on a warm disk"
+            stats.hits + stats.dedup_hits + stats.misses,
+            (THREADS * module.len()) as u64,
+            "round {round}: every probe accounted for: {stats:?}"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Stripe counts never change answers: 1, 2 and 8 stripes produce
+/// Thread counts never change answers: 1, 2, 4 and 8 workers produce
 /// bit-identical sessions (checked against a fresh per-function
 /// analysis).
 #[test]
-fn stripe_count_does_not_change_answers() {
+fn thread_count_does_not_change_answers() {
     let module = test_module(43, 5);
-    for stripes in [1usize, 2, 8] {
+    for threads in [1usize, 2, 4, 8] {
         let engine = AnalysisEngine::new(EngineConfig {
-            threads: 4,
+            threads,
             cache_capacity: 32,
-            stripes,
             ..EngineConfig::default()
         });
         let mut session = engine.analyze(&module);
@@ -168,32 +142,31 @@ fn stripe_count_does_not_change_answers() {
                     assert_eq!(
                         session.is_live_in(&module, id, v, b),
                         Ok(oracle.is_live_in(func, v, b)),
-                        "stripes={stripes}: {} {v} at {b}",
+                        "threads={threads}: {} {v} at {b}",
                         func.name
                     );
                 }
             }
         }
-        assert_stripes_sum_to_totals(&engine);
     }
 }
 
-/// `analyze`'s own worker pool (not a hand-rolled barrier) through the
-/// striped cache: warm reruns stay all-hit and per-stripe stats keep
-/// summing after repeated traffic and evictions.
+/// `analyze`'s own worker pool (not a hand-rolled barrier) through a
+/// cache too small for the module: every probe stays accounted for
+/// after repeated traffic and evictions, and the capacity bound is
+/// exact.
 #[test]
-fn analyze_pool_traffic_keeps_stripe_accounting_exact() {
+fn analyze_pool_traffic_keeps_accounting_exact() {
     let module = test_module(57, 12);
     let distinct = distinct_shapes(&module);
     let engine = AnalysisEngine::new(EngineConfig {
         threads: 4,
-        cache_capacity: 8, // small: force evictions across stripes
-        stripes: 4,
+        cache_capacity: 8, // small: force evictions
         ..EngineConfig::default()
     });
     for round in 0..4 {
         let _ = engine.analyze(&module);
-        let stats = assert_stripes_sum_to_totals(&engine);
+        let stats = engine.cache_stats();
         assert_eq!(
             stats.hits + stats.dedup_hits + stats.misses,
             ((round + 1) * module.len()) as u64,
@@ -204,16 +177,12 @@ fn analyze_pool_traffic_keeps_stripe_accounting_exact() {
             "round {round}: at least one computation per distinct shape"
         );
     }
-    // The capacity bound holds across stripes (ceil-distributed).
-    assert!(
-        engine.cache_len() <= 4 * 2usize,
-        "4 stripes × ⌈8/4⌉ entries: {} cached",
-        engine.cache_len()
-    );
+    assert!(distinct > 8, "the module must overflow the cache");
+    assert_eq!(engine.cache_len(), 8, "the capacity bound is exact");
 }
 
 /// Concurrent probes through `analysis_for` share one `Arc` per shape
-/// even when stripes and the disk tier are both in play.
+/// even with the disk tier in play.
 #[test]
 fn concurrent_probes_share_one_arc_per_shape() {
     const THREADS: usize = 6;
@@ -221,11 +190,10 @@ fn concurrent_probes_share_one_arc_per_shape() {
         "function %f { block0(v0): jump block1 block1: brif v0, block1, block2 block2: return v0 }",
     )
     .expect("parses");
-    let dir = temp_dir("stripe-arc");
+    let dir = temp_dir("concurrency-arc");
     let engine = AnalysisEngine::new(EngineConfig {
         threads: 1,
         cache_capacity: 16,
-        stripes: 4,
         persist_dir: Some(dir.clone()),
         ..EngineConfig::default()
     });
@@ -254,7 +222,7 @@ fn concurrent_probes_share_one_arc_per_shape() {
             "all probers must share the single resolution"
         );
     }
-    let stats = assert_stripes_sum_to_totals(&engine);
+    let stats = engine.cache_stats();
     assert_eq!(stats.misses, 1);
     assert_eq!(stats.hits + stats.dedup_hits, (THREADS - 1) as u64);
     std::fs::remove_dir_all(&dir).ok();

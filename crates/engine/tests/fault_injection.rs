@@ -171,7 +171,6 @@ fn breaker_trips_backs_off_and_restores() {
                 max_backoff: Duration::from_millis(200),
                 ..BreakerConfig::default()
             },
-            ..EngineConfig::default()
         },
         fv.clone(),
     );
@@ -251,7 +250,6 @@ fn repeatedly_rejecting_entry_is_quarantined() {
                 quarantine_threshold: 2,
                 ..BreakerConfig::default()
             },
-            ..EngineConfig::default()
         },
         fv,
     );

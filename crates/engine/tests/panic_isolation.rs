@@ -153,9 +153,9 @@ fn sessions_self_heal_once_the_fault_clears() {
 }
 
 #[test]
-fn concurrent_queries_on_other_stripes_keep_answering() {
-    // Many distinct shapes spread over stripes; one is poisoned. All
-    // others must analyze concurrently without contagion.
+fn concurrent_queries_on_other_shapes_keep_answering() {
+    // Many distinct shapes; one is poisoned. All others must analyze
+    // concurrently without contagion.
     let mut src = String::new();
     for i in 0..12 {
         src.push_str(&format!("function %f{i} {{ block0(v0): "));
@@ -168,13 +168,12 @@ fn concurrent_queries_on_other_stripes_keep_answering() {
     let bad_shape = CfgShape::of(module.func(5));
     let engine = AnalysisEngine::new(EngineConfig {
         threads: 4,
-        stripes: 8,
         ..EngineConfig::default()
     });
     let target = bad_shape.clone();
     engine.set_compute_fault(Some(Box::new(move |shape: &CfgShape| {
         if *shape == target {
-            panic!("stripe-local poison");
+            panic!("shape-local poison");
         }
     })));
 

@@ -60,7 +60,7 @@ impl QueryClass {
 /// the disk tier is consulted, one additional `Disk*` span rides along.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
-    /// The striped in-memory cache answered (span: lock + probe).
+    /// The in-memory cache answered (span: lock + probe).
     MemoryHit,
     /// Another worker was computing the same shape; this probe waited
     /// and adopted its result (span: the full wait).

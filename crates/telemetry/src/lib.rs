@@ -104,7 +104,7 @@ pub trait Recorder: Send + Sync {
     /// (batch-row) vs the scalar path, and the whole-batch latency.
     fn plan(&self, _queries: u64, _grouped_groups: u64, _scalar_groups: u64, _ns: u64) {}
 
-    /// One engine cache-tier outcome with its duration: a stripe hit,
+    /// One engine cache-tier outcome with its duration: a memory hit,
     /// a dedup wait, a disk probe (classified), or a cold compute.
     fn tier(&self, _tier: Tier, _ns: u64) {}
 

@@ -57,16 +57,6 @@ pub struct GcPolicy {
 /// door turns them into values instead.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BuildError {
-    /// More stripes than cache entries: the engine would round the
-    /// per-stripe bound up to 1, silently inflating the configured
-    /// capacity to `stripes` entries. Lower `stripes` or raise
-    /// `cache_capacity`.
-    StripesExceedCapacity {
-        /// Configured stripe count.
-        stripes: usize,
-        /// Configured capacity.
-        cache_capacity: usize,
-    },
     /// The configured persist path exists and is not a directory — the
     /// store would silently degrade every probe to a reject.
     PersistDirNotADirectory(PathBuf),
@@ -77,14 +67,6 @@ pub enum BuildError {
 impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BuildError::StripesExceedCapacity {
-                stripes,
-                cache_capacity,
-            } => write!(
-                f,
-                "{stripes} stripes exceed the {cache_capacity}-entry cache capacity \
-                 (the effective bound would round up to one entry per stripe)"
-            ),
             BuildError::PersistDirNotADirectory(p) => {
                 write!(
                     f,
@@ -104,14 +86,10 @@ impl std::error::Error for BuildError {}
 /// Builder for [`Fastlive`] — the preferred way to configure the
 /// whole stack (it subsumes [`EngineConfig`] construction and
 /// validates the combination at [`build()`](Self::build)).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct FastliveBuilder {
-    threads: usize,
-    cache_capacity: usize,
-    stripes: usize,
-    persist_dir: Option<PathBuf>,
+    config: EngineConfig,
     gc: Option<GcPolicy>,
-    disk_breaker: BreakerConfig,
     vfs: Option<Arc<dyn Vfs>>,
     recorder: Option<Arc<dyn Recorder>>,
 }
@@ -119,12 +97,8 @@ pub struct FastliveBuilder {
 impl std::fmt::Debug for FastliveBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FastliveBuilder")
-            .field("threads", &self.threads)
-            .field("cache_capacity", &self.cache_capacity)
-            .field("stripes", &self.stripes)
-            .field("persist_dir", &self.persist_dir)
+            .field("config", &self.config)
             .field("gc", &self.gc)
-            .field("disk_breaker", &self.disk_breaker)
             .field("vfs", &self.vfs.as_ref().map(|_| "<dyn Vfs>"))
             .field(
                 "recorder",
@@ -134,50 +108,25 @@ impl std::fmt::Debug for FastliveBuilder {
     }
 }
 
-impl Default for FastliveBuilder {
-    fn default() -> Self {
-        let config = EngineConfig::default();
-        FastliveBuilder {
-            threads: config.threads,
-            cache_capacity: config.cache_capacity,
-            stripes: config.stripes,
-            persist_dir: config.persist_dir,
-            gc: None,
-            disk_breaker: config.disk_breaker,
-            vfs: None,
-            recorder: None,
-        }
-    }
-}
-
 impl FastliveBuilder {
     /// Worker threads for module analysis (`0` = one per CPU, the
     /// default; `1` = inline on the calling thread).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.config.threads = threads;
         self
     }
 
-    /// Bound on precomputations retained in memory (`0` disables the
-    /// in-memory tier). Default 256.
+    /// Exact bound on the artifacts retained in memory (`0` disables
+    /// the in-memory tier). Default 256.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Lock stripes of the in-memory cache. `0` (the default) picks
-    /// [`EngineConfig::DEFAULT_STRIPES`] narrowed to the cache
-    /// capacity, so a small capacity never silently inflates; an
-    /// explicit value larger than the capacity is a [`BuildError`].
-    pub fn stripes(mut self, stripes: usize) -> Self {
-        self.stripes = stripes;
+        self.config.cache_capacity = capacity;
         self
     }
 
     /// Directory of the cross-process persistence tier (disabled by
     /// default).
     pub fn persist_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.persist_dir = Some(dir.into());
+        self.config.persist_dir = Some(dir.into());
         self
     }
 
@@ -200,7 +149,7 @@ impl FastliveBuilder {
     /// sick entry. See [`BreakerConfig`] for the defaults and
     /// [`Fastlive::health`] for the observable state.
     pub fn disk_breaker(mut self, config: BreakerConfig) -> Self {
-        self.disk_breaker = config;
+        self.config.disk_breaker = config;
         self
     }
 
@@ -238,40 +187,17 @@ impl FastliveBuilder {
     /// Validates the configuration and builds the facade. The build
     /// itself is cheap — precomputation happens per analyzed module.
     pub fn build(self) -> Result<Fastlive, BuildError> {
-        // Resolve the auto stripe count the way the engine will
-        // (`EngineConfig::DEFAULT_STRIPES`), then narrow it to the
-        // capacity: "auto" means "pick something valid", so a small
-        // explicit capacity shrinks the stripe count rather than
-        // tripping the validation below — only an *explicit*
-        // stripes-exceeds-capacity combination is an error.
-        let stripes = if self.stripes == 0 && self.cache_capacity > 0 {
-            EngineConfig::DEFAULT_STRIPES.min(self.cache_capacity)
-        } else {
-            self.stripes
-        };
-        if stripes > 0 && self.cache_capacity > 0 && stripes > self.cache_capacity {
-            return Err(BuildError::StripesExceedCapacity {
-                stripes,
-                cache_capacity: self.cache_capacity,
-            });
-        }
-        if let Some(dir) = &self.persist_dir {
+        if let Some(dir) = &self.config.persist_dir {
             if dir.exists() && !dir.is_dir() {
                 return Err(BuildError::PersistDirNotADirectory(dir.clone()));
             }
         }
-        if self.gc.is_some() && self.persist_dir.is_none() {
+        if self.gc.is_some() && self.config.persist_dir.is_none() {
             return Err(BuildError::GcWithoutPersistDir);
         }
-        let config = EngineConfig {
-            threads: self.threads,
-            cache_capacity: self.cache_capacity,
-            stripes,
-            persist_dir: self.persist_dir,
-            disk_breaker: self.disk_breaker,
-        };
         let recorder: Arc<dyn Recorder> = self.recorder.unwrap_or_else(|| Arc::new(NoopRecorder));
-        let engine = AnalysisEngine::with_instrumentation(config, self.vfs, Arc::clone(&recorder));
+        let engine =
+            AnalysisEngine::with_instrumentation(self.config, self.vfs, Arc::clone(&recorder));
         if let Some(policy) = self.gc {
             engine.gc_persist(policy.max_entries, policy.max_age);
         }
@@ -314,8 +240,8 @@ impl Fastlive {
         FastliveBuilder::default()
     }
 
-    /// A facade with the default configuration (auto threads,
-    /// 256-entry striped cache, no persistence, session backend).
+    /// A facade with the default configuration (auto threads, a
+    /// 256-entry cache, no persistence, session backend).
     pub fn with_defaults() -> Self {
         Self::builder()
             .build()
@@ -323,7 +249,7 @@ impl Fastlive {
     }
 
     /// The underlying analysis engine (cache statistics, manual
-    /// analysis, stripe accounting).
+    /// analysis).
     pub fn engine(&self) -> &AnalysisEngine {
         &self.engine
     }

@@ -161,7 +161,6 @@ fn health_reflects_trip_and_restore() {
     let fl = Fastlive::builder()
         .threads(1)
         .cache_capacity(0) // every probe reaches the disk tier
-        .stripes(1)
         .persist_dir(dir.clone())
         .vfs(vfs.clone())
         .disk_breaker(BreakerConfig {

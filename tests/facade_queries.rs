@@ -223,22 +223,6 @@ fn detached_definition_surfaces_per_backend() {
 
 #[test]
 fn builder_validation_failures() {
-    // More stripes than cache entries: the engine would silently
-    // inflate the bound; the builder refuses.
-    let err = Fastlive::builder()
-        .stripes(16)
-        .cache_capacity(4)
-        .build()
-        .expect_err("stripes exceed capacity");
-    assert_eq!(
-        err,
-        BuildError::StripesExceedCapacity {
-            stripes: 16,
-            cache_capacity: 4,
-        }
-    );
-    assert!(err.to_string().contains("stripes"), "{err}");
-
     // GC policy without a store to sweep.
     let err = Fastlive::builder()
         .gc(10, None)
@@ -258,24 +242,11 @@ fn builder_validation_failures() {
     assert!(err.to_string().contains("not a directory"), "{err}");
     std::fs::remove_file(&file).ok();
 
-    // And the valid shapes of the same knobs build fine.
-    assert!(Fastlive::builder()
-        .stripes(4)
-        .cache_capacity(4)
-        .build()
-        .is_ok());
-    assert!(Fastlive::builder()
-        .cache_capacity(0)
-        .stripes(16)
-        .build()
-        .is_ok());
-
-    // Auto stripes (the default, 0) narrow to a small capacity instead
-    // of silently inflating it to one entry per default stripe: a
-    // 4-entry cache gets 4 stripes, and the effective bound stays 4.
+    // And the valid shapes of the same knobs build fine; the
+    // capacity reaches the engine as configured.
+    assert!(Fastlive::builder().cache_capacity(0).build().is_ok());
     let small = Fastlive::builder().cache_capacity(4).build().unwrap();
-    assert_eq!(small.engine().stripe_stats().len(), 4);
-    assert_eq!(small.config().stripes, 4);
+    assert_eq!(small.config().cache_capacity, 4);
 }
 
 #[test]

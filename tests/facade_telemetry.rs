@@ -178,8 +178,8 @@ fn snapshot_counters_match_issued_queries() {
     assert_eq!(plain.telemetry(), TelemetrySnapshot::default());
 }
 
-/// The enriched health report through the facade: per-stripe stats sum
-/// to the aggregate, the last GC sweep is carried, and session
+/// The enriched health report through the facade: it carries the
+/// engine's cache stats and the last GC sweep, and session
 /// revalidation events reach the report's event tail.
 #[test]
 fn health_report_is_enriched_through_the_facade() {
@@ -212,11 +212,7 @@ fn health_report_is_enriched_through_the_facade() {
     s2.query(&small, &Query::live_sets(id)).unwrap();
 
     let health = fl.health();
-    let summed = health
-        .stripes
-        .iter()
-        .fold(fastlive::CacheStats::default(), |acc, s| acc.add(s));
-    assert_eq!(summed, health.cache, "stripes sum to the aggregate");
+    assert_eq!(health.cache, fl.engine().cache_stats());
     assert!(
         health
             .recent_events
@@ -282,5 +278,5 @@ fn renderings_are_well_formed() {
 
     let health_json = fl.health().to_json().to_string();
     assert!(health_json.contains("\"disk_state\""));
-    assert!(health_json.contains("\"stripes\""));
+    assert!(health_json.contains("\"cache\""));
 }
