@@ -111,8 +111,10 @@ impl<'e> EngineSession<'e> {
         }
     }
 
-    /// Number of functions the session serves (the module's length at
-    /// [`AnalysisEngine::analyze`] time).
+    /// Number of functions the session holds entries for: the module's
+    /// length at [`AnalysisEngine::analyze`] time, grown to the
+    /// module's current length when a function pushed since is first
+    /// accessed.
     pub fn num_functions(&self) -> usize {
         self.entries.len()
     }
@@ -144,17 +146,28 @@ impl<'e> EngineSession<'e> {
     /// The (revalidated) artifact of analysis `A` for `func`, exact
     /// for the function's current state and under instruction-level
     /// edits — the one accessor behind every query method. A kind's
-    /// first request resolves it without moving the epoch.
+    /// first request resolves it without moving the epoch; so does the
+    /// first request for a function pushed onto the module after the
+    /// session opened, whose entry is created here.
     ///
     /// # Panics
     ///
-    /// Panics if `func` is out of range for the analyzed module.
+    /// Panics if `func` is out of range for the module.
     pub fn artifact<A: AnalysisArtifact>(
         &mut self,
         module: &Module,
         func: FuncId,
     ) -> Result<Arc<A>, AnalysisError> {
         let current = module.func(func);
+        if func >= self.entries.len() {
+            let pushed = &module.functions()[self.entries.len()..];
+            self.entries.extend(pushed.iter().map(|f| SessionEntry {
+                shape: CfgShape::of(f),
+                cfg_version: f.cfg_version(),
+                epoch: 0,
+                slots: Default::default(),
+            }));
+        }
         let entry = &self.entries[func];
         if !entry.is_current_for(current) {
             self.reresolve(module, func, CfgShape::of(current));

@@ -9,8 +9,9 @@
 //! | `dom_chains`  | deep dominator ladders, live-through ranges          |
 //! | `massive`     | block counts far past the SPEC-calibrated defaults   |
 //! | `dup_edges`   | duplicate `brif` edges and one-block self-loops      |
-//! | `edits`       | mid-stream CFG/instruction edits against live open   |
-//! |               | sessions (the revalidation contract)                 |
+//! | `edits`       | mid-stream CFG/instruction edits and pushed functions|
+//! |               | against live open sessions (the revalidation         |
+//! |               | contract)                                            |
 //! | `persist`     | fault-injected persistence campaigns + healthy reopen|
 //! | `parser`      | arbitrary bytes through `parse_module` (totality)    |
 //! | `roundtrip`   | print → parse → print fixpoint, reparsed equivalence |
@@ -355,7 +356,9 @@ fn arm_dup_edges(ctx: &mut Ctx) -> ArmStats {
 /// version counter), one detached value (a result whose unused
 /// defining instruction is removed again) and one orphaned block (a
 /// block no branch reaches, holding a definition and the only use of
-/// an entry constant). Returns how many edits landed.
+/// an entry constant). Then pushes a renamed clone of function 0 onto
+/// the module, which the open sessions have no entry for. Returns how
+/// many edits landed.
 fn apply_edits(module: &mut Module, rng: &mut SplitMix64) -> usize {
     let mut applied = 0;
     for fi in 0..module.len() {
@@ -440,6 +443,15 @@ fn apply_edits(module: &mut Module, rng: &mut SplitMix64) -> usize {
         );
         let sum = func.inst_result(sum).expect("an add defines a value");
         func.append_inst(orphan, InstData::Return { args: vec![sum] });
+        applied += 1;
+    }
+
+    // A function pushed after the sessions opened. Draws nothing from
+    // `rng` either.
+    if let Some(first) = module.functions().first() {
+        let mut pushed = first.clone();
+        pushed.name = format!("{}_pushed{}", first.name, module.len());
+        module.push(pushed);
         applied += 1;
     }
     applied

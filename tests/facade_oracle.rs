@@ -314,6 +314,74 @@ fn run_queries_returns_one_result_per_query() {
     }
 }
 
+/// A function pushed onto the module after its sessions opened
+/// answers on every arm, scalar and planned, like the oracle: its first
+/// query resolves it like any first resolution, at epoch 0. Two
+/// functions are pushed between queries: a two-block function with a
+/// new shape, and a renamed clone of function 0, whose shape is cached.
+#[test]
+fn functions_pushed_after_the_session_opened_answer_on_every_arm() {
+    let mut module = test_module(0x9a5, 250, 500);
+    let fl = Fastlive::builder().threads(1).build().expect("valid");
+    let cacheless = Fastlive::builder()
+        .threads(1)
+        .cache_capacity(0)
+        .build()
+        .expect("valid");
+    let arms = [
+        (&fl, BackendKind::Session),
+        (&cacheless, BackendKind::Session),
+        (&fl, BackendKind::Oracle),
+    ];
+    // Per arm: one session answering scalar, one answering planned.
+    let mut sessions: Vec<_> = arms
+        .iter()
+        .map(|&(f, kind)| (f.session_with(&module, kind), f.session_with(&module, kind)))
+        .collect();
+    let before = per_function_queries(0, module.func(0));
+    for (scalar, planned) in &mut sessions {
+        for q in &before {
+            scalar.query(&module, q).expect("function 0 answers");
+        }
+        planned.run_queries(&module, &before);
+    }
+
+    let pushed = fastlive::parse_module(
+        "function %pushed { block0(v0): jump block1 block1: v1 = iadd v0, v0 return v1 }",
+    )
+    .expect("parses");
+    let id = module.push(pushed.func(0).clone());
+    let mut clone = module.func(0).clone();
+    clone.name = "clone0".into();
+    let clone_id = module.push(clone);
+
+    let mut queries = per_function_queries(id, module.func(id));
+    queries.extend(per_function_queries(clone_id, module.func(clone_id)));
+    queries.push(Query::live_in("pushed", "v0", "block1"));
+    let probe = queries.len() - 1;
+    queries.extend(before);
+    let oracle = run_all(&fl, &module, BackendKind::Oracle, &queries);
+    assert_eq!(
+        oracle[probe],
+        Ok(Response::Live(true)),
+        "v0 is used in block1"
+    );
+    for ((scalar, planned), (f, kind)) in sessions.iter_mut().zip(arms) {
+        let arm = format!("{kind:?} (cache capacity {})", f.config().cache_capacity);
+        let answers = planned.run_queries(&module, &queries);
+        for (i, q) in queries.iter().enumerate() {
+            assert_eq!(scalar.query(&module, q), oracle[i], "{arm} scalar: {q:?}");
+            assert_eq!(answers[i], oracle[i], "{arm} planned: {q:?}");
+        }
+        for s in [&*scalar, &*planned] {
+            if let Some(engine) = s.engine_session() {
+                assert_eq!(engine.num_functions(), module.len(), "{arm}");
+                assert_eq!((engine.epoch(id), engine.epoch(clone_id)), (0, 0), "{arm}");
+            }
+        }
+    }
+}
+
 /// Every query of every kind over every value, block and point of the
 /// module — the exhaustive batch for hand-built edge cases.
 fn exhaustive_queries(module: &Module) -> Vec<Query> {
