@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 
 use fastlive::bitset::{DenseBitSet, SortedSet, SparseSet};
 use fastlive::cfg::{DfsTree, DomTree, EdgeClass};
-use fastlive::core::baseline::SortedLivenessChecker;
+use fastlive::core::baseline::{LoopForestChecker, ReferenceChecker, SortedLivenessChecker};
 use fastlive::core::LivenessChecker;
 use fastlive::dataflow::oracle;
 use fastlive::graph::{Cfg as _, DiGraph};
@@ -24,6 +24,25 @@ fn digraphs() -> impl Strategy<Value = DiGraph> {
                 g.add_edge(p % v, v); // parent index below v: stays a DAG backbone
             }
             for (u, v) in extras {
+                g.add_edge(u, v);
+            }
+            g
+        })
+    })
+}
+
+/// Strategy: a [`digraphs`] graph plus 1–4 orphan nodes numbered after
+/// it, with edges among the orphans and into the reachable part but
+/// none out of it, so no orphan is reachable from the entry.
+fn orphaned_digraphs() -> impl Strategy<Value = DiGraph> {
+    (digraphs(), 1u32..5).prop_flat_map(|(g, k)| {
+        let n = g.num_nodes() as u32;
+        let edges = proptest::collection::vec((n..n + k, 0..n + k), 1..3 * k as usize);
+        (Just(g), Just(k), edges).prop_map(|(mut g, k, edges)| {
+            for _ in 0..k {
+                g.add_node();
+            }
+            for (u, v) in edges {
                 g.add_edge(u, v);
             }
             g
@@ -67,24 +86,50 @@ proptest! {
         }
     }
 
-    /// Bitset and sorted-array engines are interchangeable.
+    /// The baseline checkers (sorted arrays, the reference sets and,
+    /// on reducible graphs, the loop forest) answer like the bitset
+    /// engine on every `(def, [use], q)` triple — on connected graphs
+    /// and on graphs with orphan nodes, whose triples the
+    /// unreachable-code rule of `fastlive_core`'s crate docs decides.
     #[test]
-    fn sorted_engine_matches_bitset_engine(g in digraphs()) {
-        let bitset = LivenessChecker::compute(&g);
-        let sorted = SortedLivenessChecker::compute(&g);
-        let n = g.num_nodes() as u32;
-        for def in 0..n {
-            for u in 0..n {
-                for q in 0..n {
-                    let uses = [u];
-                    prop_assert_eq!(
-                        bitset.is_live_in(def, &uses, q),
-                        sorted.is_live_in(def, &uses, q)
-                    );
-                    prop_assert_eq!(
-                        bitset.is_live_out(def, &uses, q),
-                        sorted.is_live_out(def, &uses, q)
-                    );
+    fn sorted_engine_matches_bitset_engine(g in digraphs(), orphaned in orphaned_digraphs()) {
+        for g in [g, orphaned] {
+            let bitset = LivenessChecker::compute(&g);
+            let sorted = SortedLivenessChecker::compute(&g);
+            let reference = ReferenceChecker::compute(&g);
+            let forest = LoopForestChecker::compute(&g);
+            let n = g.num_nodes() as u32;
+            for def in 0..n {
+                for u in 0..n {
+                    for q in 0..n {
+                        let uses = [u];
+                        let want = (
+                            bitset.is_live_in(def, &uses, q),
+                            bitset.is_live_out(def, &uses, q),
+                        );
+                        let sorted_answer = (
+                            sorted.is_live_in(def, &uses, q),
+                            sorted.is_live_out(def, &uses, q),
+                        );
+                        let reference_answer = (
+                            reference.is_live_in(def, &uses, q),
+                            reference.is_live_out(def, &uses, q),
+                        );
+                        let forest_answer = forest.as_ref().map_or(want, |f| {
+                            (f.is_live_in(def, &uses, q), f.is_live_out(def, &uses, q))
+                        });
+                        for (name, got) in [
+                            ("sorted", sorted_answer),
+                            ("reference", reference_answer),
+                            ("loop forest", forest_answer),
+                        ] {
+                            prop_assert_eq!(
+                                got, want,
+                                "{} (live-in, live-out) def={} use={} q={} in {:?}",
+                                name, def, u, q, g
+                            );
+                        }
+                    }
                 }
             }
         }
