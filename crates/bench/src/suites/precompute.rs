@@ -13,7 +13,7 @@
 use fastlive_bench::{measure, Arm, Spread};
 use fastlive_core::baseline::SortedLivenessChecker;
 use fastlive_core::{FunctionLiveness, LivenessChecker};
-use fastlive_dataflow::{AppelLiveness, IterativeLiveness, LaoLiveness, VarUniverse};
+use fastlive_dataflow::{IterativeLiveness, LaoLiveness, VarUniverse};
 use fastlive_ir::Function;
 use fastlive_workload::{generate_function, GenParams};
 
@@ -48,12 +48,10 @@ pub fn run(quick: bool) {
                 Arm::new(|| LaoLiveness::compute(&f, &phi)),
                 Arm::new(|| LaoLiveness::compute(&f, &all)),
                 Arm::new(|| IterativeLiveness::compute(&f, &all)),
-                Arm::new(|| AppelLiveness::compute(&f, &all)),
                 Arm::new(|| SortedLivenessChecker::compute(&f)),
             ],
         );
-        let names = "new_checker native_lao_phi native_lao_full bitvector_full appel_full \
-            sorted_checker";
+        let names = "new_checker native_lao_phi native_lao_full bitvector_full sorted_checker";
         for (i, name) in names.split_whitespace().enumerate() {
             report(format!("precompute/{name}/{}", f.num_blocks()), m.arm(i));
         }

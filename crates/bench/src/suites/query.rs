@@ -91,14 +91,23 @@ fn batch_row(rounds: usize, target: usize) -> Json {
     let checker = live.checker();
     let probes = dominance_probes(checker, PROBES, 0x517e);
     let n = PROBES as f64;
+    // The pass, the solve and the allocation-free probe loop share one
+    // `measure`, so `breakeven_queries` stays a per-round ratio. The
+    // set builders get their own: timed in the same rounds, `batch_ns`
+    // moves with the heap state they leave.
     let m = measure(
         rounds,
         vec![
             Arm::new(|| live.batch(&func)),
             Arm::new(|| IterativeLiveness::compute(&func, &universe)),
+            Arm::new(|| run_probes(checker, &probes)),
+        ],
+    );
+    let sets = measure(
+        rounds,
+        vec![
             Arm::new(|| live.live_sets(&func)),
             Arm::new(|| baseline::live_sets_scalar(&live, &func)),
-            Arm::new(|| run_probes(checker, &probes)),
         ],
     );
     Json::obj()
@@ -107,11 +116,11 @@ fn batch_row(rounds: usize, target: usize) -> Json {
         .spread("batch_ns", m.arm(0), 0)
         .spread("iterative_dataflow_ns", m.arm(1), 0)
         .spread("batch_vs_iterative", m.ratio(0, 1), 2)
-        .spread("live_sets_ns", m.arm(2), 0)
-        .spread("scalar_all_pairs_ns", m.arm(3), 0)
-        .spread("batch_speedup_vs_scalar", m.ratio(3, 2), 1)
-        .spread("query_ns", m.per_round(|s| s[4] / n), 2)
-        .spread("breakeven_queries", m.per_round(|s| s[0] / s[4] * n), 0)
+        .spread("live_sets_ns", sets.arm(0), 0)
+        .spread("scalar_all_pairs_ns", sets.arm(1), 0)
+        .spread("batch_speedup_vs_scalar", sets.ratio(1, 0), 1)
+        .spread("query_ns", m.per_round(|s| s[2] / n), 2)
+        .spread("breakeven_queries", m.per_round(|s| s[0] / s[2] * n), 0)
 }
 
 /// Runs the suite.

@@ -22,9 +22,11 @@
 //! variables at once, with one bit column per variable:
 //!
 //! ```text
-//! reach(v)  = uses(v) ∪ ⋃ { reach(w) : (v, w) a non-back edge }
-//!             — vars with a use in R_v; one postorder pass of word
-//!               unions, exactly like the R matrix itself (§5.2)
+//! excl(v)   = ⋃ { reach(w) : (v, w) a non-back edge }
+//! reach(v)  = uses(v) ∪ excl(v)
+//!             — vars with a use in R_v \ {v}, and in R_v; one
+//!               postorder pass of word unions, exactly like the R
+//!               matrix itself (§5.2)
 //! strict(v) = strict(idom(v)) ∪ defs(idom(v))
 //!             — vars whose def strictly dominates v; one dominator-
 //!               preorder pass. Variable columns are grouped by
@@ -33,20 +35,25 @@
 //! cand(t)   = reach(t) ∩ strict(t)
 //!             — vars for which t is a live-in witness (def sdom t and
 //!               R_t touches a use)
-//! live_in(q)  = (⋃ { cand(t) : t ∈ T_q }) ∩ strict(q)
-//! live_out(q) = ((⋃ { cand(t) : t ∈ T_q, t ≠ q }) ∪ X(q)) ∩ strict(q)
-//!               ∪ (defs(q) ∩ outside_use)
+//! M(q)      = (excl(q) ∪ ⋃ { cand(t) : t ∈ T_q, t ≠ q }) ∩ strict(q)
+//! live_in(q)  = M(q) ∪ cand(q)
+//! live_out(q) = M(q) ∪ B(q) ∪ (defs(q) ∩ outside_use)
 //! ```
 //!
-//! where `X(q)` is `reach(q)` when `q` is a back-edge target (its
-//! self-cycle may re-reach a use at `q`, §4.2) and otherwise
-//! `reach_excl(q) = ⋃ reach(succ)` (the `U \ {q}` of Algorithm 2), and
-//! the final `live_out` term is Algorithm 2's defining-block case:
-//! variables defined at `q` with a reachable use outside `q`. The trailing
-//! `∩ strict(q)` enforces Algorithm 3's precondition `num(def) <
-//! num(q) ≤ maxnum(def)` — without it, an irreducible `t ∈ T_q` inside
-//! `def`'s subtree could report liveness at a `q` the definition does
-//! not even dominate.
+//! `live_in(q)` is Algorithm 1's `(⋃ { cand(t) : t ∈ T_q }) ∩ strict(q)`,
+//! since `q ∈ T_q` and `excl(q) ∩ strict(q) ⊆ cand(q) ⊆ strict(q)`.
+//! Algorithm 2 counts the trivial candidate `t = q` only for uses
+//! strictly past `q` (`excl(q)`, the `U \ {q}` of §4.2) unless `q` is a
+//! back-edge target, whose self-cycle may re-reach a use at `q`: then
+//! `B(q) = cand(q)`, else `B(q) = ∅`. The last `live_out` term is
+//! Algorithm 2's defining-block case: variables defined at `q` with a
+//! reachable use outside `q`. The `∩ strict(q)` enforces Algorithm 3's
+//! precondition `num(def) < num(q) ≤ maxnum(def)` — without it, an
+//! irreducible `t ∈ T_q` inside `def`'s subtree could report liveness at
+//! a `q` the definition does not even dominate. The pass holds four
+//! `blocks × variables` matrices: `cand` is `reach` cut down in place,
+//! and `excl(v)` is written into row `v` of `live_out`, where `M(v)`
+//! then grows.
 //!
 //! Total cost: `O((E + Σ|T_q| + B) · V/64)` word operations for `B`
 //! blocks, `E` edges and `V` variables — compare `O(V · B)` scalar
@@ -54,13 +61,13 @@
 //! the two is measured by the `fastlive-bench` runner's `query` suite
 //! (`BENCH_query.json`).
 //!
-//! # Set views
+//! # The set view
 //!
 //! Columns are grouped by definition block, not ordered by variable, so
-//! every set view ([`BatchLiveness::sets`], `live_in_vars`,
-//! `live_out_vars`) scatters a row through the column-to-variable map
-//! into a scratch row indexed by variable, then reads it back in
-//! ascending order into one exactly-sized `Vec`: no sort, no regrowth.
+//! the set view, [`BatchLiveness::sets`], scatters each row through the
+//! column-to-variable map into a scratch row indexed by variable, then
+//! reads it back in ascending order into one exactly-sized `Vec`: no
+//! sort, no regrowth.
 
 use std::fmt;
 
@@ -130,7 +137,8 @@ impl std::error::Error for BatchError {}
 /// assert!(batch.is_live_in(0, 2));
 /// assert!(batch.is_live_out(0, 2)); // back to the header
 /// assert!(!batch.is_live_in(0, 3)); // dead after the loop
-/// assert_eq!(batch.live_in_vars(2), vec![0]);
+/// let (live_in, _) = batch.sets(|var| var);
+/// assert_eq!(live_in[2], vec![0]);
 /// # Ok::<(), fastlive_core::BatchError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -248,13 +256,15 @@ impl BatchLiveness {
         let mut ones = BitMatrix::new(1, v_cols);
         ones.fill_row(0);
 
-        // ---- reach / reach_excl: vars with a use reduced-reachable
-        // from each block, one postorder pass (the batched Definition 4).
+        // ---- reach: vars with a use reduced-reachable from each block,
+        // one postorder pass (the batched Definition 4). Row `v` of
+        // `live_out` holds excl(v), the uses strictly past v, until the
+        // assembly below turns it into live_out(v).
         // `outside_use` row 0: vars with a reachable use outside their
         // def block (unreachable use blocks never witness liveness,
         // matching the checker's defining-block test).
         let mut reach = BitMatrix::new(n, v_cols);
-        let mut reach_excl = BitMatrix::new(n, v_cols);
+        let mut live_out = BitMatrix::new(n, v_cols);
         let mut outside_use = BitMatrix::new(1, v_cols);
         for &(a, ub) in uses {
             // In range: every use was validated against `defs` above.
@@ -277,10 +287,10 @@ impl BatchLiveness {
             // back-ness is a property of the node pair alone.
             for &w in g.succs(v) {
                 if dfs.edge_class(v, w) != EdgeClass::Back {
-                    reach_excl.union_row_from(vn, &reach, num_by_node[w as usize]);
+                    live_out.union_row_from(vn, &reach, num_by_node[w as usize]);
                 }
             }
-            reach.union_row_from(vn, &reach_excl, vn);
+            reach.union_row_from(vn, &live_out, vn);
         }
 
         // ---- strict: vars defined at strict dominators, one
@@ -297,35 +307,34 @@ impl BatchLiveness {
             }
         }
 
-        // ---- cand(t) = reach(t) ∩ strict(t).
-        let mut cand = reach.clone();
+        // ---- cand(t) = reach(t) ∩ strict(t), in place: `reach` is
+        // not read again.
+        let mut cand = reach;
         for tn in 0..n as u32 {
             cand.intersect_row_from(tn, &strict, tn);
         }
 
-        // ---- Assemble live-in/live-out by unioning candidate rows
-        // along each T_q row (which always contains q itself).
+        // ---- Assemble: M(q) is excl(q) plus the candidate rows along
+        // T_q \ {q}, cut to strict(q); live-in adds the witness t = q.
         let t = &checker.pre().t;
         let mut live_in = BitMatrix::new(n, v_cols);
-        let mut live_out = BitMatrix::new(n, v_cols);
         for &q in dom.preorder() {
             let qn = num_by_node[q as usize];
             for tn in t.row_iter(qn) {
-                live_in.union_row_from(qn, &cand, tn);
                 if tn != qn {
                     live_out.union_row_from(qn, &cand, tn);
                 }
             }
-            live_in.intersect_row_from(qn, &strict, qn);
+            live_out.intersect_row_from(qn, &strict, qn);
+            live_in.union_row_from(qn, &live_out, qn);
+            live_in.union_row_from(qn, &cand, qn);
             // Trivial live-out candidate t = q: only a back-edge target
             // proves a cycle that may re-reach a use at q itself; other
-            // blocks count uses strictly past q (U \ {q}, §4.2).
+            // blocks count uses strictly past q (U \ {q}, §4.2), which
+            // excl(q) already put in M(q).
             if checker.is_back_edge_target(q) {
                 live_out.union_row_from(qn, &cand, qn);
-            } else {
-                live_out.union_row_from(qn, &reach_excl, qn);
             }
-            live_out.intersect_row_from(qn, &strict, qn);
             // Algorithm 2's defining-block case: vars defined at q that
             // are used at some other reachable block — one masked
             // splice of q's column interval.
@@ -368,21 +377,11 @@ impl BatchLiveness {
         self.cell(&self.live_out, var, q)
     }
 
-    /// The live-in set of `q` as ascending variable indices.
-    pub fn live_in_vars(&self, q: NodeId) -> Vec<u32> {
-        self.extract(&self.live_in, q, &mut self.scratch(), &|var| var)
-    }
-
-    /// The live-out set of `q` as ascending variable indices.
-    pub fn live_out_vars(&self, q: NodeId) -> Vec<u32> {
-        self.extract(&self.live_out, q, &mut self.scratch(), &|var| var)
-    }
-
     /// Every block's live-in and live-out set, indexed by node id: `f`
     /// of each variable, ascending, in a `Vec` of exactly the set's
     /// size (empty for unreachable blocks).
     pub fn sets<T>(&self, f: impl Fn(u32) -> T) -> (Vec<Vec<T>>, Vec<Vec<T>>) {
-        let mut scratch = self.scratch();
+        let mut scratch = vec![0; self.col_of.len().div_ceil(64)];
         let mut rows = |matrix: &BitMatrix| -> Vec<Vec<T>> {
             (0..self.num_by_node.len() as NodeId)
                 .map(|q| self.extract(matrix, q, &mut scratch, &f))
@@ -391,12 +390,7 @@ impl BatchLiveness {
         (rows(&self.live_in), rows(&self.live_out))
     }
 
-    /// A clear scratch row, one bit per variable.
-    fn scratch(&self) -> Vec<u64> {
-        vec![0; self.col_of.len().div_ceil(64)]
-    }
-
-    /// The one set extraction (module docs, *Set views*): scatter row
+    /// The set extraction (module docs, *The set view*): scatter row
     /// `q` into `scratch`, then drain the words it touched (`lo..=hi`,
     /// none for an empty row) into a `Vec` of the scattered count.
     fn extract<T>(
@@ -554,14 +548,11 @@ mod tests {
         let defs = [1u32, 2, 2];
         let uses = [(0u32, 3u32), (1, 8), (2, 4)];
         let batch = BatchLiveness::compute(&g, &checker, &defs, &uses).expect("valid input");
+        let (ins, outs) = batch.sets(|var| var);
         for q in 0..11 {
-            let ins = batch.live_in_vars(q);
             for a in 0..3u32 {
-                assert_eq!(ins.contains(&a), batch.is_live_in(a, q));
-            }
-            let outs = batch.live_out_vars(q);
-            for a in 0..3u32 {
-                assert_eq!(outs.contains(&a), batch.is_live_out(a, q));
+                assert_eq!(ins[q as usize].contains(&a), batch.is_live_in(a, q));
+                assert_eq!(outs[q as usize].contains(&a), batch.is_live_out(a, q));
             }
         }
     }
@@ -621,8 +612,8 @@ mod tests {
 
         /// Every set the word-level extraction produces equals the old
         /// collect-map-sort extraction of the same row, is ascending and
-        /// exactly sized, and `live_in_vars` / `live_out_vars` and
-        /// `FunctionLiveness::live_sets` read the same sets.
+        /// exactly sized, and `FunctionLiveness::live_sets` reads the
+        /// same sets.
         #[test]
         fn word_level_extraction_matches_collect_map_sort(
             regime in 0u8..3,
@@ -639,15 +630,14 @@ mod tests {
             proptest::prop_assert_eq!(outs.len(), func.num_blocks());
             for q in 0..func.num_blocks() as NodeId {
                 let views = [
-                    (&ins, &value_ins, &batch.live_in, batch.live_in_vars(q)),
-                    (&outs, &value_outs, &batch.live_out, batch.live_out_vars(q)),
+                    (&ins, &value_ins, &batch.live_in),
+                    (&outs, &value_outs, &batch.live_out),
                 ];
-                for (sets, values, matrix, single) in views {
+                for (sets, values, matrix) in views {
                     let set = &sets[q as usize];
                     proptest::prop_assert_eq!(set, &collect_map_sort(&batch, matrix, q));
                     proptest::prop_assert!(set.windows(2).all(|w| w[0] < w[1]));
                     proptest::prop_assert_eq!(set.capacity(), set.len());
-                    proptest::prop_assert_eq!(&single, set);
                     let as_vars: Vec<u32> =
                         values[q as usize].iter().map(|v| v.index() as u32).collect();
                     proptest::prop_assert_eq!(&as_vars, set);
@@ -661,8 +651,9 @@ mod tests {
         let g = figure3();
         let checker = LivenessChecker::compute(&g);
         let batch = BatchLiveness::compute(&g, &checker, &[], &[]).expect("valid input");
-        assert_eq!(batch.live_in_vars(5), Vec::<u32>::new());
-        assert_eq!(batch.live_out_vars(5), Vec::<u32>::new());
+        let (ins, outs) = batch.sets(|var| var);
+        assert_eq!(ins[5], Vec::<u32>::new());
+        assert_eq!(outs[5], Vec::<u32>::new());
     }
 
     #[test]

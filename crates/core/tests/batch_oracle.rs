@@ -46,8 +46,8 @@ fn assert_batch_matches_oracle(func: &Function, label: &str) {
         }
     }
     // Set views carry the same information as the point queries.
+    let (batch_ins, batch_outs) = batch.sets(|var| var);
     for b in func.blocks() {
-        let q = b.index() as u32;
         let ins: Vec<u32> = oracle
             .live_in_set(b)
             .iter()
@@ -56,12 +56,12 @@ fn assert_batch_matches_oracle(func: &Function, label: &str) {
         let mut ins_sorted = ins.clone();
         ins_sorted.sort_unstable();
         assert_eq!(
-            batch.live_in_vars(q),
+            batch_ins[b.index()],
             ins_sorted,
             "{label}: live-in set at {b}"
         );
         assert_eq!(
-            batch.live_out_vars(q).len(),
+            batch_outs[b.index()].len(),
             oracle.live_out_set(b).len(),
             "{label}: at {b}"
         );
@@ -129,12 +129,12 @@ fn batch_snapshot_vs_live_sets_materialization() {
     let live = FunctionLiveness::compute(&func);
     let batch = live.batch(&func);
     let (ins, outs) = live.live_sets(&func);
+    let (batch_ins, batch_outs) = batch.sets(|var| var);
     for b in func.blocks() {
-        let q = b.index() as u32;
         let from_sets: Vec<u32> = ins[b.index()].iter().map(|v| v.index() as u32).collect();
-        assert_eq!(batch.live_in_vars(q), from_sets);
+        assert_eq!(batch_ins[b.index()], from_sets);
         let out_sets: Vec<u32> = outs[b.index()].iter().map(|v| v.index() as u32).collect();
-        assert_eq!(batch.live_out_vars(q), out_sets);
+        assert_eq!(batch_outs[b.index()], out_sets);
     }
 }
 

@@ -3,8 +3,8 @@
 //!
 //! The paper's evaluation (§6.2) compares its checker against the
 //! production liveness analysis of the LAO code generator. This crate
-//! re-implements that baseline from the paper's description, plus two
-//! more reference points:
+//! re-implements that baseline from the paper's description, plus one
+//! more reference point and the ground truth:
 //!
 //! * [`IterativeLiveness`] — a classic iterative data-flow solver with
 //!   a stack worklist (Cooper, Harvey & Kennedy, "Iterative Data-Flow
@@ -14,10 +14,6 @@
 //!   the local (per-block) analysis, global live sets stored as sorted
 //!   dense arrays, and binary-search membership queries. Supports the
 //!   φ-related-variable filtering LAO applies during SSA destruction.
-//! * [`AppelLiveness`] — the per-variable SSA algorithm the related
-//!   work (§7) attributes to Appel & Palsberg: walk backwards from each
-//!   use through the predecessor graph, marking blocks until the
-//!   definition is reached.
 //! * [`oracle`] — a brute-force implementation of Definition 2 (path
 //!   search avoiding the definition), the ground truth every engine in
 //!   the workspace is tested against; [`oracle::live_at_value`]
@@ -39,14 +35,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod appel;
 mod iterative;
 mod lao;
 mod nullness;
 pub mod oracle;
 mod universe;
 
-pub use appel::AppelLiveness;
 pub use iterative::IterativeLiveness;
 pub use lao::LaoLiveness;
 pub use nullness::IterativeNullness;

@@ -96,7 +96,7 @@ pub fn live_at_value(func: &Function, v: Value, p: ProgramPoint) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AppelLiveness, IterativeLiveness, LaoLiveness, VarUniverse};
+    use crate::{IterativeLiveness, LaoLiveness, VarUniverse};
     use fastlive_graph::DiGraph;
     use fastlive_ir::parse_function;
 
@@ -231,17 +231,14 @@ mod tests {
         let u = VarUniverse::all(&f);
         let iter = IterativeLiveness::compute(&f, &u);
         let lao = LaoLiveness::compute(&f, &u);
-        let appel = AppelLiveness::compute(&f, &u);
         for v in f.values() {
             for b in f.blocks() {
                 let want_in = live_in_value(&f, v, b);
                 let want_out = live_out_value(&f, v, b);
                 assert_eq!(iter.is_live_in(v, b), want_in, "iter in {v} {b}");
                 assert_eq!(lao.is_live_in(v, b), want_in, "lao in {v} {b}");
-                assert_eq!(appel.is_live_in(v, b), want_in, "appel in {v} {b}");
                 assert_eq!(iter.is_live_out(v, b), want_out, "iter out {v} {b}");
                 assert_eq!(lao.is_live_out(v, b), want_out, "lao out {v} {b}");
-                assert_eq!(appel.is_live_out(v, b), want_out, "appel out {v} {b}");
             }
         }
     }

@@ -2,7 +2,7 @@
 //! workload generator (a dev-dependency; the production dependency
 //! graph stays acyclic).
 
-use fastlive_dataflow::{oracle, AppelLiveness, IterativeLiveness, LaoLiveness, VarUniverse};
+use fastlive_dataflow::{oracle, IterativeLiveness, LaoLiveness, VarUniverse};
 use fastlive_workload::{generate_function, GenParams};
 
 #[test]
@@ -18,7 +18,6 @@ fn engines_agree_with_oracle_across_sizes_and_shapes() {
         let u = VarUniverse::all(&func);
         let iter = IterativeLiveness::compute(&func, &u);
         let lao = LaoLiveness::compute(&func, &u);
-        let appel = AppelLiveness::compute(&func, &u);
         for v in func.values() {
             for b in func.blocks() {
                 let want_in = oracle::live_in_value(&func, v, b);
@@ -30,11 +29,6 @@ fn engines_agree_with_oracle_across_sizes_and_shapes() {
                 );
                 assert_eq!(lao.is_live_in(v, b), want_in, "lao in {v}@{b} seed {seed}");
                 assert_eq!(
-                    appel.is_live_in(v, b),
-                    want_in,
-                    "appel in {v}@{b} seed {seed}"
-                );
-                assert_eq!(
                     iter.is_live_out(v, b),
                     want_out,
                     "iter out {v}@{b} seed {seed}"
@@ -43,11 +37,6 @@ fn engines_agree_with_oracle_across_sizes_and_shapes() {
                     lao.is_live_out(v, b),
                     want_out,
                     "lao out {v}@{b} seed {seed}"
-                );
-                assert_eq!(
-                    appel.is_live_out(v, b),
-                    want_out,
-                    "appel out {v}@{b} seed {seed}"
                 );
             }
         }

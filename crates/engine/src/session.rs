@@ -114,7 +114,7 @@ impl<'e> EngineSession<'e> {
     /// Number of functions the session holds entries for: the module's
     /// length at [`AnalysisEngine::analyze`] time, grown to the
     /// module's current length when a function pushed since is first
-    /// accessed.
+    /// accessed or revalidated.
     pub fn num_functions(&self) -> usize {
         self.entries.len()
     }
@@ -128,13 +128,11 @@ impl<'e> EngineSession<'e> {
 
     /// The recomputation epoch of `func`: 0 until its CFG first
     /// changes, +1 per detected invalidation (or retried failure)
-    /// since, however many analysis kinds are resident.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `func` is out of range.
+    /// since, however many analysis kinds are resident. A function the
+    /// session holds no entry for yet (one pushed onto the module since
+    /// it opened and not accessed since) is at 0.
     pub fn epoch(&self, func: FuncId) -> u64 {
-        self.entries[func].epoch
+        self.entries.get(func).map_or(0, |entry| entry.epoch)
     }
 
     /// Total recomputations across all functions since the session
@@ -159,15 +157,7 @@ impl<'e> EngineSession<'e> {
         func: FuncId,
     ) -> Result<Arc<A>, AnalysisError> {
         let current = module.func(func);
-        if func >= self.entries.len() {
-            let pushed = &module.functions()[self.entries.len()..];
-            self.entries.extend(pushed.iter().map(|f| SessionEntry {
-                shape: CfgShape::of(f),
-                cfg_version: f.cfg_version(),
-                epoch: 0,
-                slots: Default::default(),
-            }));
-        }
+        self.grow_to(module, func);
         let entry = &self.entries[func];
         if !entry.is_current_for(current) {
             self.reresolve(module, func, CfgShape::of(current));
@@ -218,7 +208,7 @@ impl<'e> EngineSession<'e> {
     ///
     /// # Panics
     ///
-    /// Panics if `func` is out of range for the analyzed module.
+    /// Panics if `func` is out of range for the module.
     pub fn analysis(
         &mut self,
         module: &Module,
@@ -331,10 +321,11 @@ impl<'e> EngineSession<'e> {
 
     /// Dense route for whole-function consumers: live-in/live-out bit
     /// rows for **all** `(value, block)` pairs of `func` in one matrix
-    /// pass ([`FunctionLiveness::batch`]), 20–60× cheaper than looping
-    /// scalar queries per `BENCH_query.json`. The snapshot reads the
-    /// def-use chains at call time and goes stale on *any* later edit —
-    /// re-request it after editing.
+    /// pass ([`FunctionLiveness::batch`]); built into value sets, it
+    /// reads 10–42× cheaper than a scalar query per pair at 35–1,024
+    /// blocks (`batch_speedup_vs_scalar` in `BENCH_query.json`). The
+    /// snapshot reads the def-use chains at call time and goes stale on
+    /// *any* later edit — re-request it after editing.
     ///
     /// # Panics
     ///
@@ -350,13 +341,15 @@ impl<'e> EngineSession<'e> {
     /// re-resolve. Needed only after replacing a function wholesale;
     /// plain mutator-driven edits are caught by the per-query check.
     ///
-    /// Returns `true` if anything was re-resolved.
+    /// Returns `true` if anything was re-resolved; a function pushed
+    /// onto the module since the session opened gets its entry here.
     ///
     /// # Panics
     ///
-    /// Panics if `func` is out of range.
+    /// Panics if `func` is out of range for the module.
     pub fn revalidate(&mut self, module: &Module, func: FuncId) -> bool {
         let shape = CfgShape::of(module.func(func));
+        self.grow_to(module, func);
         let entry = &mut self.entries[func];
         let stale = shape != entry.shape || entry.slots.iter().flatten().any(Result::is_err);
         if stale {
@@ -368,6 +361,22 @@ impl<'e> EngineSession<'e> {
             entry.cfg_version = module.func(func).cfg_version();
         }
         stale
+    }
+
+    /// Gives every function up to `func` an entry: functions pushed
+    /// onto the module since the session opened get fresh, unresolved
+    /// entries at epoch 0, so their first access resolves through the
+    /// engine.
+    fn grow_to(&mut self, module: &Module, func: FuncId) {
+        if func >= self.entries.len() {
+            let pushed = &module.functions()[self.entries.len()..];
+            self.entries.extend(pushed.iter().map(|f| SessionEntry {
+                shape: CfgShape::of(f),
+                cfg_version: f.cfg_version(),
+                epoch: 0,
+                slots: Default::default(),
+            }));
+        }
     }
 
     /// Re-resolves `func`'s resident slots under `shape` through the
@@ -832,6 +841,29 @@ mod tests {
         assert_eq!(session.recomputations(), recomputations);
         assert_eq!(engine.cache_stats(), stats);
         assert_eq!(facts, fresh_facts(func));
+    }
+
+    /// A function pushed after the session opened has an epoch (0) and
+    /// revalidates before any query on it, and then answers.
+    #[test]
+    fn pushed_function_has_an_epoch_and_revalidates_before_any_query() {
+        let mut module = looped_module();
+        let engine = AnalysisEngine::with_defaults();
+        let mut session = engine.analyze(&module);
+        let pushed = module.push(
+            fastlive_ir::parse_function(
+                "function %g { block0(v0): jump block1 block1: return v0 }",
+            )
+            .expect("parses"),
+        );
+        assert_eq!(session.epoch(pushed), 0);
+        assert!(!session.revalidate(&module, pushed), "nothing resolved yet");
+        assert_eq!(session.num_functions(), 2);
+        assert_eq!(session.epoch(pushed), 0);
+        let v0 = module.func(pushed).params()[0];
+        let b1 = module.func(pushed).block_by_index(1);
+        assert_eq!(session.is_live_in(&module, pushed, v0, b1), Ok(true));
+        assert_eq!(session.epoch(pushed), 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Allocation counts of the CFG kernels: each kernel the engine runs
-//! on a revive, a cold precompute or a nullness compute must allocate
-//! a fixed number of times per call, whatever the block count. A
+//! on a revive, a cold precompute, a nullness compute or a batch
+//! live-set pass must allocate a fixed number of times per call,
+//! whatever the block count. A
 //! kernel that grows a per-node `Vec` or pushes into an unsized buffer
 //! allocates (or reallocates) more often on a 512-block shape than on
 //! a 16-block one, and fails here.
@@ -13,10 +14,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use fastlive_cfg::{DfsTree, DomTree};
-use fastlive_core::{FunctionLiveness, LivenessChecker, NullnessArtifact};
+use fastlive_core::{BatchLiveness, FunctionLiveness, LivenessChecker, NullnessArtifact};
 use fastlive_engine::persist::{decode_artifact, encode_artifact};
 use fastlive_engine::CfgShape;
-use fastlive_graph::DiGraph;
+use fastlive_graph::{Cfg, DiGraph, NodeId};
 use fastlive_workload::random_digraph;
 
 /// Counts allocations, zeroed allocations and reallocations of the
@@ -141,5 +142,20 @@ fn cold_computes() {
     });
     assert_fixed("NullnessArtifact::compute", |_, g| {
         allocations(|| NullnessArtifact::compute(g))
+    });
+}
+
+#[test]
+fn batch_pass() {
+    assert_fixed("BatchLiveness::compute", |_, g| {
+        let live = LivenessChecker::compute(g);
+        // One variable per block, defined there and used at each of the
+        // block's successors.
+        let defs: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
+        let uses: Vec<(u32, NodeId)> = defs
+            .iter()
+            .flat_map(|&b| g.succs(b).iter().map(move |&s| (b, s)))
+            .collect();
+        allocations(|| BatchLiveness::compute(g, &live, &defs, &uses).expect("valid input"))
     });
 }

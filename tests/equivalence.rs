@@ -4,7 +4,7 @@
 
 use fastlive::core::baseline::{LoopForestChecker, SortedLivenessChecker};
 use fastlive::core::{FunctionLiveness, LivenessChecker};
-use fastlive::dataflow::{oracle, AppelLiveness, IterativeLiveness, LaoLiveness, VarUniverse};
+use fastlive::dataflow::{oracle, IterativeLiveness, LaoLiveness, VarUniverse};
 use fastlive::ir::Function;
 use fastlive::workload::{generate_function, GenParams};
 
@@ -25,9 +25,10 @@ fn all_engines_match_the_oracle_on_generated_functions() {
         let checker = FunctionLiveness::compute(&func);
         let iterative = IterativeLiveness::compute(&func, &universe);
         let lao = LaoLiveness::compute(&func, &universe);
-        let appel = AppelLiveness::compute(&func, &universe);
+        let batch = checker.batch(&func);
 
         for v in func.values() {
+            let var = v.index() as u32;
             for b in func.blocks() {
                 let want_in = oracle::live_in_value(&func, v, b);
                 let want_out = oracle::live_out_value(&func, v, b);
@@ -58,14 +59,14 @@ fn all_engines_match_the_oracle_on_generated_functions() {
                     "lao out {v}@{b} seed {seed}"
                 );
                 assert_eq!(
-                    appel.is_live_in(v, b),
+                    batch.is_live_in(var, b.as_u32()),
                     want_in,
-                    "appel in {v}@{b} seed {seed}"
+                    "batch in {v}@{b} seed {seed}"
                 );
                 assert_eq!(
-                    appel.is_live_out(v, b),
+                    batch.is_live_out(var, b.as_u32()),
                     want_out,
-                    "appel out {v}@{b} seed {seed}"
+                    "batch out {v}@{b} seed {seed}"
                 );
             }
         }
